@@ -2,7 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-slow chaos chaos-smoke bench bench-report \
-	examples smoke service-smoke experiments-smoke docs-check
+	examples smoke service-smoke experiments-smoke docs-check \
+	perfbench-smoke
 
 ## tier-1 test suite (what CI gates on) — includes the doc
 ## coverage and docs link-checker gates
@@ -82,6 +83,21 @@ bench:
 	$(PYTHON) -m pytest benchmarks -q \
 		--benchmark-json=.benchmarks/bench_latest.json
 	$(PYTHON) benchmarks/bench_report.py --name perf --check
+
+## benchmark smoke (perfbench/README.md): every BENCHMARK.json workload
+## for 3 s; fails unless the last JSON line reports correct outputs and
+## no failed operations (run.py itself exits 0 either way)
+PERFBENCH_WORKLOADS := adder_ripple adder_hold mc_ring service_stream
+PERFBENCH_CHECK := import json, sys; \
+	r = json.loads(sys.stdin.read().splitlines()[-1]); \
+	sys.exit(0 if r["correct"] is True and r["failed"] == 0 \
+	else "perfbench run not clean: " + json.dumps(r))
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-smoke: $$w"; \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 0 --seconds 3 \
+			| $(PYTHON) -c '$(PERFBENCH_CHECK)' || exit 1; \
+	done
 
 ## refresh the committed BENCH_perf.json without the pass/fail gate
 bench-report:

@@ -631,8 +631,6 @@ def bench_partitioned_transient() -> dict:
             "bypass_fraction": (bypassed / max(active + bypassed, 1)),
             "interface_solve_reuses": int(
                 part["metrics"]["interface_solve_reuses"]),
-            "relax_escalations": int(
-                part["metrics"]["relax_escalations"]),
         }
     return out
 

@@ -22,6 +22,7 @@ import threading
 import time
 from typing import Optional
 
+from repro import faults
 from repro.errors import CancelledError, ParameterError
 
 __all__ = ["CancelToken"]
@@ -70,7 +71,9 @@ class CancelToken:
 
     def check(self) -> None:
         """Raise :class:`repro.errors.CancelledError` when cancelled
-        or past the deadline; otherwise return immediately."""
+        or past the deadline; otherwise return immediately.  The
+        ``service.hold`` fault seam can park the caller here first."""
+        faults.hold_seam("service.hold")
         if self._cancelled.is_set():
             raise CancelledError(self._reason, kind="cancelled")
         if self.expired:

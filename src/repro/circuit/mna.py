@@ -51,7 +51,7 @@ from repro.cancel import CancelToken
 from repro.circuit.elements.base import StampContext, TripletStampContext
 from repro.circuit.elements.cnfet import CNFETElement, CNFETSlab
 from repro.circuit.netlist import Circuit
-from repro.circuit.solvers import BackendLike, resolve_backend
+from repro.circuit.solvers import BackendLike, csc_pattern, resolve_backend
 from repro.errors import AnalysisError
 from repro.pwl.device import CNFET
 from repro.pwl.kernels import active_kernel_backend
@@ -316,24 +316,11 @@ class TwoPhaseAssembler:
         is two value scatters — no matrix construction or format
         conversion.
         """
-        n = self.n
-        union = np.unique(np.concatenate([s_flat, d_flat]))
-        rows = union // n
-        cols = union % n
-        self._pattern_flat = union
-        # union is sorted by (row, col); a stable argsort on the
-        # column takes it to (col, row) — the CSC entry order.
-        perm = np.argsort(cols, kind="stable")
-        self._indices = rows[perm].astype(np.intp)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        self._indptr = indptr
-        csc_pos = np.empty(union.size, dtype=np.intp)
-        csc_pos[perm] = np.arange(union.size)
+        self._pattern_flat, self._indices, self._indptr, \
+            (self._static_map, self._dyn_map) = csc_pattern(
+                self.n, s_flat, d_flat)
         self._static_flat = s_flat.copy()
         self._dyn_flat = d_flat.copy()
-        self._static_map = csc_pos[np.searchsorted(union, s_flat)]
-        self._dyn_map = csc_pos[np.searchsorted(union, d_flat)]
         self._static_dirty = True
         self._lu_data = None
         self._lu = None

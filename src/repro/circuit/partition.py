@@ -20,9 +20,7 @@ fast-SPICE answer:
   unknowns, local boundary nodes) and couples the blocks through a
   **Schur complement** interface solve — algebraically the same global
   Newton step the monolithic engine takes, so results agree to
-  round-off.  A block Gauss–Seidel **relaxation** coupling is available
-  as the cheap alternative; it checks its own convergence and
-  escalates to the direct Schur solve when the sweeps stall.
+  round-off.
 * **Latency bypass**: a block whose unknowns and boundary terminals
   moved less than ``bypass_tol`` volts since its last assembly skips
   device re-evaluation, stamping and refactorisation entirely — its
@@ -53,7 +51,7 @@ from repro.circuit.elements.base import (
 )
 from repro.circuit.elements.cnfet import CNFETElement, CNFETSlab
 from repro.circuit.netlist import HIER_SEP, Circuit
-from repro.circuit.solvers import HAVE_SCIPY, SparseBackend
+from repro.circuit.solvers import HAVE_SCIPY, SparseBackend, csc_pattern
 from repro.circuit.waveforms import DC
 from repro.errors import AnalysisError, ParameterError
 from repro.pwl.device import CNFET
@@ -639,25 +637,9 @@ class _BlockState:
 
     def _rebuild_sparse_pattern(self) -> None:
         """CSC pattern of the A quadrant from both phases' maps."""
-        ni = self.ni
-        union = np.unique(np.concatenate([
-            self.smaps.a_map if self.smaps.a_map is not None
-            else np.empty(0, np.intp),
-            self.dmaps.a_map if self.dmaps.a_map is not None
-            else np.empty(0, np.intp)]))
-        rows = union // ni
-        cols = union % ni
-        perm = np.argsort(cols, kind="stable")
-        self.a_indices = rows[perm].astype(np.intp)
-        indptr = np.zeros(ni + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cols, minlength=ni), out=indptr[1:])
-        self.a_indptr = indptr
-        csc_pos = np.empty(union.size, dtype=np.intp)
-        csc_pos[perm] = np.arange(union.size)
-        self.a_pattern = union
-        self._a_static_csc = csc_pos[np.searchsorted(union,
-                                                     self.smaps.a_map)]
-        self._a_dyn_csc = csc_pos[np.searchsorted(union, self.dmaps.a_map)]
+        self.a_pattern, self.a_indices, self.a_indptr, \
+            (self._a_static_csc, self._a_dyn_csc) = csc_pattern(
+                self.ni, self.smaps.a_map, self.dmaps.a_map)
 
     def system(self) -> Tuple:
         """Bordered block system from the recorded triplets.
@@ -780,9 +762,7 @@ class PartitionedAssembler:
     unchanged by :func:`~repro.circuit.mna.newton_solve`): each block
     assembles its bordered system independently and the blocks are
     coupled through a Schur-complement solve over the boundary nodes
-    and interface unknowns.  With ``coupling="relax"`` the interface
-    runs block Gauss–Seidel sweeps instead and escalates to the direct
-    Schur solve if they do not converge.
+    and interface unknowns.
 
     With ``bypass_tol > 0`` (transient analysis only) a block whose
     scope — internal unknowns plus boundary terminals — moved less
@@ -804,13 +784,6 @@ class PartitionedAssembler:
         ``partition_circuit(circuit)``.
     bypass_tol : float
         Latency-bypass tolerance in volts; ``0`` disables bypass.
-    coupling : str
-        ``"schur"`` (direct, exact) or ``"relax"`` (block
-        Gauss–Seidel with Schur escalation).
-    relax_tol : float
-        Interface convergence tolerance of the relaxation sweeps.
-    max_relax_sweeps : int
-        Sweep budget before the relaxation escalates to Schur.
     max_bypass_steps : int
         Consecutive accepted steps a block may stay bypassed.
     cnfet_slab_min : int
@@ -823,14 +796,8 @@ class PartitionedAssembler:
     def __init__(self, circuit: Circuit,
                  partition: Optional[Partition] = None, *,
                  bypass_tol: float = 0.0,
-                 coupling: str = "schur",
-                 relax_tol: float = 1e-9,
-                 max_relax_sweeps: int = 40,
                  max_bypass_steps: int = DEFAULT_MAX_BYPASS_STEPS,
                  cnfet_slab_min: int = 16) -> None:
-        if coupling not in ("schur", "relax"):
-            raise ParameterError(
-                f"coupling must be 'schur' or 'relax', got {coupling!r}")
         self.circuit = circuit
         self.partition = partition if partition is not None \
             else partition_circuit(circuit)
@@ -839,9 +806,6 @@ class PartitionedAssembler:
                 "partition was built for a different circuit")
         self.n = circuit.dimension()
         self.bypass_tol = float(bypass_tol)
-        self.coupling = coupling
-        self.relax_tol = float(relax_tol)
-        self.max_relax_sweeps = int(max_relax_sweeps)
         self.max_bypass_steps = int(max_bypass_steps)
         node_index = circuit.node_index
         self._blocks = [
@@ -982,8 +946,6 @@ class PartitionedAssembler:
             "block_steps_active": 0,
             "block_steps_bypassed": 0,
             "bypass_promotions": 0,
-            "relax_sweeps": 0,
-            "relax_escalations": 0,
             "intra_step_refreezes": 0,
             "interface_solve_reuses": 0,
         }
@@ -1229,7 +1191,6 @@ class PartitionedAssembler:
             raise AnalysisError("iterate must be called before solve")
         blocks = self._blocks
         all_byp = (bool(blocks) and self.ng > 0
-                   and self.coupling == "schur"
                    and all(st.bypassed for st in blocks))
         sig = None
         if all_byp:
@@ -1279,10 +1240,9 @@ class PartitionedAssembler:
                 "src_vals": tuple(el.waveform.value(self._step["time"])
                                   for el in st.wave_els)
                 if self._step["time"] is not None else (),
-                "y": y, "X": X, "C": C, "F": F,
+                "y": y, "X": X,
                 "s_add": s_add,
                 "r_contrib": r_bd - F @ y,
-                "r_bd": r_bd,
                 "age": 0,
                 "step": self.stats["steps"],
                 "sys_serial": st.sys_serial,
@@ -1345,11 +1305,6 @@ class PartitionedAssembler:
 
     def _solve_interface(self, S_base: np.ndarray, r_base: np.ndarray,
                          contributions) -> np.ndarray:
-        if self.coupling == "relax":
-            x_g = self._relax(S_base, r_base, contributions)
-            if x_g is not None:
-                return x_g
-            self.stats["relax_escalations"] += 1
         S_fz, r_fz = self._frozen_sums()
         S = S_base + S_fz
         r = r_base + r_fz
@@ -1358,28 +1313,3 @@ class PartitionedAssembler:
                 S[np.ix_(st.gpos, st.gpos)] += fz["s_add"]
                 r[st.gpos] += fz["r_contrib"]
         return np.linalg.solve(S, r)
-
-    def _relax(self, S_base: np.ndarray, r_base: np.ndarray,
-               contributions) -> Optional[np.ndarray]:
-        """Block Gauss–Seidel sweeps over the interface; ``None`` on
-        non-convergence (the caller escalates to the Schur solve)."""
-        D = S_base.copy()
-        for st, fz in contributions:
-            if st.nb:
-                D[np.ix_(st.gpos, st.gpos)] += fz["C"]
-        x_g = self._x[self.gamma].copy()
-        for _ in range(self.max_relax_sweeps):
-            self.stats["relax_sweeps"] += 1
-            r = r_base.copy()
-            for st, fz in contributions:
-                if not st.nb:
-                    continue
-                x_b = fz["y"] - fz["X"] @ x_g[st.gpos]
-                r[st.gpos] += fz["r_bd"] - fz["F"] @ x_b
-            x_next = np.linalg.solve(D, r)
-            delta = float(np.max(np.abs(x_next - x_g))) if self.ng else 0.0
-            x_g = x_next
-            if delta <= self.relax_tol * (1.0 + float(
-                    np.max(np.abs(x_g)))):
-                return x_g
-        return None

@@ -53,6 +53,7 @@ __all__ = [
     "DenseBackend",
     "SparseBackend",
     "resolve_backend",
+    "csc_pattern",
     "SPARSE_AUTO_MIN_DIM",
     "HAVE_SCIPY",
 ]
@@ -120,6 +121,30 @@ class LinearSolverBackend:
         cheap ``np.array_equal``).
         """
         return None
+
+
+def csc_pattern(n: int, *flats: np.ndarray):
+    """Symbolic CSC pattern of an ``n x n`` matrix plus scatter maps.
+
+    ``flats`` are row-major flat positions (``row * n + col``, repeats
+    allowed) of each stamping phase.  Returns ``(union, indices,
+    indptr, maps)``: the sorted distinct positions, the CSC structure
+    SuperLU consumes, and per phase the CSC data slot of every entry,
+    so assembly is a value scatter with no format conversion.
+    """
+    union = np.unique(np.concatenate(flats))
+    rows = union // n
+    cols = union % n
+    # union is sorted by (row, col); a stable argsort on the column
+    # takes it to (col, row) — the CSC entry order.
+    perm = np.argsort(cols, kind="stable")
+    indices = rows[perm].astype(np.intp)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    csc_pos = np.empty(union.size, dtype=np.intp)
+    csc_pos[perm] = np.arange(union.size)
+    maps = [csc_pos[np.searchsorted(union, flat)] for flat in flats]
+    return union, indices, indptr, maps
 
 
 def _nan_fill_singular(matrices: np.ndarray, rhs: np.ndarray

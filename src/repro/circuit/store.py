@@ -10,11 +10,10 @@ A store is a directory::
 Rows are appended one accepted transient step at a time (``[t, x...]``
 — the time point plus the full solution vector) into a bounded buffer
 and flushed every ``chunk_rows`` rows, so a run's peak memory is one
-chunk regardless of trace length.  Every chunk write goes through the
-``persist.truncate`` fault seam (:func:`repro.faults.mangle_bytes`) and
-lands via write-to-temp + :func:`os.replace`, mirroring the campaign
-record convention; ``meta.json`` is rewritten (atomically) after each
-flush, so a crash leaves at most one unreferenced temp file.
+chunk regardless of trace length.  Chunks and ``meta.json`` (rewritten
+after each flush) are written by :func:`repro.persist.write_bytes` —
+write-to-temp + ``fsync`` + rename through the ``persist.truncate``
+fault seam — so a crash leaves at most one unreferenced temp file.
 
 Reads are chunked too: :meth:`WaveformStore.read_column` materialises
 one trace (a single column) at a time, loading chunks memory-mapped,
@@ -28,14 +27,14 @@ class; see ``docs/partitioning.md`` for the layout/schema contract.
 
 from __future__ import annotations
 
+import io
 import json
-import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import faults
+from repro import persist
 from repro.errors import ParameterError, StoreError
 
 #: on-disk schema version (bumped on incompatible layout changes)
@@ -48,15 +47,6 @@ DEFAULT_CHUNK_ROWS = 256
 
 def _chunk_name(index: int) -> str:
     return f"chunk_{index:05d}.npy"
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 class WaveformStore:
@@ -128,11 +118,10 @@ class WaveformStore:
         if not meta_path.exists():
             raise StoreError(f"no waveform store at {directory} "
                              f"(missing meta.json)")
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise StoreError(
-                f"unreadable store metadata {meta_path}: {exc}") from exc
+        meta = persist.read_json(meta_path)
+        if meta is None:
+            raise StoreError(f"unreadable store metadata {meta_path} "
+                             f"(rerun to rewrite the store)")
         if meta.get("version") != STORE_VERSION:
             raise StoreError(
                 f"store {directory} has schema version "
@@ -157,13 +146,9 @@ class WaveformStore:
                     break
                 keep.append(entry)
             if bad_from is not None:
-                quarantine = directory / "quarantine"
-                quarantine.mkdir(exist_ok=True)
                 for entry in chunks[bad_from:]:
-                    path = directory / entry["file"]
-                    if path.exists():
-                        os.replace(path, quarantine / entry["file"])
-                    quarantined += 1
+                    persist.quarantine(directory / entry["file"])
+                quarantined = len(chunks) - bad_from
                 chunks = keep
         return cls(directory, meta["columns"],
                    meta.get("exposed", meta["columns"]),
@@ -206,13 +191,9 @@ class WaveformStore:
         array = np.vstack(self._buffer)
         self._buffer = []
         name = _chunk_name(len(self._chunks))
-        path = self.directory / name
-        import io
-
         sink = io.BytesIO()
         np.save(sink, array)
-        payload = faults.mangle_bytes("persist.truncate", sink.getvalue())
-        _atomic_write_bytes(path, payload)
+        persist.write_bytes(self.directory / name, sink.getvalue())
         self._chunks.append({"file": name, "rows": int(array.shape[0])})
         self._write_meta()
 
@@ -226,8 +207,8 @@ class WaveformStore:
             "rows": self.n_rows,
             "chunks": self._chunks,
         }
-        _atomic_write_bytes(self.directory / "meta.json",
-                            json.dumps(payload, indent=1).encode())
+        persist.write_text(self.directory / "meta.json",
+                           json.dumps(payload, indent=1))
 
     # -- reading ---------------------------------------------------------------
 

@@ -456,6 +456,7 @@ def _cmd_serve(args) -> int:
 def _cmd_experiments(args) -> int:
     from pathlib import Path
 
+    from repro import persist
     from repro.exprunner import (
         ExperimentRunner,
         load_config,
@@ -476,8 +477,8 @@ def _cmd_experiments(args) -> int:
         report = render_report(config, result.records,
                                pending=result.pending)
         if args.report or args.report_only:
-            _atomic_report = Path(result.run_dir) / "report.json"
-            _atomic_report.write_text(_dump_json(report) + "\n")
+            persist.write_text(Path(result.run_dir) / "report.json",
+                               _dump_json(report) + "\n")
         payload["experiments"].append(report)
         if not args.json:
             state = ("complete" if result.complete

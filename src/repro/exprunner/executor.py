@@ -29,7 +29,6 @@ that run instead of crashing — see ``docs/robustness.md``.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -37,10 +36,10 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro import faults
-from repro.errors import CampaignError, ParameterError
+from repro import persist
+from repro.errors import ParameterError
 from repro.exprunner.config import RunnerConfig
 from repro.exprunner.plan import RunSpec, baseline_index, expand_plan
 from repro.exprunner.runtable import write_run_table
@@ -172,7 +171,8 @@ class ExperimentRunner:
                 record = self._load_record(runs_root, spec)
                 if record is not None:
                     loaded[spec.index] = record
-                elif _quarantine_record(runs_root, spec.run_id):
+                elif persist.quarantine(*_record_paths(runs_root,
+                                                       spec.run_id)):
                     quarantined += 1
                     _log.warning(
                         "experiment resume: quarantined corrupt record "
@@ -194,7 +194,8 @@ class ExperimentRunner:
             if runs_root is not None:
                 run_path = runs_root / spec.run_id
                 run_path.mkdir(parents=True, exist_ok=True)
-                _atomic_write_json(run_path / "record.json", record)
+                persist.write_json(run_path / "record.json",
+                                   _jsonable(record))
 
         records = [loaded[spec.index] for spec in plan
                    if spec.index in loaded]
@@ -307,55 +308,25 @@ class ExperimentRunner:
                 workload.parity)
 
     def _check_manifest(self, resume: bool) -> int:
-        """Verify (or write) the manifest; returns how many files were
-        quarantined recovering from a corrupt manifest.
-
-        Mirrors :meth:`repro.variability.campaign.Campaign
-        ._check_manifest`: a *mismatched* fingerprint raises (different
-        experiment), an *unreadable* manifest quarantines itself and
-        every record — none verifiable without the fingerprint — and
-        restarts fresh.
-        """
+        """Verify (or write) the manifest; a corrupt one quarantines
+        itself and every record to ``runs/quarantine/`` — see
+        :func:`repro.persist.check_manifest`."""
         path = self.run_dir / "manifest.json"
-        manifest = {"fingerprint": self.config.fingerprint(),
-                    "config": self.config.describe()}
-        if path.exists() and resume:
-            try:
-                existing = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                runs_root = self.run_dir / "runs"
-                qdir = runs_root / "quarantine"
-                qdir.mkdir(parents=True, exist_ok=True)
-                os.replace(path, qdir / "manifest.json")
-                count = 1
-                for spec in self.plan():
-                    count += int(_quarantine_record(runs_root,
-                                                    spec.run_id))
-                _log.warning(
-                    "experiment resume: manifest %s unreadable; "
-                    "quarantined it and %d record(s), restarting "
-                    "fresh", path, count - 1)
-                _atomic_write_json(path, manifest)
-                return count
-            if existing.get("fingerprint") != manifest["fingerprint"]:
-                raise CampaignError(
-                    f"run directory {self.run_dir} belongs to a "
-                    f"different experiment (factors/params/seed "
-                    f"changed); use a fresh directory or delete it")
-        else:
-            _atomic_write_json(path, manifest)
-        return 0
+        runs_root = self.run_dir / "runs"
+        return persist.check_manifest(
+            path, {"fingerprint": self.config.fingerprint(),
+                   "config": self.config.describe()},
+            resume, [(path, runs_root / "quarantine" / "manifest.json")]
+            + [_record_paths(runs_root, spec.run_id)
+               for spec in self.plan()])
 
     def _load_record(self, runs_root: Path,
                      spec: RunSpec) -> Optional[Dict]:
         """A persisted record, or ``None`` when missing/corrupt/stale
         (it is then recomputed and rewritten)."""
-        path = runs_root / spec.run_id / "record.json"
-        try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if (record.get("run_id") != spec.run_id
+        record = persist.read_json(_record_paths(runs_root,
+                                                 spec.run_id)[0])
+        if (record is None or record.get("run_id") != spec.run_id
                 or record.get("point") != spec.point_dict
                 or record.get("repetition") != spec.repetition):
             return None
@@ -400,26 +371,11 @@ def _signature_deviation(sig: Dict, ref: Dict, mode: str) -> float:
     return worst
 
 
-def _quarantine_record(runs_root: Path, run_id: str) -> bool:
-    """Move a corrupt ``record.json`` to ``runs/quarantine/<run_id>
-    .record.json`` (atomic rename); False when there is no file."""
-    path = runs_root / run_id / "record.json"
-    if not path.exists():
-        return False
-    qdir = runs_root / "quarantine"
-    qdir.mkdir(parents=True, exist_ok=True)
-    os.replace(path, qdir / f"{run_id}.record.json")
-    return True
-
-
-def _atomic_write_json(path: Path, payload: Dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=1) + "\n"
-    # Chaos seam: a FaultPlan can truncate this payload exactly as a
-    # crash between write and rename would (docs/robustness.md).
-    text = faults.mangle_text("persist.truncate", text)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _record_paths(runs_root: Path, run_id: str) -> Tuple[Path, Path]:
+    """A run's ``record.json`` and its quarantine destination,
+    ``runs/quarantine/<run_id>.record.json``."""
+    return (runs_root / run_id / "record.json",
+            runs_root / "quarantine" / f"{run_id}.record.json")
 
 
 def _parse_float(value) -> float:

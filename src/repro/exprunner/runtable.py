@@ -40,6 +40,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Sequence
 
+from repro import persist
+
 __all__ = ["RUN_TABLE_COLUMNS", "write_run_table", "read_run_table"]
 
 #: Fixed columns, in order, with their documented meaning.
@@ -87,10 +89,7 @@ def write_run_table(path, records: Sequence[Dict],
         metrics = rec.get("metrics") or {}
         row += [_format(metrics.get(name)) for name in metric_names]
         lines.append(",".join(row))
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)
+    persist.write_text(path, "\n".join(lines) + "\n")
 
 
 def read_run_table(path) -> List[Dict[str, str]]:

@@ -749,8 +749,6 @@ def _run_partitioned_transient(point: Mapping, params: Mapping,
                 stats.get("partition_block_steps_bypassed", 0)),
             "interface_solve_reuses": float(
                 stats.get("partition_interface_solve_reuses", 0)),
-            "relax_escalations": float(
-                stats.get("partition_relax_escalations", 0)),
         },
         "signature": signature,
     }

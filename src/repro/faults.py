@@ -17,10 +17,12 @@ Seams (the strings call sites pass to :func:`fire`):
     Recovery: the parent catches ``BrokenProcessPool`` and re-runs the
     unfinished items serially.
 ``persist.truncate``
-    An atomic JSON record write (campaign chunk, experiment record)
-    is truncated mid-file, as a crash between ``write`` and ``rename``
+    A :mod:`repro.persist` atomic write — any file the program
+    persists: campaign and experiment records, manifests, aggregates,
+    run tables, reports, waveform-store chunks and metadata — is
+    truncated mid-file, as a crash between ``write`` and ``rename``
     would leave it.  Recovery: resume quarantines the corrupt file and
-    recomputes it.
+    recomputes it (``docs/robustness.md`` lists it per file type).
 ``solver.singular``
     The linear solve inside a Newton iteration raises
     ``numpy.linalg.LinAlgError`` (an exactly singular system).
@@ -38,6 +40,11 @@ Seams (the strings call sites pass to :func:`fire`):
 ``service.latency``
     The scheduler (or client) sleeps ``latency_s`` before dispatching
     — a slow lane that must never change results, only timings.
+``service.hold``
+    A :meth:`repro.cancel.CancelToken.check` parks until the plan's
+    latch is released (:meth:`FaultPlan.release`, or leaving the
+    activation), so a test can hold a job *running* for as long as it
+    needs instead of sizing a workload to be slow.
 
 A plan is activated with :func:`activate` (a context manager); while
 no plan is active every seam check is a single ``None`` comparison.
@@ -58,14 +65,15 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, \
 from repro.errors import ParameterError
 
 __all__ = ["SEAMS", "FaultPlan", "activate", "active_plan", "fire",
-           "mangle_text", "mangle_bytes", "sleep_seam", "add_listener",
+           "mangle_bytes", "sleep_seam", "hold_seam", "add_listener",
            "remove_listener"]
 
 #: Documented fault seams: name -> one-line description.
 SEAMS: Dict[str, str] = {
     "parallel.worker_kill": "fork_map child dies hard before an item "
                             "(keyed by item index)",
-    "persist.truncate": "atomic JSON record write truncated mid-file",
+    "persist.truncate": "repro.persist atomic write (JSON, CSV or "
+                        "store bytes) truncated mid-file",
     "solver.singular": "linear solve raises LinAlgError inside Newton",
     "kernel.backend": "compiled kernel tier fails to resolve "
                       "(numpy fallback)",
@@ -73,6 +81,8 @@ SEAMS: Dict[str, str] = {
                          "request lands",
     "service.latency": "injected dispatch latency (never changes "
                        "results)",
+    "service.hold": "cancellation check parks until the plan's latch "
+                    "is released",
 }
 
 #: Listeners called as ``listener(seam, key)`` on every firing.
@@ -117,6 +127,9 @@ class FaultPlan:
         self._lock = threading.Lock()
         #: Chronological ``(seam, occurrence_or_key)`` firing log.
         self.fired: List[Tuple[str, int]] = []
+        #: Set once a ``service.hold`` firing has parked its thread.
+        self.parked = threading.Event()
+        self._released = threading.Event()
 
     @classmethod
     def random(cls, seed: int, rates: Mapping[str, float],
@@ -154,6 +167,11 @@ class FaultPlan:
                          for seam, values in self.schedule.items()},
         }
 
+    def release(self) -> None:
+        """Open the ``service.hold`` latch: parked checks continue and
+        later firings no longer park."""
+        self._released.set()
+
     def should_fire(self, seam: str, key: Optional[int] = None) -> bool:
         """Decide (and record) whether this occurrence of ``seam``
         fails.  Unkeyed seams count calls; keyed seams match ``key``
@@ -186,6 +204,7 @@ def _activation_impl(plan: FaultPlan) -> Iterator[FaultPlan]:
         yield plan
     finally:
         _ACTIVE = previous
+        plan.release()  # never leave a thread parked on a dead plan
 
 
 class _Activation:
@@ -238,19 +257,9 @@ def fire(seam: str, key: Optional[int] = None) -> bool:
     return True
 
 
-def mangle_text(seam: str, text: str) -> str:
-    """Return ``text`` truncated to half length when ``seam`` fires —
-    the shape a crash mid-write leaves behind — else unchanged."""
-    if fire(seam):
-        return text[:max(1, len(text) // 2)]
-    return text
-
-
 def mangle_bytes(seam: str, data: bytes) -> bytes:
-    """Binary twin of :func:`mangle_text`: return ``data`` truncated to
-    half length when ``seam`` fires — the shape a crash mid-write
-    leaves behind — else unchanged.  Used by the chunked waveform
-    store, whose ``.npy`` chunks are not text."""
+    """Return ``data`` truncated to half length when ``seam`` fires —
+    the shape a crash mid-write leaves behind — else unchanged."""
     if fire(seam):
         return data[:max(1, len(data) // 2)]
     return data
@@ -262,3 +271,13 @@ def sleep_seam(seam: str) -> None:
     plan = _ACTIVE
     if plan is not None and plan.latency_s > 0 and fire(seam):
         time.sleep(plan.latency_s)
+
+
+def hold_seam(seam: str) -> None:
+    """Park the calling thread when ``seam`` fires, until the plan's
+    latch is released (a job held running for as long as a test
+    needs; a single ``None`` check when no plan is active)."""
+    plan = _ACTIVE
+    if plan is not None and fire(seam):
+        plan.parked.set()
+        plan._released.wait()

@@ -25,6 +25,11 @@ from repro.errors import ServiceError, ServiceTransportError
 
 __all__ = ["ServiceClient"]
 
+#: Floor on a budget-bounded HTTP call's socket timeout: ``urlopen``
+#: treats ``0`` as non-blocking, so an exhausted budget still gets one
+#: short attempt.
+MIN_CALL_S = 0.05
+
 
 class ServiceClient:
     """Talk to a running :class:`repro.service.JobServer`.
@@ -48,7 +53,14 @@ class ServiceClient:
 
     def _request(self, method: str, path: str,
                  payload: Optional[Any] = None,
-                 extra_headers: Optional[Dict[str, str]] = None) -> Any:
+                 extra_headers: Optional[Dict[str, str]] = None,
+                 deadline: Optional[float] = None) -> Any:
+        """One HTTP call, bounded by ``self.timeout`` and, when given,
+        by the time left until the monotonic ``deadline``."""
+        timeout = self.timeout
+        if deadline is not None:
+            timeout = min(timeout, max(deadline - time.monotonic(),
+                                       MIN_CALL_S))
         url = f"{self.base_url}{path}"
         data = None
         headers = dict(extra_headers or {})
@@ -64,7 +76,7 @@ class ServiceClient:
                 raise urllib.error.URLError(
                     "injected transport fault (service.transport)")
             with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as reply:
+                                        timeout=timeout) as reply:
                 body = reply.read()
                 content_type = reply.headers.get("Content-Type", "")
         except urllib.error.HTTPError as exc:
@@ -94,10 +106,15 @@ class ServiceClient:
         here; a 503 carries the queue-full message and its
         ``Retry-After`` hint for the caller to honour.
         """
+        return self._submit(spec, None)
+
+    def _submit(self, spec: Dict[str, Any],
+                deadline: Optional[float]) -> Dict[str, Any]:
         delay = self.backoff
         for attempt in range(self.retries + 1):
             try:
-                return self._request("POST", "/jobs", spec)
+                return self._request("POST", "/jobs", spec,
+                                     deadline=deadline)
             except ServiceTransportError:
                 if attempt == self.retries:
                     raise
@@ -134,12 +151,22 @@ class ServiceClient:
         be polled, waited on again, or stopped with :meth:`cancel`
         (:meth:`run` does that automatically).  To bound the work
         itself, submit with ``deadline_s`` so the server enforces the
-        budget even if this client goes away.
+        budget even if this client goes away.  Each status request is
+        bounded by the time left, so the error surfaces on time even
+        when the server is slow to answer.
         """
         deadline = time.monotonic() + timeout
         interval = poll
         while True:
-            doc = self.status(job_id)
+            try:
+                doc = self._request("GET", f"/jobs/{job_id}",
+                                    deadline=deadline)
+            except ServiceTransportError:
+                if time.monotonic() < deadline:
+                    raise
+                raise ServiceError(
+                    f"job {job_id} still unfinished after {timeout:g}s "
+                    f"(status request timed out)") from None
             if doc["state"] == "done":
                 return doc
             if doc["state"] == "failed":
@@ -162,22 +189,23 @@ class ServiceClient:
         error propagates, so an abandoned ``run()`` does not leave
         work burning a scheduler slot.  Pass
         ``cancel_on_timeout=False`` to leave the job running (poll or
-        :meth:`wait` for it again later).
+        :meth:`wait` for it again later).  ``timeout`` covers the
+        submission too: every HTTP call is bounded by the time left.
         """
-        doc = self.submit(spec)
+        deadline = time.monotonic() + timeout
+        doc = self._submit(spec, deadline)
         if doc["state"] in ("done", "failed"):
             if doc["state"] == "failed":
                 raise ServiceError(
                     f"job {doc['id']} failed: {doc.get('error')}")
             return doc
         try:
-            return self.wait(doc["id"], timeout=timeout)
+            return self.wait(doc["id"],
+                             timeout=max(0.0, deadline - time.monotonic()))
         except ServiceError:
             if cancel_on_timeout:
-                try:
-                    state = self.status(doc["id"]).get("state")
-                    if state in ("queued", "running"):
-                        self.cancel(doc["id"])
+                try:  # cancelling a finished job is a server-side no-op
+                    self.cancel(doc["id"])
                 except ServiceError:  # pragma: no cover - best effort
                     pass
             raise

@@ -31,7 +31,6 @@ single ``ids_batch``/``solve_many`` pass.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -41,9 +40,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import faults
+from repro import persist
 from repro.cancel import CancelToken
-from repro.errors import CampaignError, ParameterError
+from repro.errors import ParameterError
 from repro.experiments.report import ascii_table
 from repro.variability.params import ParameterSpace
 from repro.variability.sampling import SAMPLERS, sample_space
@@ -438,7 +437,7 @@ class Campaign:
                 records = self._load_chunk(path, index, chunk)
                 if records is not None:
                     loaded[index] = records
-                elif _quarantine(path):
+                elif persist.quarantine(path):
                     quarantined += 1
                     _log.warning(
                         "campaign resume: quarantined corrupt chunk "
@@ -473,7 +472,7 @@ class Campaign:
                 ]
                 computed += 1
                 if chunk_dir is not None:
-                    _atomic_write_json(
+                    persist.write_json(
                         chunk_dir / f"chunk_{index:04d}.json",
                         {"chunk": index, "records": records})
             all_records.extend(records)
@@ -484,7 +483,7 @@ class Campaign:
         aggregate = aggregate_metrics(
             all_records, getattr(self.evaluator, "spec_limits", None))
         if self.run_dir is not None:
-            _atomic_write_json(self.run_dir / "aggregate.json", {
+            persist.write_json(self.run_dir / "aggregate.json", {
                 "fingerprint": self.fingerprint(),
                 "aggregate": aggregate,
             })
@@ -499,50 +498,22 @@ class Campaign:
     # -- persistence ---------------------------------------------------
 
     def _check_manifest(self, resume: bool) -> int:
-        """Verify (or write) the manifest; returns the number of files
-        quarantined recovering from a corrupt manifest.
-
-        A *mismatched* fingerprint still raises — that is a different
-        experiment, not corruption.  An *unreadable* manifest (truncated
-        by a crash mid-write) makes every chunk on disk unverifiable, so
-        the manifest and all chunk files move to ``quarantine/`` and the
-        campaign restarts fresh instead of crashing the resume.
-        """
+        """Verify (or write) the manifest; a corrupt one quarantines
+        itself and every chunk file into sibling ``quarantine/``
+        directories (:func:`repro.persist.check_manifest`)."""
         path = self.run_dir / "manifest.json"
-        manifest = {"fingerprint": self.fingerprint(), **self.manifest()}
-        if path.exists() and resume:
-            try:
-                existing = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                count = int(_quarantine(path))
-                chunk_dir = self.run_dir / "chunks"
-                for chunk_path in sorted(chunk_dir.glob("chunk_*.json")):
-                    count += int(_quarantine(chunk_path))
-                _log.warning(
-                    "campaign resume: manifest %s unreadable; "
-                    "quarantined it and %d chunk file(s), restarting "
-                    "fresh", path, count - 1)
-                _atomic_write_json(path, manifest)
-                return count
-            if existing.get("fingerprint") != manifest["fingerprint"]:
-                raise CampaignError(
-                    f"run directory {self.run_dir} belongs to a different "
-                    f"campaign (seed/sampler/space/evaluator changed); "
-                    f"use a fresh directory or delete it"
-                )
-        else:
-            _atomic_write_json(path, manifest)
-        return 0
+        files = [path] + sorted(
+            (self.run_dir / "chunks").glob("chunk_*.json"))
+        return persist.check_manifest(
+            path, {"fingerprint": self.fingerprint(), **self.manifest()},
+            resume, [(f, f.parent / "quarantine" / f.name) for f in files])
 
     def _load_chunk(self, path: Path, index: int,
                     chunk: List[Dict]) -> Optional[List[Dict]]:
         """Records of a persisted chunk; ``None`` for a corrupt/partial
         file (it is then recomputed and rewritten)."""
-        try:
-            payload = json.loads(path.read_text())
-            records = payload["records"]
-        except (OSError, json.JSONDecodeError, KeyError):
-            return None
+        payload = persist.read_json(path) or {}
+        records = payload.get("records", ())
         if payload.get("chunk") != index or len(records) != len(chunk):
             return None
         return records
@@ -562,32 +533,10 @@ class Campaign:
             for name in metrics:
                 cells.append(f"{rec['metrics'][name]:.8g}")
             lines.append(",".join(cells))
-        tmp = self.run_dir / "run_table.csv.tmp"
-        tmp.write_text("\n".join(lines) + "\n")
-        os.replace(tmp, self.run_dir / "run_table.csv")
+        persist.write_text(self.run_dir / "run_table.csv",
+                           "\n".join(lines) + "\n")
 
 
 def _jsonable_sample(sample: Mapping) -> Dict:
     return {name: (list(v) if isinstance(v, tuple) else v)
             for name, v in sample.items()}
-
-
-def _quarantine(path: Path) -> bool:
-    """Move a corrupt record file into a sibling ``quarantine/``
-    directory (atomic rename); False when the file vanished."""
-    if not path.exists():
-        return False
-    qdir = path.parent / "quarantine"
-    qdir.mkdir(parents=True, exist_ok=True)
-    os.replace(path, qdir / path.name)
-    return True
-
-
-def _atomic_write_json(path: Path, payload: Dict) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=False) + "\n"
-    # Chaos seam: a FaultPlan can truncate this payload exactly as a
-    # crash between write and rename would (docs/robustness.md).
-    text = faults.mangle_text("persist.truncate", text)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)

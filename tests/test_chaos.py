@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import faults, persist
 from repro.cancel import CancelToken
 from repro.errors import CancelledError, ParameterError, ServiceError
 from repro.service import JobServer, ServiceClient
@@ -99,13 +100,33 @@ class TestFaultPlan:
         clone = faults.FaultPlan(**plan.describe())
         assert clone.describe() == plan.describe()
 
-    def test_mangle_text_truncates_to_half(self):
+    def test_mangle_bytes_truncates_to_half(self):
         plan = faults.FaultPlan(schedule={"persist.truncate": [1]})
         with faults.activate(plan):
-            assert faults.mangle_text("persist.truncate",
-                                      "0123456789") == "01234"
-            assert faults.mangle_text("persist.truncate",
-                                      "0123456789") == "0123456789"
+            assert faults.mangle_bytes("persist.truncate",
+                                       b"0123456789") == b"01234"
+            assert faults.mangle_bytes("persist.truncate",
+                                       b"0123456789") == b"0123456789"
+
+    def test_hold_parks_until_released(self):
+        plan = faults.FaultPlan(schedule={"service.hold": [1]})
+        passed = threading.Event()
+
+        def held_check():
+            CancelToken().check()
+            passed.set()
+
+        with faults.activate(plan):
+            worker = threading.Thread(target=held_check)
+            worker.start()
+            assert plan.parked.wait(10.0)
+            assert not passed.is_set()
+            plan.release()
+            assert passed.wait(10.0)
+            CancelToken().check()  # occurrence 2: not scheduled
+        worker.join(10.0)
+        assert not worker.is_alive()
+        assert plan.fired == [("service.hold", 1)]
 
     def test_listeners_observe_firings(self):
         seen = []
@@ -248,6 +269,31 @@ class TestCampaignChaos:
         assert len(quarantine) == 1
         self._assert_parity(resumed.records, baseline.records)
 
+    def test_truncated_aggregate_and_run_table_rewritten_on_resume(
+            self, tmp_path):
+        baseline_dir = tmp_path / "baseline"
+        self._campaign(baseline_dir).run(workers=1)
+
+        # Writes: manifest #1, chunks #2-#5, aggregate.json #6 and
+        # run_table.csv #7; both derived files land truncated.
+        plan = faults.FaultPlan(
+            seed=13, schedule={"persist.truncate": [6, 7]})
+        chaos_dir = tmp_path / "chaos"
+        with faults.activate(plan):
+            self._campaign(chaos_dir).run(workers=1)
+        assert plan.fired == [("persist.truncate", 6),
+                              ("persist.truncate", 7)]
+        assert persist.read_json(chaos_dir / "aggregate.json") is None
+
+        # Recovery: both are derived from the chunk records, so resume
+        # reuses every chunk and rewrites them whole.
+        resumed = self._campaign(chaos_dir).run(workers=1)
+        assert resumed.resumed_chunks == 4
+        assert resumed.quarantined == 0
+        for name in ("aggregate.json", "run_table.csv"):
+            assert (chaos_dir / name).read_bytes() \
+                == (baseline_dir / name).read_bytes()
+
     def test_corrupt_manifest_quarantines_everything(self, tmp_path):
         run_dir = tmp_path / "run"
         first = self._campaign(run_dir).run(workers=1)
@@ -319,6 +365,61 @@ class TestExprunnerChaos:
         assert self._comparable(resumed.records) \
             == self._comparable(baseline.records)
 
+    def test_truncated_run_table_regenerated_from_records(
+            self, tmp_path):
+        from repro.exprunner import ExperimentRunner, read_run_table
+
+        config = self._config()
+        baseline = ExperimentRunner(config, tmp_path / "baseline").run()
+
+        # Writes: manifest #1, records #2-#5, run_table.csv #6.
+        chaos_dir = tmp_path / "chaos"
+        plan = faults.FaultPlan(seed=6,
+                                schedule={"persist.truncate": [6]})
+        with faults.activate(plan):
+            ExperimentRunner(config, chaos_dir).run()
+        assert plan.fired == [("persist.truncate", 6)]
+        table = chaos_dir / "run_table.csv"
+        assert len(read_run_table(table)) < len(baseline.records)
+
+        # Recovery: load() (``--report-only``) rewrites the table from
+        # the raw records without executing anything.
+        loaded = ExperimentRunner(config, chaos_dir).load()
+        assert loaded.computed == 0 and loaded.complete
+        columns = ("run_id", "seed", "status", "parity", "value")
+        assert [{k: row[k] for k in columns}
+                for row in read_run_table(table)] == \
+            [{k: row[k] for k in columns}
+             for row in read_run_table(
+                 tmp_path / "baseline" / "run_table.csv")]
+
+    def test_truncated_report_regenerated_by_report_only(self, tmp_path,
+                                                        capsys):
+        from repro.cli import main
+
+        config = self._config()
+        config_path = tmp_path / "chaos.json"
+        config_path.write_text(json.dumps(config.describe()))
+        run_root = tmp_path / "runs"
+        argv = ["experiments", "--config", str(config_path), "--run-dir",
+                str(run_root)]
+
+        # Writes: manifest #1, records #2-#5, run_table.csv #6,
+        # report.json #7.
+        plan = faults.FaultPlan(seed=7,
+                                schedule={"persist.truncate": [7]})
+        with faults.activate(plan):
+            assert main(argv + ["--report"]) == 0
+        assert plan.fired == [("persist.truncate", 7)]
+        report = run_root / config.name / "report.json"
+        assert persist.read_json(report) is None
+
+        # Recovery: --report-only re-renders it from the records.
+        assert main(argv + ["--report-only"]) == 0
+        recovered = persist.read_json(report)
+        assert recovered["fingerprint"] == config.fingerprint()
+        assert recovered["runs"] == 4 and recovered["complete"]
+
     def test_corrupt_manifest_recomputes_fresh(self, tmp_path):
         from repro.exprunner import ExperimentRunner
 
@@ -380,15 +481,17 @@ class TestStoreTruncateSeam:
         # between write and rename would leave it.  The writer itself
         # does not notice; the run "crashes" when result assembly first
         # reads the store back (a StoreError, not a raw numpy error).
+        # Writes alternate meta.json (#1 at create) and chunk + meta
+        # per flush, so chunk_00002 is write #6.
         from repro.errors import StoreError
 
         plan = faults.FaultPlan(seed=3,
-                                schedule={"persist.truncate": [3]})
+                                schedule={"persist.truncate": [6]})
         chaos_dir = tmp_path / "chaos"
         with faults.activate(plan):
             with pytest.raises(StoreError, match="chunk_00002"):
                 self._run(chaos_dir)
-        assert ("persist.truncate", 3) in plan.fired
+        assert ("persist.truncate", 6) in plan.fired
 
         # Reopen: chunk 2 fails validation; it and every later chunk
         # (their rows would shift) are quarantined, the survivors stay
@@ -412,6 +515,31 @@ class TestStoreTruncateSeam:
         reopened = WaveformStore.open(chaos_dir)
         assert reopened.quarantined == 0
         assert reopened.n_rows == baseline.axis.shape[0]
+
+
+    def test_truncated_meta_refused_then_rewritten(self, tmp_path):
+        from repro.circuit import WaveformStore
+        from repro.errors import StoreError
+
+        baseline = self._run(tmp_path / "baseline")
+
+        # 502 rows in 64-row chunks: meta.json at create (#1), then a
+        # chunk + meta.json pair per flush; #17 is the final meta.json.
+        plan = faults.FaultPlan(seed=17,
+                                schedule={"persist.truncate": [17]})
+        chaos_dir = tmp_path / "chaos"
+        with faults.activate(plan):
+            self._run(chaos_dir)
+        assert plan.fired == [("persist.truncate", 17)]
+        with pytest.raises(StoreError, match="unreadable store metadata"):
+            WaveformStore.open(chaos_dir)
+
+        # Recovery: rerunning into the directory rewrites the store.
+        self._run(chaos_dir)
+        reopened = WaveformStore.open(chaos_dir)
+        assert reopened.quarantined == 0
+        assert np.array_equal(reopened.read_column("v(out)"),
+                              baseline.trace("v(out)"))
 
 
 # ---------------------------------------------------------------------
@@ -547,14 +675,21 @@ class TestDeadlines:
             assert job.state == "done"
 
     def test_run_cancels_server_side_on_wait_timeout(self):
+        # The service.hold latch parks the job at its first
+        # cancellation check, so it is still unfinished when run()
+        # gives up, however fast the machine is.
+        plan = faults.FaultPlan(schedule={"service.hold": [1]})
         with JobServer(workers=1, batch_window=0.0,
                        cache_size=8) as srv:
             host, port = srv.start()
             client = ServiceClient(f"http://{host}:{port}",
                                    timeout=30.0)
-            with pytest.raises(ServiceError, match="still"):
-                client.run(rc_job("4e3", tstop=4e-8, dt=1e-12),
-                           timeout=0.3)
+            with faults.activate(plan):
+                start = time.monotonic()
+                with pytest.raises(ServiceError, match="still"):
+                    client.run(rc_job("4e3"), timeout=0.3)
+                # Every HTTP call is bounded by the remaining budget.
+                assert time.monotonic() - start < 2.0
             # run() cancelled the abandoned job server-side; it must
             # settle as cancelled instead of burning the worker.
             deadline = time.monotonic() + 10.0

@@ -80,8 +80,6 @@ class TestPartitionStructure:
         with pytest.raises(ParameterError):
             partition_circuit(c, max_block=0)
         with pytest.raises(ParameterError):
-            PartitionedAssembler(c, coupling="jacobi")
-        with pytest.raises(ParameterError):
             transient(c, tstop=1e-12, dt=1e-12, partition="maybe",
                       record_currents=False)
         with pytest.raises(ParameterError):
@@ -194,51 +192,15 @@ class TestTransientParity:
 
 
 class TestCouplingModes:
-    def _dc_parity(self, coupling: str) -> "PartitionedAssembler":
+    def test_schur_dc_parity(self):
         c = _rca8(pulse=False)
         x_ref = robust_dc_solve(c)
-        asm = PartitionedAssembler(c, coupling=coupling)
+        asm = PartitionedAssembler(c)
         # start a few mV off the operating point so Newton has real
         # work to do without needing the gmin-stepping scaffolding
         x = newton_solve(c, x_ref + 5e-3, NewtonOptions(),
                          assembler=asm)
         assert float(np.max(np.abs(x - x_ref))) < 1e-6
-        return asm
-
-    def test_schur_dc_parity(self):
-        self._dc_parity("schur")
-
-    def test_relax_dc_parity(self):
-        asm = self._dc_parity("relax")
-        # the sweeps actually ran (escalation would also be a converged
-        # answer; the counter proves the relaxation route was taken)
-        assert asm.stats["relax_sweeps"] > 0
-
-    def test_relax_transient_parity(self):
-        # transient() always builds a Schur assembler, so exercise the
-        # relaxation coupling by stepping the Newton loop directly.
-        # Quiescent stimulus keeps the fixed-step grid breakpoint-free,
-        # so both runs integrate over the same time axis.
-        c = _rca8(pulse=False)
-        x0 = robust_dc_solve(c)
-        ds_mono = transient(c, tstop=5e-12, dt=5e-13, x0=x0,
-                            record_currents=False)
-        c2 = _rca8(pulse=False)
-        asm = PartitionedAssembler(c2, partition_circuit(c2),
-                                   coupling="relax")
-        x = x0.copy()
-        t = 0.0
-        for _ in range(10):
-            t += 5e-13
-            x = newton_solve(c2, x, NewtonOptions(), analysis="tran",
-                             time=t, dt=5e-13, x_prev=x, method="trap",
-                             assembler=asm)
-        worst = 0.0
-        for name, idx in c2.node_index.items():
-            key = f"v({name})"
-            if key in ds_mono:
-                worst = max(worst, abs(x[idx] - ds_mono.trace(key)[10]))
-        assert worst < 5e-4
 
 
 class TestBypassSemantics:

@@ -572,36 +572,50 @@ class TestShutdownAuth:
             srv.shutdown()
 
 
-# A genuinely slow transient (40k fixed steps) used to occupy a
-# worker while cancel/backpressure behaviour is observed.
-SLOW_JOB_OVERRIDES = {"tstop": 4e-8, "dt": 1e-12}
+def hold_plan():
+    """A plan whose ``service.hold`` latch parks the first job at its
+    first cancellation check: the job stays *running* until the test
+    calls ``plan.release()`` (or leaves the activation), however fast
+    the machine is."""
+    return faults.FaultPlan(schedule={"service.hold": [1]})
 
 
-@pytest.mark.slow
+def settle(client, job_id, timeout=10.0):
+    """Poll a job until it is done or failed; returns its document."""
+    deadline = time.monotonic() + timeout
+    doc = client.status(job_id)
+    while doc["state"] not in ("failed", "done") \
+            and time.monotonic() < deadline:
+        time.sleep(0.02)
+        doc = client.status(job_id)
+    return doc
+
+
 class TestCancelRoute:
     def test_cancel_queued_job_fails_immediately(self, server):
         srv, client = server
-        # Occupy the single worker, then cancel a queued job.
-        blocker = client.submit(rc_job(r="7e3", **SLOW_JOB_OVERRIDES))
-        queued = client.submit(rc_job(r="8e3", **SLOW_JOB_OVERRIDES))
-        doc = client.cancel(queued["id"])
-        assert doc["state"] == "failed"
-        assert doc["error_kind"] == "cancelled"
-        client.cancel(blocker["id"])  # release the worker quickly
+        plan = hold_plan()
+        with faults.activate(plan):
+            # Occupy the single worker, then cancel a queued job.
+            blocker = client.submit(rc_job(r="7e3"))
+            assert plan.parked.wait(10.0)
+            queued = client.submit(rc_job(r="8e3"))
+            doc = client.cancel(queued["id"])
+            assert doc["state"] == "failed"
+            assert doc["error_kind"] == "cancelled"
+            client.cancel(blocker["id"])
+        assert settle(client, blocker["id"])["error_kind"] == "cancelled"
 
     def test_cancel_running_job_unwinds_engine(self, server):
         srv, client = server
-        doc = client.submit(rc_job(r="9e3", **SLOW_JOB_OVERRIDES))
-        deadline = time.monotonic() + 10.0
-        while client.status(doc["id"])["state"] == "pending" \
-                and time.monotonic() < deadline:
-            time.sleep(0.01)
-        final = client.cancel(doc["id"])
-        deadline = time.monotonic() + 10.0
-        while final["state"] not in ("failed", "done") \
-                and time.monotonic() < deadline:
-            time.sleep(0.02)
-            final = client.status(doc["id"])
+        plan = hold_plan()
+        with faults.activate(plan):
+            doc = client.submit(rc_job(r="9e3"))
+            assert plan.parked.wait(10.0)
+            assert client.status(doc["id"])["state"] == "running"
+            client.cancel(doc["id"])
+            plan.release()
+            final = settle(client, doc["id"])
         assert final["state"] == "failed"
         assert final["error_kind"] == "cancelled"
 
@@ -618,41 +632,37 @@ class TestCancelRoute:
             client.cancel("not-a-job")
 
 
-@pytest.mark.slow
 class TestBackpressure:
     def test_full_queue_returns_503_with_retry_after(self):
         srv = JobServer(workers=1, batch_window=0.0, cache_size=8,
                         max_queue=1)
+        plan = hold_plan()
         try:
             host, port = srv.start()
             client = ServiceClient(f"http://{host}:{port}",
                                    timeout=30.0)
-            blocker = client.submit(
-                rc_job(r="1e3", **SLOW_JOB_OVERRIDES))
-            deadline = time.monotonic() + 10.0
-            while client.status(blocker["id"])["state"] == "pending" \
-                    and time.monotonic() < deadline:
-                time.sleep(0.01)
-            queued = client.submit(
-                rc_job(r="2e3", **SLOW_JOB_OVERRIDES))
-            # Queue is now at max_queue: the next submission must be
-            # refused with 503 + Retry-After, not silently enqueued.
-            request = urllib.request.Request(
-                f"{client.base_url}/jobs",
-                data=json.dumps(
-                    rc_job(r="3e3", **SLOW_JOB_OVERRIDES)).encode(),
-                headers={"Content-Type": "application/json"},
-                method="POST")
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(request, timeout=10.0)
-            assert err.value.code == 503
-            assert int(err.value.headers["Retry-After"]) >= 1
-            body = json.loads(err.value.read())
-            assert "queue is full" in body["error"]
-            with pytest.raises(ServiceError, match="503"):
-                client.submit(rc_job(r="4e3", **SLOW_JOB_OVERRIDES))
-            client.cancel(queued["id"])
-            client.cancel(blocker["id"])
+            with faults.activate(plan):
+                blocker = client.submit(rc_job(r="1e3"))
+                assert plan.parked.wait(10.0)
+                queued = client.submit(rc_job(r="2e3"))
+                # Queue is now at max_queue: the next submission must
+                # be refused with 503 + Retry-After, not silently
+                # enqueued.
+                request = urllib.request.Request(
+                    f"{client.base_url}/jobs",
+                    data=json.dumps(rc_job(r="3e3")).encode(),
+                    headers={"Content-Type": "application/json"},
+                    method="POST")
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(request, timeout=10.0)
+                assert err.value.code == 503
+                assert int(err.value.headers["Retry-After"]) >= 1
+                body = json.loads(err.value.read())
+                assert "queue is full" in body["error"]
+                with pytest.raises(ServiceError, match="503"):
+                    client.submit(rc_job(r="4e3"))
+                client.cancel(queued["id"])
+                client.cancel(blocker["id"])
         finally:
             srv.shutdown()
 
