@@ -320,7 +320,6 @@ def bench_ring_transient() -> dict:
         "closed_form_solves": solves,
         "seed_equivalent_solves": seed_equiv,
         "work_reduction": seed_equiv / solves,
-        "seed_wall_s_measured_pre_change": 0.0647,
     }
 
 

@@ -23,11 +23,13 @@ caps, source waveforms, per-lane CNFET geometry).  This module advances
   iterate; lanes whose Newton fails are retried (step shrink) and
   ultimately re-simulated through the scalar engine (exact per-lane
   fallback).
-* :func:`batch_transient` steppers: fixed-step mode marches every lane
-  on a shared grid (the union of all lanes' waveform breakpoints is
-  landed on exactly); adaptive mode drives the scalar engine's LTE/PI
-  controller from the **worst-lane** error and retires lanes that reach
-  their per-lane ``tstop`` early.
+* :func:`batch_transient` steps through the same two loops as the
+  scalar engine (:mod:`repro.circuit.transient`, whose runs are their
+  one-lane case): fixed-step mode marches every lane on a shared grid
+  (the union of all lanes' waveform breakpoints is landed on exactly);
+  adaptive mode drives the LTE/PI controller from the **worst-lane**
+  error and retires lanes that reach their per-lane ``tstop`` early.
+  This module supplies the lane-batched run state (:class:`_RunState`).
 
 Waveform parity with the scalar engine is a few closed-form residuals
 (~1e-12 V) per step — see ``tests/test_batch_sim.py`` and the
@@ -42,23 +44,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.circuit.elements.base import LaneContext
-from repro.circuit.elements.cnfet import CNFETElement
 from repro.circuit.elements.sources import CurrentSource, VoltageSource
 from repro.circuit.mna import NewtonOptions, robust_dc_solve
 from repro.circuit.netlist import Circuit
 from repro.circuit.results import Dataset
 from repro.circuit.solvers import BackendLike, resolve_backend
 from repro.circuit.transient import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
-    _BREAKPOINT_SHRINK,
-    _FAC_BLIND,
-    _FAC_MAX,
-    _FAC_MIN,
-    _MAX_ACCEPTED_STEPS,
-    _NEWTON_SHRINK,
-    _SAFETY,
+    _adaptive_lockstep,
     _collect_breakpoints,
+    _fixed_lockstep,
+    _step_options,
+    _trace_dataset,
     transient,
 )
 from repro.circuit.waveforms import DC
@@ -414,33 +410,8 @@ class _BatchRecorder:
                 record_currents) -> Dataset:
         k = int(self.length[lane])
         data = np.asarray([s[lane] for s in self.solutions[:k]])
-        dataset = Dataset("time", self.times[:k])
-        for node, idx in batch.node_index.items():
-            dataset.add_trace(f"v({node})", data[:, idx])
-        if record_currents:
-            circuit = batch.circuits[lane]
-            for el in circuit.iter_elements(VoltageSource):
-                dataset.add_trace(f"i({el.name})", data[:, el.aux_index])
-        if record_currents is True:
-            circuit = batch.circuits[lane]
-            zeros = np.zeros(data.shape[0])
-
-            def node_trace(node: str) -> np.ndarray:
-                idx = batch.node_index.get(node, -1)
-                return data[:, idx] if idx >= 0 else zeros
-
-            for el in circuit.iter_elements(CNFETElement):
-                d_node, g_node, s_node = el.nodes
-                vs_col = node_trace(s_node)
-                vgs = node_trace(g_node) - vs_col
-                vds = node_trace(d_node) - vs_col
-                if el.polarity == "p":
-                    vgs, vds = -vgs, -vds
-                series = el.backend.ids_many(vgs, vds)
-                if el.polarity == "p":
-                    series = -series
-                dataset.add_trace(f"i({el.name})", series)
-        return dataset
+        return _trace_dataset(batch.circuits[lane], self.times[:k], data,
+                              record_currents)
 
 
 def batch_transient(
@@ -459,7 +430,6 @@ def batch_transient(
     atol: Optional[float] = None,
     dt_min: Optional[float] = None,
     dt_max: Optional[float] = None,
-    scalar_fallback: bool = True,
     batch: Optional[LaneBatch] = None,
     backend: BackendLike = None,
 ) -> BatchTransientResult:
@@ -482,10 +452,6 @@ def batch_transient(
         solution stack — the CNFET post-pass re-solves every recorded
         row per device, which on a batch's dense shared axis can cost
         more than the integration itself.
-    scalar_fallback : bool
-        Re-simulate lanes whose lock-step Newton fails irreducibly
-        through the scalar engine (default).  With ``False`` such
-        lanes report an error instead.
     batch : LaneBatch, optional
         A prebuilt assembler over the same circuits — callers that
         already built one (e.g. for :func:`batch_operating_points`)
@@ -497,12 +463,13 @@ def batch_transient(
         dense solve below the sparse crossover dimension and switches
         to per-lane SuperLU above it.
 
-    Stepping modes (shared grid):
+    Stepping modes (shared grid; the loops of
+    :mod:`repro.circuit.transient`, which also step the scalar engine):
 
     * **fixed** (``dt`` given) — every lane advances at ``dt``; the
       union of all lanes' waveform breakpoints is landed on exactly;
       Newton failures halve the shared step up to ``max_halvings``.
-    * **adaptive** — the scalar LTE/PI controller driven by the
+    * **adaptive** — the LTE/PI controller driven by the
       worst-lane scaled error; per-lane predictor history restarts at
       that lane's own waveform breakpoints; rejection (LTE or Newton)
       shrinks the shared step.
@@ -528,48 +495,9 @@ def batch_transient(
     if (tstops <= 0.0).any():
         raise ParameterError(f"tstop must be > 0: {tstops!r}")
     t_end = float(tstops.max())
-    if method not in ("be", "trap"):
-        raise ParameterError(f"method must be 'be' or 'trap': {method!r}")
-    if adaptive is None:
-        adaptive = dt is None
-    if not adaptive:
-        if dt is None:
-            raise ParameterError(
-                "fixed-step mode needs dt (omit it or pass adaptive=True "
-                "for the adaptive engine)"
-            )
-        if dt <= 0.0 or dt > t_end:
-            raise ParameterError(f"dt must be in (0, tstop]: {dt!r}")
-        for name, value in (("rtol", rtol), ("atol", atol),
-                            ("dt_min", dt_min), ("dt_max", dt_max)):
-            if value is not None:
-                raise ParameterError(
-                    f"{name} is an adaptive-mode option; fixed-step "
-                    f"accuracy is set by dt alone"
-                )
-        max_halvings = 8 if max_halvings is None else max_halvings
-    else:
-        if max_halvings is not None:
-            raise ParameterError(
-                "max_halvings is a fixed-step option; adaptive step "
-                "rejection is governed by rtol/atol/dt_min"
-            )
-        rtol = DEFAULT_RTOL if rtol is None else float(rtol)
-        atol = DEFAULT_ATOL if atol is None else float(atol)
-        if rtol < 0.0 or atol < 0.0 or rtol + atol <= 0.0:
-            raise ParameterError(
-                f"need rtol, atol >= 0 and rtol + atol > 0: "
-                f"rtol={rtol!r}, atol={atol!r}"
-            )
-        dt_max = t_end / 50.0 if dt_max is None else float(dt_max)
-        dt_min = t_end * 1e-9 if dt_min is None else float(dt_min)
-        if not 0.0 < dt_min <= dt_max <= t_end:
-            raise ParameterError(
-                f"need 0 < dt_min <= dt_max <= tstop: dt_min={dt_min!r}, "
-                f"dt_max={dt_max!r}"
-            )
-        if dt is not None and dt <= 0.0:
-            raise ParameterError(f"initial dt must be > 0: {dt!r}")
+    adaptive, max_halvings, rtol, atol, dt_min, dt_max = _step_options(
+        t_end, method, dt, adaptive, max_halvings, rtol, atol, dt_min,
+        dt_max)
 
     run_stats: dict = stats if stats is not None else {}
     for group in batch.groups:
@@ -602,7 +530,7 @@ def batch_transient(
     })
 
     state = _RunState(batch, x, tstops, run_stats, record_currents,
-                      options, method, scalar_fallback)
+                      options, method)
     # Prime per-lane group state (previous-step charges) at x0.
     prime_ctx = batch.accept_context(x, x, np.arange(n_lanes), 0.0,
                                      1.0, method)
@@ -613,20 +541,20 @@ def batch_transient(
         _adaptive_lockstep(state, t_end, bp_times, bp_lanes, rtol, atol,
                            dt_min, dt_max, dt)
     else:
-        _fixed_lockstep(state, t_end, bp_times, bp_lanes, dt,
-                        max_halvings)
+        _fixed_lockstep(state, t_end, bp_times, dt, max_halvings)
     return state.finish(dt=dt, adaptive=adaptive, rtol=rtol, atol=atol,
                         dt_min=dt_min, dt_max=dt_max,
                         max_halvings=max_halvings)
 
 
 class _RunState:
-    """Shared bookkeeping of both lock-step stepping loops."""
+    """Lane-batched run state of the shared stepping loops (the
+    contract is described next to
+    :func:`repro.circuit.transient._fixed_lockstep`)."""
 
     def __init__(self, batch: LaneBatch, x: np.ndarray,
                  tstops: np.ndarray, stats: dict, record_currents: bool,
-                 options: NewtonOptions, method: str,
-                 scalar_fallback: bool) -> None:
+                 options: NewtonOptions, method: str) -> None:
         self.batch = batch
         self.x = x
         self.x0 = x.copy()
@@ -635,7 +563,7 @@ class _RunState:
         self.record_currents = record_currents
         self.options = options
         self.method = method
-        self.scalar_fallback = scalar_fallback
+        self.n_nodes = batch.n_nodes
         self.alive = np.ones(batch.n_lanes, dtype=bool)
         self.recorder = _BatchRecorder(x)
         self.dropped: List[int] = []
@@ -644,8 +572,20 @@ class _RunState:
     def alive_lanes(self) -> np.ndarray:
         return np.flatnonzero(self.alive)
 
-    def drop(self, lanes: Sequence[int]) -> None:
-        """Remove lanes from the batch (scalar fallback at finish)."""
+    def newton(self, time: float, dt: float,
+               x_start: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, List[int]]:
+        """One lock-step transient solve over the alive lanes."""
+        return _lockstep_newton(
+            self.batch, self.x, self.alive_lanes, self.options,
+            analysis="tran", time=time, dt=dt, x_prev=self.x,
+            method=self.method, x_start=x_start, stats=self.stats,
+        )
+
+    def drop(self, lanes: Sequence[int], why: str) -> None:
+        """Remove lanes from the batch; :meth:`finish` re-simulates them
+        through the scalar engine, whose own error (if any) is the one
+        reported, so ``why`` is not kept."""
         for lane in lanes:
             self.alive[lane] = False
             self.dropped.append(int(lane))
@@ -675,21 +615,15 @@ class _RunState:
             if lane not in self.dropped:
                 datasets[lane] = self.recorder.dataset(
                     batch, lane, self.record_currents)
-        fallback: List[int] = []
         for lane in self.dropped:
-            if not self.scalar_fallback:
-                errors[lane] = "lock-step Newton failed (scalar " \
-                    "fallback disabled)"
-                continue
-            fallback.append(lane)
             try:
                 datasets[lane] = self._scalar_rerun(lane, run_kwargs)
             except AnalysisError as exc:
                 errors[lane] = str(exc)
-        self.stats["fallback_lanes"] = len(fallback)
+        self.stats["fallback_lanes"] = len(self.dropped)
         return BatchTransientResult(
             datasets=datasets, errors=errors,
-            fallback_lanes=tuple(fallback), stats=self.stats,
+            fallback_lanes=tuple(self.dropped), stats=self.stats,
         )
 
     def _scalar_rerun(self, lane: int, run_kwargs: dict) -> Dataset:
@@ -714,233 +648,3 @@ class _RunState:
             kwargs.update(dt=run_kwargs["dt"],
                           max_halvings=run_kwargs["max_halvings"])
         return transient(self.batch.circuits[lane], **kwargs)
-
-
-def _next_bp(bp_times: List[float], bp_idx: int, t: float,
-             eps: float) -> int:
-    n = len(bp_times)
-    while bp_idx < n and bp_times[bp_idx] <= t + eps:
-        bp_idx += 1
-    return bp_idx
-
-
-def _fixed_lockstep(state: _RunState, t_end: float,
-                    bp_times: List[float], bp_lanes: Dict[float, List[int]],
-                    dt: float, max_halvings: int) -> None:
-    """Shared-grid fixed-step march (lock-step twin of
-    :func:`repro.circuit.transient._fixed_loop`)."""
-    batch = state.batch
-    options = state.options
-    t = 0.0
-    current_dt = dt
-    halvings = 0
-    bp_idx = 0
-    eps = 1e-15 * t_end
-    while state.alive.any() and t < t_end - eps:
-        bp_idx = _next_bp(bp_times, bp_idx, t, eps)
-        step = min(current_dt, t_end - t)
-        landing = (bp_idx < len(bp_times)
-                   and bp_times[bp_idx] - t <= step * (1.0 + 1e-12))
-        if landing:
-            t_next = bp_times[bp_idx]
-            step = t_next - t
-        else:
-            t_next = t + step
-        alive = state.alive_lanes
-        x_new, failed = _lockstep_newton(
-            batch, state.x, alive, options, analysis="tran",
-            time=t_next, dt=step, x_prev=state.x, method=state.method,
-            stats=state.stats,
-        )
-        if failed:
-            state.stats["rejected_newton"] = \
-                state.stats.get("rejected_newton", 0) + 1
-            if halvings >= max_halvings:
-                # The shared step cannot shrink further: the failing
-                # lanes leave the batch, everyone else retries.
-                state.drop(failed)
-                if not state.alive.any():
-                    return
-                continue
-            current_dt = step / 2.0
-            halvings += 1
-            continue
-        state.accept(t_next, x_new, step)
-        t = t_next
-        state.retire(t, eps)
-        if landing:
-            bp_idx += 1
-            state.stats["breakpoints_hit"] = \
-                state.stats.get("breakpoints_hit", 0) + 1
-        if current_dt < dt:
-            current_dt = min(dt, current_dt * 2.0)
-            halvings = max(0, halvings - 1)
-
-
-def _adaptive_lockstep(state: _RunState, t_end: float,
-                       bp_times: List[float],
-                       bp_lanes: Dict[float, List[int]],
-                       rtol: float, atol: float, dt_min: float,
-                       dt_max: float, dt0: Optional[float]) -> None:
-    """Worst-lane LTE-controlled lock-step integration.
-
-    The per-step controller is the scalar adaptive loop verbatim —
-    predictor, divisors, PI update, rejection paths — except that the
-    accept/reject decision is made once for the whole batch from the
-    *largest* per-lane scaled error, and the predictor history is
-    per-lane (a source breakpoint restarts only the lanes whose
-    waveform owns it).
-    """
-    batch = state.batch
-    options = state.options
-    method = state.method
-    n_nodes = batch.n_nodes
-    n_lanes = batch.n_lanes
-    k_order = 2 if method == "be" else 3
-    t = 0.0
-    h = min(dt_max, t_end / 1000.0) if dt0 is None else min(dt0, dt_max)
-    err_prev = 1.0
-    bp_idx = 0
-    eps = 1e-15 * t_end
-    accepted = 0
-    hist: List[Tuple[float, np.ndarray]] = [(0.0, state.x.copy())]
-    hist_count = np.ones(n_lanes, dtype=int)
-    while state.alive.any() and t < t_end - eps:
-        bp_idx = _next_bp(bp_times, bp_idx, t, eps)
-        h = min(max(h, dt_min), dt_max)
-        step = min(h, t_end - t)
-        landing = (bp_idx < len(bp_times)
-                   and bp_times[bp_idx] - t <= step * (1.0 + 1e-12))
-        if landing:
-            t_next = bp_times[bp_idx]
-            step = t_next - t
-        else:
-            t_next = t + step
-        x_pred, divisor, has_pred = _predict_lanes(
-            hist, hist_count, t_next, method, state.x)
-        alive = state.alive_lanes
-        x_new, failed = _lockstep_newton(
-            batch, state.x, alive, options, analysis="tran",
-            time=t_next, dt=step, x_prev=state.x, method=method,
-            x_start=x_pred, stats=state.stats,
-        )
-        if failed:
-            state.stats["rejected_newton"] = \
-                state.stats.get("rejected_newton", 0) + 1
-            shrunk = max(step * _NEWTON_SHRINK, dt_min)
-            if shrunk >= step * (1.0 - 1e-12):
-                # Irreducible step: the failing lanes leave the batch,
-                # the remaining lanes retry the same step.
-                state.drop(failed)
-                if not state.alive.any():
-                    return
-            else:
-                h = shrunk
-            continue
-
-        # Worst-lane scaled LTE over alive lanes with a predictor.
-        err = None
-        scoring = state.alive & has_pred
-        if scoring.any():
-            lanes = np.flatnonzero(scoring)
-            v_now = np.abs(state.x[lanes][:, :n_nodes])
-            v_next = np.abs(x_new[lanes][:, :n_nodes])
-            weight = atol + rtol * np.maximum(v_now, v_next)
-            diff = np.abs(x_new[lanes][:, :n_nodes]
-                          - x_pred[lanes][:, :n_nodes])
-            lane_err = (diff / weight).max(axis=1) / divisor[lanes] \
-                if n_nodes else np.zeros(lanes.size)
-            err = float(lane_err.max())
-        if err is not None and err > 1.0:
-            shrunk = max(
-                step * min(0.5, max(0.1,
-                                    _SAFETY * err ** (-1.0 / k_order))),
-                dt_min,
-            )
-            if shrunk < step * (1.0 - 1e-12):
-                state.stats["rejected_lte"] = \
-                    state.stats.get("rejected_lte", 0) + 1
-                h = shrunk
-                continue
-            # Irreducible: accept as the best available (scalar twin).
-
-        state.accept(t_next, x_new, step)
-        t = t_next
-        accepted += 1
-        if accepted > _MAX_ACCEPTED_STEPS:
-            raise AnalysisError(
-                f"batch transient exceeded {_MAX_ACCEPTED_STEPS} "
-                f"accepted steps; loosen rtol/atol or raise dt_min"
-            )
-        state.stats["dt_smallest"] = min(
-            state.stats.get("dt_smallest", step), step)
-        state.stats["dt_largest"] = max(
-            state.stats.get("dt_largest", step), step)
-        state.retire(t, eps)
-        if err is None or err <= 0.0:
-            fac = _FAC_BLIND
-        else:
-            fac = _SAFETY * err ** (-0.7 / k_order) \
-                * err_prev ** (0.4 / k_order)
-            fac = min(_FAC_MAX, max(_FAC_MIN, fac))
-            err_prev = max(err, 1e-4)
-        if (state.alive & (hist_count < 2)).any():
-            # Some lane is predictor-blind (its history just restarted
-            # at a breakpoint): its error is invisible to the worst-
-            # lane controller, so growth is capped exactly like the
-            # scalar engine's no-estimate steps — otherwise the other
-            # lanes' plateau-small errors would quintuple the shared
-            # step right through the restarting lane's edge.
-            fac = min(fac, _FAC_BLIND)
-        h = step * fac
-        hist.append((t, state.x.copy()))
-        if len(hist) > 3:
-            hist.pop(0)
-        hist_count = np.minimum(hist_count + 1, 3)
-        if landing:
-            bp_idx += 1
-            state.stats["breakpoints_hit"] = \
-                state.stats.get("breakpoints_hit", 0) + 1
-            restart = [lane for lane in bp_lanes.get(t_next, ())
-                       if state.alive[lane]]
-            if restart:
-                # Source derivative discontinuity: restart the
-                # predictor for the owning lanes and re-enter
-                # cautiously (worst-lane controller, so the shared
-                # step shrinks once for the whole batch).
-                hist_count[restart] = 1
-                h = max(dt_min, h * _BREAKPOINT_SHRINK)
-                err_prev = 1.0
-
-
-def _predict_lanes(hist: List[Tuple[float, np.ndarray]],
-                   hist_count: np.ndarray, t_next: float, method: str,
-                   x: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-lane predictor stack, LTE divisors, and a has-predictor mask
-    (vectorized :func:`repro.circuit.transient._predict`)."""
-    n_lanes = hist_count.shape[0]
-    divisor = np.ones(n_lanes)
-    has_pred = hist_count >= 2
-    x_pred = x.copy()
-    if len(hist) >= 2:
-        (t1, x1), (t2, x2) = hist[-2], hist[-1]
-        linear = x2 + (x2 - x1) * ((t_next - t2) / (t2 - t1))
-        lin_mask = has_pred if method != "trap" \
-            else has_pred & (hist_count < 3)
-        if method == "trap":
-            divisor[has_pred & (hist_count < 3)] = 2.0
-        else:
-            divisor[has_pred] = 3.0
-        x_pred[lin_mask] = linear[lin_mask]
-    if method == "trap" and len(hist) >= 3:
-        quad_mask = hist_count >= 3
-        if quad_mask.any():
-            (t0, x0), (t1, x1), (t2, x2) = hist[-3], hist[-2], hist[-1]
-            l0 = (t_next - t1) * (t_next - t2) / ((t0 - t1) * (t0 - t2))
-            l1 = (t_next - t0) * (t_next - t2) / ((t1 - t0) * (t1 - t2))
-            l2 = (t_next - t0) * (t_next - t1) / ((t2 - t0) * (t2 - t1))
-            quad = l0 * x0 + l1 * x1 + l2 * x2
-            x_pred[quad_mask] = quad[quad_mask]
-            divisor[quad_mask] = 11.0
-    return x_pred, divisor, has_pred

@@ -415,6 +415,13 @@ class _CNFETLaneGroup(_StackedCNFETBank, LaneGroup):
             rhs_values.ravel())
 
 
+#: Fast-backend CNFET count at which an assembler switches from the
+#: per-element scalar stamp loop to one stacked :class:`CNFETSlab`.
+#: Below this the stacked pass's fixed costs are not worth it and the
+#: historical scalar path is kept bit-for-bit.
+CNFET_SLAB_MIN_DEVICES = 16
+
+
 class CNFETSlab(_StackedCNFETBank):
     """Every fast-backend CNFET of *one* circuit, stamped as a single
     stacked evaluation per Newton iteration.

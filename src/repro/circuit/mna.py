@@ -49,20 +49,16 @@ import numpy as np
 from repro import faults
 from repro.cancel import CancelToken
 from repro.circuit.elements.base import StampContext, TripletStampContext
-from repro.circuit.elements.cnfet import CNFETElement, CNFETSlab
+from repro.circuit.elements.cnfet import (
+    CNFET_SLAB_MIN_DEVICES,
+    CNFETElement,
+    CNFETSlab,
+)
 from repro.circuit.netlist import Circuit
 from repro.circuit.solvers import BackendLike, csc_pattern, resolve_backend
 from repro.errors import AnalysisError
 from repro.pwl.device import CNFET
 from repro.pwl.kernels import active_kernel_backend
-
-#: Fast-backend CNFET count at which the assembler switches from the
-#: per-element scalar stamp loop to the stacked
-#: :class:`~repro.circuit.elements.cnfet.CNFETSlab`.  Below this the
-#: stacked pass's fixed costs are not worth it and the historical
-#: scalar path is kept bit-for-bit.
-CNFET_SLAB_MIN_DEVICES = 16
-
 
 @dataclass(frozen=True)
 class NewtonOptions:

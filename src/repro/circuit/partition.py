@@ -49,7 +49,11 @@ from repro.circuit.elements.base import (
     Element,
     TripletStampContext,
 )
-from repro.circuit.elements.cnfet import CNFETElement, CNFETSlab
+from repro.circuit.elements.cnfet import (
+    CNFET_SLAB_MIN_DEVICES,
+    CNFETElement,
+    CNFETSlab,
+)
 from repro.circuit.netlist import HIER_SEP, Circuit
 from repro.circuit.solvers import HAVE_SCIPY, SparseBackend, csc_pattern
 from repro.circuit.waveforms import DC
@@ -786,18 +790,18 @@ class PartitionedAssembler:
         Latency-bypass tolerance in volts; ``0`` disables bypass.
     max_bypass_steps : int
         Consecutive accepted steps a block may stay bypassed.
-    cnfet_slab_min : int
-        Stacked-CNFET threshold for the assembler's *shared* slab
-        (pooled across blocks — one stacked evaluation per Newton
-        iteration covers every active block's devices; mirrors the
-        monolithic assembler's slab cutover).
+
+    At :data:`~repro.circuit.elements.cnfet.CNFET_SLAB_MIN_DEVICES`
+    fast CNFETs and above, the blocks' devices share one slab (pooled
+    across blocks — one stacked evaluation per Newton iteration covers
+    every active block's devices), as in the monolithic assembler.
     """
 
     def __init__(self, circuit: Circuit,
                  partition: Optional[Partition] = None, *,
                  bypass_tol: float = 0.0,
-                 max_bypass_steps: int = DEFAULT_MAX_BYPASS_STEPS,
-                 cnfet_slab_min: int = 16) -> None:
+                 max_bypass_steps: int = DEFAULT_MAX_BYPASS_STEPS
+                 ) -> None:
         self.circuit = circuit
         self.partition = partition if partition is not None \
             else partition_circuit(circuit)
@@ -817,7 +821,7 @@ class PartitionedAssembler:
         # into its own triplet context (per-block slabs paid the
         # kernel's fixed call cost once per block per iteration).
         slab_pool = [el for st in self._blocks for el in st.slab_els]
-        if len(slab_pool) >= cnfet_slab_min:
+        if len(slab_pool) >= CNFET_SLAB_MIN_DEVICES:
             self._slab: Optional[CNFETSlab] = CNFETSlab(
                 slab_pool, self.n, node_index)
             pos = 0
@@ -847,7 +851,7 @@ class PartitionedAssembler:
         slab_els = [el for el in if_dynamic
                     if isinstance(el, CNFETElement)
                     and isinstance(el.backend.device, CNFET)]
-        if len(slab_els) >= cnfet_slab_min and slab_els:
+        if len(slab_els) >= CNFET_SLAB_MIN_DEVICES:
             self._if_slab: Optional[CNFETSlab] = CNFETSlab(
                 slab_els, self.n, node_index)
             slab_ids = {id(el) for el in slab_els}

@@ -21,13 +21,18 @@ Both modes are **event-aware**: waveform breakpoints (PULSE edges, PWL
 corners — see :meth:`Waveform.breakpoints`) are landed on exactly, so a
 source edge falling between two natural steps is never smeared.
 
+The two stepping loops here are the only ones in the package: they
+are written over a ``(B, n)`` lane stack and also drive the
+lane-batched engine (:mod:`repro.circuit.batch_sim`).  A scalar run is
+their one-lane case (:class:`_ScalarRun`).
+
 See ``docs/transient.md`` for the integrator theory, the controller
 constants, and tuning guidance.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,40 +93,6 @@ def _collect_breakpoints(circuit: Circuit, tstop: float) -> List[float]:
     return sorted(times)
 
 
-def _quadratic_extrapolate(ts: Sequence[float], xs: Sequence[np.ndarray],
-                           t: float) -> np.ndarray:
-    """Lagrange extrapolation of three history points at time ``t``."""
-    t0, t1, t2 = ts
-    l0 = (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2))
-    l1 = (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2))
-    l2 = (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1))
-    return l0 * xs[0] + l1 * xs[1] + l2 * xs[2]
-
-
-def _predict(hist_t: List[float], hist_x: List[np.ndarray], t_next: float,
-             method: str) -> Tuple[Optional[np.ndarray], float]:
-    """Predictor and LTE divisor for the step ending at ``t_next``.
-
-    Returns ``(x_pred, divisor)`` where the method's local truncation
-    error is estimated as ``|x_corrector - x_pred| / divisor``; the
-    divisors come from the uniform-step error constants (trapezoidal
-    LTE ``-h^3 x'''/12`` vs quadratic-extrapolation error ``h^3 x'''``;
-    BE LTE ``h^2 x''/2`` vs linear-extrapolation error ``h^2 x''``).
-    ``(None, 1.0)`` when there is not enough smooth history.
-    """
-    if method == "trap" and len(hist_t) >= 3:
-        pred = _quadratic_extrapolate(hist_t[-3:], hist_x[-3:], t_next)
-        return pred, 11.0
-    if len(hist_t) >= 2:
-        t0, t1 = hist_t[-2], hist_t[-1]
-        x0, x1 = hist_x[-2], hist_x[-1]
-        pred = x1 + (x1 - x0) * ((t_next - t1) / (t1 - t0))
-        # Linear predictor under a 2nd-order corrector overestimates
-        # the LTE (conservative); only used while history warms up.
-        return pred, 3.0 if method == "be" else 2.0
-    return None, 1.0
-
-
 def _stateful_elements(circuit: Circuit) -> List:
     """Elements whose ``accept_step`` actually commits state.
 
@@ -133,78 +104,66 @@ def _stateful_elements(circuit: Circuit) -> List:
             if type(el).accept_step is not Element.accept_step]
 
 
+def _trace_dataset(circuit: Circuit, times: Sequence[float],
+                   data: np.ndarray, record_currents) -> Dataset:
+    """Dataset over recorded solution rows ``data`` (one per time).
+
+    Node voltages always; with ``record_currents`` the voltage-source
+    branch currents (free columns of the solution); with
+    ``record_currents is True`` also every CNFET's drain current.
+    """
+    dataset = Dataset("time", times)
+    node_index = circuit.node_index
+    for node, idx in node_index.items():
+        dataset.add_trace(f"v({node})", data[:, idx])
+    if record_currents:
+        for el in circuit.iter_elements(VoltageSource):
+            dataset.add_trace(f"i({el.name})", data[:, el.aux_index])
+    if record_currents is True:
+        # CNFET current traces in one vectorized post-pass per element
+        # (the per-row scalar re-evaluation used to rival the Newton
+        # loop itself on long runs).
+        zeros = np.zeros(data.shape[0])
+
+        def node_trace(node: str) -> np.ndarray:
+            idx = node_index.get(node, -1)
+            return data[:, idx] if idx >= 0 else zeros
+
+        for el in circuit.iter_elements(CNFETElement):
+            d_node, g_node, s_node = el.nodes
+            vs_col = node_trace(s_node)
+            vgs = node_trace(g_node) - vs_col
+            vds = node_trace(d_node) - vs_col
+            if el.polarity == "p":
+                vgs, vds = -vgs, -vds
+            series = el.backend.ids_many(vgs, vds)
+            if el.polarity == "p":
+                series = -series
+            dataset.add_trace(f"i({el.name})", series)
+    return dataset
+
+
 class _StepRecorder:
-    """Accumulates accepted steps and finalises the Dataset."""
+    """Keeps accepted solution rows in memory for the final Dataset."""
 
     def __init__(self, circuit: Circuit, x0: np.ndarray) -> None:
         self.circuit = circuit
         self.times = [0.0]
         self.solutions = [x0.copy()]
-        # One reusable context for the whole run: ``accept`` used to
-        # build a throwaway StampContext per accepted step, which on
-        # long adaptive runs was allocator churn for no benefit (the
-        # empty matrix/rhs are never stamped during acceptance).
-        self._ctx = StampContext(
-            matrix=np.zeros((0, 0)), rhs=np.zeros(0),
-            node_index=circuit.node_index, x=x0, analysis="tran",
-        )
-        self._accepting = _stateful_elements(circuit)
 
-    def accept(self, t: float, x: np.ndarray, x_prev: np.ndarray,
-               dt: float, method: str) -> None:
-        """Commit a converged step: element state update + recording."""
-        ctx = self._ctx
-        ctx.x = x
-        ctx.time = t
-        ctx.dt = dt
-        ctx.x_prev = x_prev
-        ctx.method = method
-        for el in self._accepting:
-            el.accept_step(ctx)
+    def record(self, t: float, x: np.ndarray) -> None:
         self.times.append(t)
         self.solutions.append(x.copy())
 
     def dataset(self, record_currents) -> Dataset:
-        circuit = self.circuit
-        data = np.asarray(self.solutions)
-        dataset = Dataset("time", self.times)
-        for node, idx in circuit.node_index.items():
-            dataset.add_trace(f"v({node})", data[:, idx])
-        if record_currents:
-            for el in circuit.iter_elements(VoltageSource):
-                dataset.add_trace(f"i({el.name})", data[:, el.aux_index])
-        if record_currents is True:
-            # CNFET current traces in one vectorized post-pass per
-            # element (the per-row scalar re-evaluation used to rival
-            # the Newton loop itself on long runs); skipped in the
-            # "sources" mode, whose branch currents above are free
-            # columns of the solution.
-            node_index = circuit.node_index
-            zeros = np.zeros(data.shape[0])
-
-            def node_trace(node: str) -> np.ndarray:
-                idx = node_index.get(node, -1)
-                return data[:, idx] if idx >= 0 else zeros
-
-            for el in circuit.iter_elements(CNFETElement):
-                d_node, g_node, s_node = el.nodes
-                vs_col = node_trace(s_node)
-                vgs = node_trace(g_node) - vs_col
-                vds = node_trace(d_node) - vs_col
-                if el.polarity == "p":
-                    vgs, vds = -vgs, -vds
-                series = el.backend.ids_many(vgs, vds)
-                if el.polarity == "p":
-                    series = -series
-                dataset.add_trace(f"i({el.name})", series)
-        return dataset
+        return _trace_dataset(self.circuit, self.times,
+                              np.asarray(self.solutions), record_currents)
 
 
 class _StoreRecorder:
-    """Streams accepted steps into a :class:`WaveformStore`.
+    """Streams accepted solution rows into a :class:`WaveformStore`.
 
-    Drop-in for :class:`_StepRecorder` (same ``accept`` contract —
-    element state commits included) except rows leave RAM every
+    Drop-in for :class:`_StepRecorder` except rows leave RAM every
     ``chunk_rows`` steps; ``dataset()`` returns a lazy Dataset over
     the finished store.
     """
@@ -212,7 +171,6 @@ class _StoreRecorder:
     def __init__(self, circuit: Circuit, x0: np.ndarray,
                  directory, chunk_rows: int,
                  record_currents: Union[bool, str]) -> None:
-        self.circuit = circuit
         n = circuit.dimension()
         columns = [f"aux{i}" for i in range(n + 1)]
         columns[0] = "time"
@@ -230,26 +188,9 @@ class _StoreRecorder:
                                           exposed=exposed,
                                           chunk_rows=chunk_rows)
         self._row = np.empty(n + 1)
-        self._ctx = StampContext(
-            matrix=np.zeros((0, 0)), rhs=np.zeros(0),
-            node_index=circuit.node_index, x=x0, analysis="tran",
-        )
-        self._row[0] = 0.0
-        self._row[1:] = x0
-        self.store.append(self._row)
-        self._accepting = _stateful_elements(circuit)
+        self.record(0.0, x0)
 
-    def accept(self, t: float, x: np.ndarray, x_prev: np.ndarray,
-               dt: float, method: str) -> None:
-        """Commit a converged step: element state update + a store row."""
-        ctx = self._ctx
-        ctx.x = x
-        ctx.time = t
-        ctx.dt = dt
-        ctx.x_prev = x_prev
-        ctx.method = method
-        for el in self._accepting:
-            el.accept_step(ctx)
+    def record(self, t: float, x: np.ndarray) -> None:
         self._row[0] = t
         self._row[1:] = x
         self.store.append(self._row)
@@ -294,6 +235,126 @@ def _resolve_partition(circuit: Circuit, partition,
     if tol < 0.0:
         raise ParameterError(f"bypass_tol must be >= 0: {bypass_tol!r}")
     return partition, tol, escalate
+
+
+def _step_options(t_end: float, method: str, dt: Optional[float],
+                  adaptive: Optional[bool], max_halvings: Optional[int],
+                  rtol: Optional[float], atol: Optional[float],
+                  dt_min: Optional[float], dt_max: Optional[float]
+                  ) -> tuple:
+    """Validate the stepping options of :func:`transient` and
+    :func:`~repro.circuit.batch_sim.batch_transient` and fill in the
+    defaults; returns ``(adaptive, max_halvings, rtol, atol, dt_min,
+    dt_max)``."""
+    if method not in ("be", "trap"):
+        raise ParameterError(f"method must be 'be' or 'trap': {method!r}")
+    if adaptive is None:
+        adaptive = dt is None
+    if not adaptive:
+        if dt is None:
+            raise ParameterError(
+                "fixed-step mode needs dt (omit it or pass adaptive=True "
+                "for the adaptive engine)"
+            )
+        if dt <= 0.0 or dt > t_end:
+            raise ParameterError(f"dt must be in (0, tstop]: {dt!r}")
+        for name, value in (("rtol", rtol), ("atol", atol),
+                            ("dt_min", dt_min), ("dt_max", dt_max)):
+            if value is not None:
+                raise ParameterError(
+                    f"{name} is an adaptive-mode option; fixed-step "
+                    f"accuracy is set by dt alone"
+                )
+        max_halvings = 8 if max_halvings is None else max_halvings
+        return adaptive, max_halvings, rtol, atol, dt_min, dt_max
+    if max_halvings is not None:
+        raise ParameterError(
+            "max_halvings is a fixed-step option; adaptive step "
+            "rejection is governed by rtol/atol/dt_min"
+        )
+    rtol = DEFAULT_RTOL if rtol is None else float(rtol)
+    atol = DEFAULT_ATOL if atol is None else float(atol)
+    if rtol < 0.0 or atol < 0.0 or rtol + atol <= 0.0:
+        raise ParameterError(
+            f"need rtol, atol >= 0 and rtol + atol > 0: "
+            f"rtol={rtol!r}, atol={atol!r}"
+        )
+    dt_max = t_end / 50.0 if dt_max is None else float(dt_max)
+    dt_min = t_end * 1e-9 if dt_min is None else float(dt_min)
+    if not 0.0 < dt_min <= dt_max <= t_end:
+        raise ParameterError(
+            f"need 0 < dt_min <= dt_max <= tstop: dt_min={dt_min!r}, "
+            f"dt_max={dt_max!r}"
+        )
+    if dt is not None and dt <= 0.0:
+        raise ParameterError(f"initial dt must be > 0: {dt!r}")
+    return adaptive, max_halvings, rtol, atol, dt_min, dt_max
+
+
+class _ScalarRun:
+    """One-lane run state for the shared stepping loops.
+
+    Presents one circuit as a ``(1, n)`` lane stack: ``newton`` is
+    :func:`newton_solve` on the run's assembler, ``accept`` commits
+    the elements' step state and records the row, and ``drop`` raises
+    the stall error (a one-lane run has no other lanes to carry on).
+    """
+
+    def __init__(self, circuit: Circuit, x: np.ndarray, recorder,
+                 assembler, options: NewtonOptions, method: str,
+                 stats: dict, cancel: Optional[CancelToken]) -> None:
+        self.circuit = circuit
+        self.x = x[None, :]
+        self.alive = np.ones(1, dtype=bool)
+        self.n_nodes = len(circuit.node_index)
+        self.recorder = recorder
+        self.assembler = assembler
+        self.options = options
+        self.method = method
+        self.stats = stats
+        self.cancel = cancel
+        # One reusable context for the whole run's step commits (the
+        # empty matrix/rhs are never stamped during acceptance).
+        self._ctx = StampContext(
+            matrix=np.zeros((0, 0)), rhs=np.zeros(0),
+            node_index=circuit.node_index, x=x, analysis="tran",
+            method=method,
+        )
+        self._accepting = _stateful_elements(circuit)
+
+    def newton(self, time: float, dt: float,
+               x_start: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, List[int]]:
+        x = self.x[0]
+        try:
+            x_new = newton_solve(
+                self.circuit, x if x_start is None else x_start[0],
+                self.options, analysis="tran", time=time, dt=dt,
+                x_prev=x, method=self.method, assembler=self.assembler,
+                stats=self.stats, cancel=self.cancel,
+            )
+        except AnalysisError:
+            return self.x, [0]
+        return x_new[None, :], []
+
+    def accept(self, t: float, x_new: np.ndarray, step: float) -> None:
+        """Commit a converged step: element state update + recording."""
+        ctx = self._ctx
+        ctx.x = x_new[0]
+        ctx.time = t
+        ctx.dt = step
+        ctx.x_prev = self.x[0]
+        for el in self._accepting:
+            el.accept_step(ctx)
+        self.recorder.record(t, x_new[0])
+        self.x = x_new
+        self.stats["steps"] = self.stats.get("steps", 0) + 1
+
+    def retire(self, t: float, eps: float) -> None:
+        """Nothing to retire: the one lane stops at the run's end."""
+
+    def drop(self, lanes: Sequence[int], why: str) -> None:
+        raise AnalysisError(why)
 
 
 def transient(
@@ -353,9 +414,9 @@ def transient(
         silently ignored.
     stats : dict, optional
         Accumulates step statistics: ``steps`` (accepted), ``solves``,
-        ``iterations`` (Newton), and in adaptive mode additionally
-        ``rejected_lte``, ``rejected_newton``, ``breakpoints_hit``,
-        ``dt_smallest``, ``dt_largest``.
+        ``iterations`` (Newton), ``rejected_newton``,
+        ``breakpoints_hit``, and in adaptive mode additionally
+        ``rejected_lte``, ``dt_smallest``, ``dt_largest``.
     adaptive : bool, optional
         Force the stepping mode; default ``dt is None``.
     rtol, atol : float, optional
@@ -416,48 +477,9 @@ def transient(
     """
     if tstop <= 0.0:
         raise ParameterError(f"tstop must be > 0: {tstop!r}")
-    if method not in ("be", "trap"):
-        raise ParameterError(f"method must be 'be' or 'trap': {method!r}")
-    if adaptive is None:
-        adaptive = dt is None
-    if not adaptive:
-        if dt is None:
-            raise ParameterError(
-                "fixed-step mode needs dt (omit it or pass adaptive=True "
-                "for the adaptive engine)"
-            )
-        if dt <= 0.0 or dt > tstop:
-            raise ParameterError(f"dt must be in (0, tstop]: {dt!r}")
-        for name, value in (("rtol", rtol), ("atol", atol),
-                            ("dt_min", dt_min), ("dt_max", dt_max)):
-            if value is not None:
-                raise ParameterError(
-                    f"{name} is an adaptive-mode option; fixed-step "
-                    f"accuracy is set by dt alone"
-                )
-        max_halvings = 8 if max_halvings is None else max_halvings
-    else:
-        if max_halvings is not None:
-            raise ParameterError(
-                "max_halvings is a fixed-step option; adaptive step "
-                "rejection is governed by rtol/atol/dt_min"
-            )
-        rtol = DEFAULT_RTOL if rtol is None else float(rtol)
-        atol = DEFAULT_ATOL if atol is None else float(atol)
-        if rtol < 0.0 or atol < 0.0 or rtol + atol <= 0.0:
-            raise ParameterError(
-                f"need rtol, atol >= 0 and rtol + atol > 0: "
-                f"rtol={rtol!r}, atol={atol!r}"
-            )
-        dt_max = tstop / 50.0 if dt_max is None else float(dt_max)
-        dt_min = tstop * 1e-9 if dt_min is None else float(dt_min)
-        if not 0.0 < dt_min <= dt_max <= tstop:
-            raise ParameterError(
-                f"need 0 < dt_min <= dt_max <= tstop: dt_min={dt_min!r}, "
-                f"dt_max={dt_max!r}"
-            )
-        if dt is not None and dt <= 0.0:
-            raise ParameterError(f"initial dt must be > 0: {dt!r}")
+    adaptive, max_halvings, rtol, atol, dt_min, dt_max = _step_options(
+        tstop, method, dt, adaptive, max_halvings, rtol, atol, dt_min,
+        dt_max)
     if store is not None and record_currents is True:
         raise ParameterError(
             "store mode needs record_currents=False or 'sources': the "
@@ -499,24 +521,30 @@ def transient(
         assembler = PartitionedAssembler(circuit, part, bypass_tol=tol)
     else:
         assembler = TwoPhaseAssembler(circuit, backend=backend)
+    before = None if stats is None else dict(stats)
+    run = _ScalarRun(circuit, x, recorder, assembler, options, method,
+                     {} if stats is None else stats, cancel)
     try:
         if adaptive:
-            _adaptive_loop(circuit, tstop, method, options, x, recorder,
-                           assembler, breakpoints, rtol, atol, dt_min,
-                           dt_max, dt, stats, cancel)
+            # Every breakpoint is the one lane's own, so each landing
+            # restarts the predictor history.
+            _adaptive_lockstep(run, tstop, breakpoints,
+                               {t: [0] for t in breakpoints}, rtol, atol,
+                               dt_min, dt_max, dt)
         else:
-            _fixed_loop(circuit, tstop, dt, method, options, x, recorder,
-                        assembler, breakpoints, max_halvings, stats,
-                        cancel)
+            _fixed_lockstep(run, tstop, breakpoints, dt, max_halvings)
     except AnalysisError:
         if part is None or not escalate:
             raise
         # "auto" contract: a partitioned run that cannot converge is
         # re-run monolithically from scratch (element transient state
-        # is reset by the recursive call).
+        # is reset by the recursive call).  The abandoned attempt's
+        # counts are rolled back, so ``stats`` describes the run that
+        # produced the returned waveform.
         if stats is not None:
-            stats["partition_escalated"] = \
-                stats.get("partition_escalated", 0) + 1
+            stats.clear()
+            stats.update(before, partition_escalated=before.get(
+                "partition_escalated", 0) + 1)
         return transient(
             circuit, tstop, dt, method, options, record_currents, x0,
             max_halvings, stats, adaptive=adaptive, rtol=rtol, atol=atol,
@@ -531,154 +559,150 @@ def transient(
     return recorder.dataset(record_currents)
 
 
-def _next_breakpoint(breakpoints: List[float], bp_idx: int, t: float,
-                     eps: float) -> int:
+# ----------------------------------------------------------------------
+# The stepping loops of both engines, over a ``(B, n)`` lane stack on
+# one time grid.  The run state supplies ``x``, ``alive`` (lane mask),
+# ``n_nodes``, ``method``, ``stats``, ``newton(time, dt, x_start) ->
+# (x_new, failed_lanes)``, ``accept(t, x_new, step)``, ``retire(t,
+# eps)`` and ``drop(lanes, why)``: :class:`_ScalarRun` (one lane) or
+# :class:`repro.circuit.batch_sim._RunState`.
+# ----------------------------------------------------------------------
+
+def _next_bp(bp_times: List[float], bp_idx: int, t: float,
+             eps: float) -> int:
     """Index of the first breakpoint strictly after ``t`` (+ eps)."""
-    n = len(breakpoints)
-    while bp_idx < n and breakpoints[bp_idx] <= t + eps:
+    n = len(bp_times)
+    while bp_idx < n and bp_times[bp_idx] <= t + eps:
         bp_idx += 1
     return bp_idx
 
 
-def _fixed_loop(circuit: Circuit, tstop: float, dt: float, method: str,
-                options: NewtonOptions, x: np.ndarray,
-                recorder: _StepRecorder, assembler: TwoPhaseAssembler,
-                breakpoints: List[float], max_halvings: int,
-                stats: Optional[dict],
-                cancel: Optional[CancelToken] = None) -> None:
-    """Legacy fixed-step march with local halving on Newton failure.
+def _fixed_lockstep(state, t_end: float, bp_times: List[float],
+                    dt: float, max_halvings: int) -> None:
+    """Fixed-step march on a shared grid, halving on Newton failure.
 
-    Byte-for-byte the historical engine when the circuit has no source
-    breakpoints; otherwise steps are truncated to land exactly on each
-    breakpoint before resuming the ``dt`` cadence.
+    Steps are truncated to land exactly on each of ``bp_times`` before
+    resuming the ``dt`` cadence.  A Newton failure in any lane halves
+    the shared step, up to ``max_halvings`` times; past that the
+    failing lanes are dropped and the rest retry.
     """
     t = 0.0
     current_dt = dt
     halvings = 0
     bp_idx = 0
-    eps = 1e-15 * tstop
-    while t < tstop - eps:
-        bp_idx = _next_breakpoint(breakpoints, bp_idx, t, eps)
-        step = min(current_dt, tstop - t)
-        landing = (bp_idx < len(breakpoints)
-                   and breakpoints[bp_idx] - t <= step * (1.0 + 1e-12))
+    eps = 1e-15 * t_end
+    while state.alive.any() and t < t_end - eps:
+        bp_idx = _next_bp(bp_times, bp_idx, t, eps)
+        step = min(current_dt, t_end - t)
+        landing = (bp_idx < len(bp_times)
+                   and bp_times[bp_idx] - t <= step * (1.0 + 1e-12))
         if landing:
-            t_next = breakpoints[bp_idx]
+            t_next = bp_times[bp_idx]
             step = t_next - t
         else:
             t_next = t + step
-        try:
-            x_next = newton_solve(
-                circuit, x, options, analysis="tran", time=t_next,
-                dt=step, x_prev=x, method=method, assembler=assembler,
-                stats=stats, cancel=cancel,
-            )
-        except AnalysisError:
+        x_new, failed = state.newton(t_next, step)
+        if failed:
+            state.stats["rejected_newton"] = \
+                state.stats.get("rejected_newton", 0) + 1
             if halvings >= max_halvings:
-                raise AnalysisError(
-                    f"transient stalled at t={t:.3e} s even at "
-                    f"dt={step:.3e} s"
-                ) from None
+                state.drop(failed, f"transient stalled at t={t:.3e} s "
+                                   f"even at dt={step:.3e} s")
+                continue
             current_dt = step / 2.0
             halvings += 1
             continue
-        recorder.accept(t_next, x_next, x, step, method)
+        state.accept(t_next, x_new, step)
         t = t_next
-        x = x_next
+        state.retire(t, eps)
         if landing:
             bp_idx += 1
-            if stats is not None:
-                stats["breakpoints_hit"] = \
-                    stats.get("breakpoints_hit", 0) + 1
-        if stats is not None:
-            stats["steps"] = stats.get("steps", 0) + 1
+            state.stats["breakpoints_hit"] = \
+                state.stats.get("breakpoints_hit", 0) + 1
         # Re-double after reductions.  Gating on current_dt (not the
         # halvings counter) matters with breakpoints: one Newton
         # failure on a breakpoint-sliver step can cut current_dt far
         # below dt/2, and recovery must not be capped at 2^halvings.
-        # Without breakpoints step always equals current_dt mid-run,
-        # halvings > 0 iff current_dt < dt, and this is byte-for-byte
-        # the legacy behaviour.
         if current_dt < dt:
             current_dt = min(dt, current_dt * 2.0)
             halvings = max(0, halvings - 1)
 
 
-def _adaptive_loop(circuit: Circuit, tstop: float, method: str,
-                   options: NewtonOptions, x: np.ndarray,
-                   recorder: _StepRecorder, assembler: TwoPhaseAssembler,
-                   breakpoints: List[float], rtol: float, atol: float,
-                   dt_min: float, dt_max: float, dt0: Optional[float],
-                   stats: Optional[dict],
-                   cancel: Optional[CancelToken] = None) -> None:
+def _adaptive_lockstep(state, t_end: float, bp_times: List[float],
+                       bp_lanes: Dict[float, List[int]],
+                       rtol: float, atol: float, dt_min: float,
+                       dt_max: float, dt0: Optional[float]) -> None:
     """Variable-step LTE-controlled integration (see module docstring).
 
     Controller: predictor–corrector LTE estimate over the voltage
-    unknowns, weighted by ``atol + rtol * |v|``; accept when the scaled
-    error ``err <= 1``; PI step update ``h *= 0.9 err^(-0.7/k)
-    err_prev^(0.4/k)`` with ``k = order + 1``.  Newton failures shrink
-    the step 4x through the same rejection path.  Breakpoints are
-    landed on exactly; the solution history (and so the predictor) is
-    restarted across them because the derivative is discontinuous.
+    unknowns, weighted by ``atol + rtol * |v|``; the step is accepted
+    when the *largest* per-lane scaled error ``err <= 1``; PI step
+    update ``h *= 0.9 err^(-0.7/k) err_prev^(0.4/k)`` with
+    ``k = order + 1``.  Newton failures shrink the step 4x through the
+    same rejection path.  Breakpoints are landed on exactly; the
+    predictor history restarts across a breakpoint, because the
+    derivative is discontinuous there, for the lanes ``bp_lanes``
+    names as its owners.
     """
-    n_nodes = len(circuit.node_index)
+    method = state.method
+    n_nodes = state.n_nodes
     k_order = 2 if method == "be" else 3
     t = 0.0
-    h = min(dt_max, tstop / 1000.0) if dt0 is None else min(dt0, dt_max)
+    h = min(dt_max, t_end / 1000.0) if dt0 is None else min(dt0, dt_max)
     err_prev = 1.0
     bp_idx = 0
-    eps = 1e-15 * tstop
+    eps = 1e-15 * t_end
     accepted = 0
-    hist_t: List[float] = [0.0]
-    hist_x: List[np.ndarray] = [x.copy()]
-    while t < tstop - eps:
-        bp_idx = _next_breakpoint(breakpoints, bp_idx, t, eps)
+    hist: List[Tuple[float, np.ndarray]] = [(0.0, state.x.copy())]
+    hist_count = np.ones(state.alive.size, dtype=int)
+    while state.alive.any() and t < t_end - eps:
+        bp_idx = _next_bp(bp_times, bp_idx, t, eps)
         h = min(max(h, dt_min), dt_max)
-        step = min(h, tstop - t)
-        landing = (bp_idx < len(breakpoints)
-                   and breakpoints[bp_idx] - t <= step * (1.0 + 1e-12))
+        step = min(h, t_end - t)
+        landing = (bp_idx < len(bp_times)
+                   and bp_times[bp_idx] - t <= step * (1.0 + 1e-12))
         if landing:
-            t_next = breakpoints[bp_idx]
+            t_next = bp_times[bp_idx]
             step = t_next - t
         else:
             t_next = t + step
-        x_pred, divisor = _predict(hist_t, hist_x, t_next, method)
+        x_pred, divisor, has_pred = _predict_lanes(
+            hist, hist_count, t_next, method, state.x)
         # The predictor doubles as the Newton starting point: an
         # extrapolated start typically converges in 1-2 iterations
         # where restarting from x_prev needs several.
-        x_start = x if x_pred is None else x_pred
-        try:
-            x_next = newton_solve(
-                circuit, x_start, options, analysis="tran", time=t_next,
-                dt=step, x_prev=x, method=method, assembler=assembler,
-                stats=stats, cancel=cancel,
-            )
-        except AnalysisError:
-            if stats is not None:
-                stats["rejected_newton"] = \
-                    stats.get("rejected_newton", 0) + 1
+        x_new, failed = state.newton(t_next, step, x_pred)
+        if failed:
+            state.stats["rejected_newton"] = \
+                state.stats.get("rejected_newton", 0) + 1
             # A retry is only meaningful if the next attempt can be
             # genuinely smaller; dt_min floors the controller, and a
             # breakpoint sliver shorter than dt_min cannot shrink at
-            # all (the landing time is fixed), so both stall here.
+            # all (the landing time is fixed), so both stall here: the
+            # failing lanes are dropped and the rest retry the step.
             shrunk = max(step * _NEWTON_SHRINK, dt_min)
             if shrunk >= step * (1.0 - 1e-12):
-                raise AnalysisError(
-                    f"transient stalled at t={t:.3e} s: Newton failed "
-                    f"at an irreducible step ({step:.3e} s, dt_min="
-                    f"{dt_min:.3e} s)"
-                ) from None
-            h = shrunk
+                state.drop(failed, f"transient stalled at t={t:.3e} s: "
+                                   f"Newton failed at an irreducible step "
+                                   f"({step:.3e} s, dt_min={dt_min:.3e} s)")
+            else:
+                h = shrunk
             continue
 
+        # Worst-lane scaled LTE over alive lanes with a predictor.
         err = None
-        if x_pred is not None:
-            v_now = np.abs(x[:n_nodes])
-            v_next = np.abs(x_next[:n_nodes])
+        scoring = state.alive & has_pred
+        if scoring.any():
+            lanes = slice(None) if scoring.all() \
+                else np.flatnonzero(scoring)
+            v_now = np.abs(state.x[lanes][:, :n_nodes])
+            v_next = np.abs(x_new[lanes][:, :n_nodes])
             weight = atol + rtol * np.maximum(v_now, v_next)
-            diff = np.abs(x_next[:n_nodes] - x_pred[:n_nodes])
-            err = float(np.max(diff / weight)) / divisor if n_nodes \
-                else 0.0
+            diff = np.abs(x_new[lanes][:, :n_nodes]
+                          - x_pred[lanes][:, :n_nodes])
+            lane_err = (diff / weight).max(axis=1) / divisor[lanes] \
+                if n_nodes else np.zeros(lanes.size)
+            err = float(lane_err.max())
         if err is not None and err > 1.0:
             shrunk = max(
                 step * min(0.5, max(0.1,
@@ -686,28 +710,26 @@ def _adaptive_loop(circuit: Circuit, tstop: float, method: str,
                 dt_min,
             )
             if shrunk < step * (1.0 - 1e-12):
-                if stats is not None:
-                    stats["rejected_lte"] = \
-                        stats.get("rejected_lte", 0) + 1
+                state.stats["rejected_lte"] = \
+                    state.stats.get("rejected_lte", 0) + 1
                 h = shrunk
                 continue
             # The step cannot shrink (dt_min floor or an irreducible
             # breakpoint sliver): accept it as the best available.
 
-        recorder.accept(t_next, x_next, x, step, method)
+        state.accept(t_next, x_new, step)
         t = t_next
-        x = x_next
         accepted += 1
         if accepted > _MAX_ACCEPTED_STEPS:
             raise AnalysisError(
                 f"transient exceeded {_MAX_ACCEPTED_STEPS} accepted "
                 f"steps; loosen rtol/atol or raise dt_min"
             )
-        if stats is not None:
-            stats["steps"] = stats.get("steps", 0) + 1
-            stats["dt_smallest"] = min(stats.get("dt_smallest", step),
-                                       step)
-            stats["dt_largest"] = max(stats.get("dt_largest", step), step)
+        state.stats["dt_smallest"] = min(
+            state.stats.get("dt_smallest", step), step)
+        state.stats["dt_largest"] = max(
+            state.stats.get("dt_largest", step), step)
+        state.retire(t, eps)
         if err is None or err <= 0.0:
             fac = _FAC_BLIND
         else:
@@ -715,25 +737,78 @@ def _adaptive_loop(circuit: Circuit, tstop: float, method: str,
                 * err_prev ** (0.4 / k_order)
             fac = min(_FAC_MAX, max(_FAC_MIN, fac))
             err_prev = max(err, 1e-4)
+        if (state.alive & (hist_count < 2)).any():
+            # Some lane is predictor-blind (its history just restarted
+            # at a breakpoint): its error is invisible to the worst-
+            # lane controller, so growth is capped as for a step with
+            # no estimate at all — otherwise the other lanes'
+            # plateau-small errors would quintuple the shared step
+            # right through the restarting lane's edge.
+            fac = min(fac, _FAC_BLIND)
         h = step * fac
+        hist.append((t, state.x.copy()))
+        if len(hist) > 3:
+            hist.pop(0)
+        hist_count = np.minimum(hist_count + 1, 3)
         if landing:
             bp_idx += 1
-            if stats is not None:
-                stats["breakpoints_hit"] = \
-                    stats.get("breakpoints_hit", 0) + 1
-            # The source derivative is discontinuous here: restart the
-            # predictor history and re-enter cautiously (the first
-            # post-breakpoint step has no LTE estimate).
-            hist_t = [t]
-            hist_x = [x.copy()]
-            h = max(dt_min, h * _BREAKPOINT_SHRINK)
-            err_prev = 1.0
-        else:
-            hist_t.append(t)
-            hist_x.append(x.copy())
-            if len(hist_t) > 3:
-                hist_t.pop(0)
-                hist_x.pop(0)
+            state.stats["breakpoints_hit"] = \
+                state.stats.get("breakpoints_hit", 0) + 1
+            restart = [lane for lane in bp_lanes.get(t_next, ())
+                       if state.alive[lane]]
+            if restart:
+                # Source derivative discontinuity: restart the
+                # predictor for the owning lanes and re-enter
+                # cautiously (the first step after has no LTE
+                # estimate for them).
+                hist_count[restart] = 1
+                h = max(dt_min, h * _BREAKPOINT_SHRINK)
+                err_prev = 1.0
+
+
+def _predict_lanes(hist: List[Tuple[float, np.ndarray]],
+                   hist_count: np.ndarray, t_next: float, method: str,
+                   x: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-lane predictor stack for the step ending at ``t_next``, LTE
+    divisors, and a has-predictor mask.
+
+    ``hist`` holds the last (up to three) accepted ``(t, x)`` stacks;
+    ``hist_count[lane]`` how many of them lie after that lane's last
+    history restart.  A lane's local truncation error is estimated as
+    ``|x_corrector - x_pred| / divisor``; the divisors come from the
+    uniform-step error constants (trapezoidal LTE ``-h^3 x'''/12`` vs
+    quadratic-extrapolation error ``h^3 x'''``; BE LTE ``h^2 x''/2``
+    vs linear-extrapolation error ``h^2 x''``).  Lanes without enough
+    smooth history predict ``x`` itself (divisor 1).
+    """
+    trap = method == "trap"
+    has_pred = hist_count >= 2
+    quad_mask = hist_count >= 3 if trap else np.zeros_like(has_pred)
+    # A linear predictor under a 2nd-order corrector overestimates the
+    # LTE (conservative); trap uses it only while its history warms up.
+    divisor = np.where(has_pred, 2.0 if trap else 3.0, 1.0)
+    divisor[quad_mask] = 11.0
+    if not has_pred.any():
+        return x, divisor, has_pred
+    # hist_count never exceeds len(hist), so the history each mask asks
+    # for exists; whole-stack selects skip the per-lane masking in the
+    # common case where every lane has the same history depth.
+    x_pred = None
+    if quad_mask.any():
+        (t0, x0), (t1, x1), (t2, x2) = hist[-3], hist[-2], hist[-1]
+        l0 = (t_next - t1) * (t_next - t2) / ((t0 - t1) * (t0 - t2))
+        l1 = (t_next - t0) * (t_next - t2) / ((t1 - t0) * (t1 - t2))
+        l2 = (t_next - t0) * (t_next - t1) / ((t2 - t0) * (t2 - t1))
+        x_pred = l0 * x0 + l1 * x1 + l2 * x2
+    if not quad_mask.all():
+        (t1, x1), (t2, x2) = hist[-2], hist[-1]
+        linear = x2 + (x2 - x1) * ((t_next - t2) / (t2 - t1))
+        x_pred = linear if x_pred is None \
+            else np.where(quad_mask[:, None], x_pred, linear)
+        if not has_pred.all():
+            x_pred = np.where(has_pred[:, None], x_pred, x)
+    return x_pred, divisor, has_pred
 
 
 def initial_conditions_from_op(circuit: Circuit,

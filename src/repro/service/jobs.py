@@ -567,7 +567,7 @@ def execute_group(specs: Sequence[JobSpec], *, backend=None,
         result = batch_transient(
             circuits, tstops, dt=first["dt"], method=first["method"],
             options=options, record_currents="sources", stats=stats,
-            backend=backend, scalar_fallback=True,
+            backend=backend,
             **_adaptive_kwargs(first))
         out: List[Union[dict, ReproError]] = []
         for lane, spec in enumerate(specs):

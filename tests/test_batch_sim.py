@@ -32,7 +32,7 @@ from repro.circuit.transient import (
     transient,
 )
 from repro.circuit.waveforms import Pulse
-from repro.errors import NetlistError, ParameterError
+from repro.errors import AnalysisError, NetlistError, ParameterError
 from repro.pwl.batch import StackedCurves, StackedVscSolver
 from repro.pwl.device import CNFET
 from repro.reference.fettoy import FETToyParameters
@@ -324,8 +324,10 @@ class TestScalarFallback:
         assert len(ds.axis) == len(ref.axis)
         assert _max_dv(ds, ref, ["in", "out"]) < PARITY_TOL_V
 
-    def test_fallback_disabled_reports_error(self, family,
-                                             monkeypatch):
+    def test_failed_scalar_rerun_reports_error(self, family,
+                                               monkeypatch):
+        """A lane that fails in lock-step and again in its scalar
+        re-run has no dataset; its error is the scalar engine's."""
         original = batch_sim._lockstep_newton
 
         def sabotage(batch, x, lanes, options, **kwargs):
@@ -334,13 +336,18 @@ class TestScalarFallback:
                 failed = list(failed) + [0]
             return x_new, failed
 
+        def scalar_fails(circuit, **kwargs):
+            raise AnalysisError("scalar re-run failed too")
+
         monkeypatch.setattr(batch_sim, "_lockstep_newton", sabotage)
+        monkeypatch.setattr(batch_sim, "transient", scalar_fails)
         lanes = [build_inverter(family)[0] for _ in range(2)]
-        result = batch_transient(lanes, 1e-11, dt=1e-12,
-                                 scalar_fallback=False)
-        assert 0 in result.errors
+        result = batch_transient(lanes, 1e-11, dt=1e-12)
+        assert result.fallback_lanes == (0,)
+        assert "scalar re-run failed too" in result.errors[0]
         assert result.datasets[0] is None
-        with pytest.raises(Exception):
+        assert result.datasets[1] is not None
+        with pytest.raises(AnalysisError, match="lane 0 failed"):
             result[0]
 
 

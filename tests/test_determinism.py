@@ -2,7 +2,7 @@
 
 Each probe below computes a JSON-serializable payload from a seeded
 entry point (sampling, campaign execution, batch lane ordering,
-fingerprints, experiment plans).  Three properties are asserted per
+scalar transient steps, fingerprints, experiment plans).  Three properties are asserted per
 probe:
 
 1. two same-process runs are byte-identical (no hidden global state);
@@ -124,6 +124,31 @@ def probe_batch_lane_ordering():
     return [[repr(float(v)) for v in lane] for lane in x0]
 
 
+def probe_transient_steps():
+    """The scalar transient engine's step sequence: a short adaptive
+    trapezoidal ring-oscillator run's time axis, node voltages and
+    step statistics (no golden — the floats are platform-dependent)."""
+    from repro.circuit.logic import LogicFamily, build_ring_oscillator
+    from repro.circuit.transient import (
+        initial_conditions_from_op,
+        transient,
+    )
+    from repro.pwl.device import clear_fit_cache
+
+    clear_fit_cache()  # hermetic: see probe_campaign_run
+    ring, nodes = build_ring_oscillator(LogicFamily.default(vdd=0.6),
+                                        stages=3)
+    x0 = initial_conditions_from_op(ring, {nodes[0]: 0.0, nodes[1]: 0.6})
+    stats = {}
+    ds = transient(ring, 1e-11, x0=x0, method="trap",
+                   record_currents=False, stats=stats)
+    payload = {"axis": [repr(float(t)) for t in ds.axis],
+               "stats": {k: repr(v) for k, v in stats.items()}}
+    for node in nodes:
+        payload[f"v({node})"] = [repr(float(v)) for v in ds.voltage(node)]
+    return payload
+
+
 def probe_exprunner_config_fingerprint():
     from repro.exprunner import RunnerConfig
 
@@ -151,6 +176,7 @@ PROBES = {
     "quantized_keys": probe_quantized_keys,
     "campaign_run": probe_campaign_run,
     "batch_lane_ordering": probe_batch_lane_ordering,
+    "transient_steps": probe_transient_steps,
     "exprunner_config_fingerprint": probe_exprunner_config_fingerprint,
     "exprunner_plan_seeds": probe_exprunner_plan_seeds,
 }

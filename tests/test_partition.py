@@ -10,6 +10,7 @@ semantics documented in ``docs/partitioning.md``.
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.circuit import Circuit, NewtonOptions, transient
 from repro.circuit.logic import (
     LogicFamily,
@@ -189,6 +190,32 @@ class TestTransientParity:
         with pytest.raises(ParameterError):
             transient(_rca8(), tstop=1e-12, dt=1e-12, partition=part,
                       record_currents=False)
+
+
+class TestAutoEscalation:
+    def test_escalated_stats_describe_the_monolithic_run(self):
+        """Nine consecutive singular solves exhaust the partitioned
+        run's eight halvings; ``"auto"`` re-runs monolithically and
+        ``stats`` counts only that run (plus the escalation)."""
+        c = _rca8()
+        x0 = robust_dc_solve(c)
+        plan = faults.FaultPlan(seed=5,
+                                schedule={"solver.singular": range(4, 13)})
+        stats = {}
+        with faults.activate(plan):
+            ds = transient(c, tstop=5e-12, dt=5e-13, x0=x0,
+                           record_currents=False, partition="auto",
+                           stats=stats)
+        assert len(plan.fired) == 9
+        assert stats["partition_escalated"] == 1
+        assert stats["steps"] == len(ds.axis) - 1
+        assert "partition_steps" not in stats
+        ref = transient(_rca8(), tstop=5e-12, dt=5e-13, x0=x0,
+                        record_currents=False, partition="off")
+        np.testing.assert_array_equal(ds.axis, ref.axis)
+        for name in ref.names:
+            np.testing.assert_array_equal(ds.trace(name),
+                                          ref.trace(name))
 
 
 class TestCouplingModes:

@@ -13,6 +13,9 @@ from repro.circuit import (
     VoltageSource,
     transient,
 )
+from repro import faults
+from repro.circuit.logic import LogicFamily, build_ring_oscillator
+from repro.circuit.transient import initial_conditions_from_op
 from repro.circuit.waveforms import DC, Pulse, PWLWaveform, Sine
 from repro.errors import ParameterError
 
@@ -71,6 +74,24 @@ class TestMaxHalvingsContract:
                        max_halvings=2)
         assert ds.at("v(out)", 1e-9) == pytest.approx(
             1.0 - math.exp(-1.0), abs=0.02)
+
+    def test_fixed_mode_counts_newton_rejections(self):
+        """A Newton failure mid-run halves the fixed step and is counted
+        in ``rejected_newton``, as in adaptive mode."""
+        ring, nodes = build_ring_oscillator(LogicFamily.default(vdd=0.6),
+                                            stages=3)
+        x0 = initial_conditions_from_op(ring, {nodes[0]: 0.0,
+                                               nodes[1]: 0.6})
+        plan = faults.FaultPlan(seed=3,
+                                schedule={"solver.singular": [20]})
+        stats = {}
+        with faults.activate(plan):
+            ds = transient(ring, tstop=3e-11, dt=2e-12, method="be",
+                           x0=x0, stats=stats)
+        assert plan.fired == [("solver.singular", 20)]
+        assert stats["rejected_newton"] == 1
+        assert ds.axis[-1] == pytest.approx(3e-11)
+        assert stats["steps"] == len(ds.axis) - 1
 
     def test_adaptive_tolerance_validation(self):
         with pytest.raises(ParameterError):
