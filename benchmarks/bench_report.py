@@ -1022,7 +1022,7 @@ def main(argv=None) -> int:
               f"{'' if hp['mc_scaling']['gated'] else ', not gated'})")
     else:
         print("  compiled hot path: no compiled tier available "
-              "(numba absent and no working C compiler)")
+              "(no working C compiler)")
     sv = report["service_load"]
     print(f"  service load: {sv['jobs']} jobs in "
           f"{sv['engine_dispatches']} engine dispatches "
@@ -1137,8 +1137,8 @@ def main(argv=None) -> int:
                 "lazy-vs-eager decimated summaries diverged")
         if not hp["compiled_available"]:
             failures.append(
-                "compiled kernel tier unavailable (numba absent and "
-                "no working C compiler) — the ISSUE 6 gates need it")
+                "compiled kernel tier unavailable (no working C "
+                "compiler) — the ISSUE 6 gates need it")
         else:
             if hp["rca32_transient"]["speedup"] < HOT_SPEEDUP_FLOOR:
                 failures.append(

@@ -501,8 +501,7 @@ def batch_transient(
 
     run_stats: dict = stats if stats is not None else {}
     for group in batch.groups:
-        if hasattr(group, "stats"):
-            group.stats = run_stats
+        group.stats = run_stats
     for circuit in batch.circuits:
         circuit.reset_state()
     batch.reset()
@@ -535,8 +534,7 @@ def batch_transient(
     prime_ctx = batch.accept_context(x, x, np.arange(n_lanes), 0.0,
                                      1.0, method)
     for group in batch.groups:
-        if hasattr(group, "begin_run"):
-            group.begin_run(prime_ctx)
+        group.begin_run(prime_ctx)
     if adaptive:
         _adaptive_lockstep(state, t_end, bp_times, bp_lanes, rtol, atol,
                            dt_min, dt_max, dt)

@@ -321,21 +321,29 @@ class LaneGroup:
       (``ctx.lanes``) into the stacks — vectorized implementations
       gather per-lane values and scatter-add; the generic fallback
       loops the scalar ``Element.stamp``.
+    * :meth:`begin_run` primes per-lane state at a transient run's
+      initial solution.
     * :meth:`accept` commits a converged step (per-lane state update).
     * :meth:`reset` forgets transient state at the start of a run.
 
     ``nonlinear`` mirrors :attr:`Element.nonlinear`: ``False`` groups
     are stamped once per step into the static stack, ``True`` groups
-    per Newton iteration.
+    per Newton iteration.  ``stats`` is the run's stats dict, set by
+    :func:`~repro.circuit.batch_sim.batch_transient` before each run;
+    groups may count into it.
     """
 
     nonlinear = False
+    stats: Optional[dict] = None
 
     def __init__(self, elements: Sequence["Element"]) -> None:
         self.elements = list(elements)
 
     def stamp(self, ctx: LaneContext) -> None:
         raise NotImplementedError
+
+    def begin_run(self, ctx: LaneContext) -> None:
+        """Prime per-lane state at the initial solution ``ctx.x``."""
 
     def accept(self, ctx: LaneContext) -> None:
         """Commit a converged step for the active lanes."""

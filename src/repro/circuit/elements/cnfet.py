@@ -44,11 +44,11 @@ from repro.pwl.device import CNFET, _log1pexp_many
 from repro.pwl.kernels import active_kernel_backend
 from repro.reference.fettoy import FETToyModel
 
-#: Chord radius [V] of the slab's exact-rhs modified-Newton reuse: the
+#: Chord radius [V] of the bank's exact-rhs modified-Newton reuse: the
 #: frozen Jacobian is kept while no device's bias moved further than
 #: this from the linearisation point.  Unlike the scalar elements'
 #: ``jacobian_reuse_tol`` (whose frozen *rhs* carries an O(tol^2)
-#: solution error), the slab rebuilds the rhs exactly every iteration,
+#: solution error), the bank rebuilds the rhs exactly every iteration,
 #: so this radius only trades Newton iteration count against
 #: factorisation + companion-evaluation count.  Tuned on the 32-bit
 #: carry-ripple benchmark *with* the compiled frozen-pivot
@@ -183,27 +183,100 @@ class _Backend:
         ])
 
 
-class _StackedCNFETBank:
-    """Per-device parameter arrays plus the vectorized companion-stamp
-    arithmetic shared by the lane-batched group and the single-circuit
-    slab.
+#: Fast-backend CNFET count at which the monolithic and partitioned
+#: assemblers switch from the per-element scalar stamp loop to one
+#: :class:`CNFETBank` (see :func:`split_bank_devices`).  Below this the
+#: stacked pass's fixed costs are not worth it and the historical
+#: scalar path is kept bit-for-bit.
+CNFET_SLAB_MIN_DEVICES = 16
 
-    ``P`` devices (all fast piecewise backends, possibly all
-    different) evaluate as one stacked pass: inner self-consistent
-    voltages through :class:`~repro.pwl.batch.StackedVscSolver`
-    (hint-warmed closed forms, scalar fallback on region drift),
-    charge-curve values/derivatives through
-    :class:`~repro.pwl.batch.StackedCurves`, and every downstream
-    quantity — currents, analytic small-signal and charge partials,
-    companion residuals — is the scalar :meth:`_Backend.evaluate_full`
-    arithmetic on ``(P,)`` arrays.
+# Terminal rows of the bank's node table.
+_G, _D, _S = 0, 1, 2
+#: (row, col) terminals of the 17 matrix entry kinds (see
+#: :class:`CNFETBank`) and the row terminals of the 5 rhs kinds
+_KIND_ROWS = (_D, _S, _D, _S, _D, _S, _G, _G) + (_G,) * 3 + (_D,) * 3 \
+    + (_S,) * 3
+_KIND_COLS = (_G, _G, _D, _S, _S, _D, _G, _S) + (_G, _D, _S) * 3
+_RHS_ROWS = (_D, _S, _G, _D, _S)
+#: selection of every device (a view, not a gather)
+_ALL = slice(None)
+
+
+def _is_bankable(el: Element) -> bool:
+    return isinstance(el, CNFETElement) \
+        and isinstance(el.backend.device, CNFET)
+
+
+def split_bank_devices(groups):
+    """Split element lists into :class:`CNFETBank` devices and the rest.
+
+    Returns ``(banked, rest)`` with one list per input group, order
+    kept.  When the groups hold :data:`CNFET_SLAB_MIN_DEVICES` or more
+    fast-backend CNFETs in total, ``banked`` holds them and ``rest``
+    every other element; below the threshold nothing is banked.
+    """
+    banked = [[el for el in group if _is_bankable(el)] for group in groups]
+    if sum(map(len, banked)) < CNFET_SLAB_MIN_DEVICES:
+        return [[] for _ in groups], [list(group) for group in groups]
+    return banked, [[el for el in group if not _is_bankable(el)]
+                    for group in groups]
+
+
+class CNFETBank:
+    """Every stacked fast-backend CNFET of one engine, evaluated as one
+    closed-form pass per Newton iteration.
+
+    ``P`` devices (possibly all different) evaluate together: inner
+    self-consistent voltages through
+    :class:`~repro.pwl.batch.StackedVscSolver` (hint-warmed closed
+    forms, scalar fallback on region drift), charge-curve values and
+    derivatives through :class:`~repro.pwl.batch.StackedCurves`, and
+    every downstream quantity — currents, analytic small-signal and
+    charge partials, companion residuals — is the scalar
+    :meth:`_Backend.evaluate_full` arithmetic on ``(P,)`` arrays, run
+    by the active kernel tier.
+
+    The bank holds the per-device parameters, the warm-start hints,
+    the previous-step terminal charges ``q_prev``, a per-device chord
+    memo, and one node table of the devices' terminal rows (ground on
+    the pad row ``dim``).  From the node table it writes, once, the
+    stamp-entry table: ``rows``/``cols`` of the 17 matrix entry kinds
+    and ``rhs_rows`` of the 5 rhs kinds, one column per device — the
+    exact per-entry sums of the scalar ``stamp``:
+
+    ======== ======================  ========================
+    kind     entry                   value
+    ======== ======================  ========================
+    0        (d, g)                  ``+gm``
+    1        (s, g)                  ``-(gm + gmin)``
+    2        (d, d)                  ``+(gds + gmin)``
+    3        (s, s)                  ``+(gm + gds + 2 gmin)``
+    4        (d, s)                  ``-(gm + gds + gmin)``
+    5        (s, d)                  ``-(gds + gmin)``
+    6        (g, g)                  ``+gmin``
+    7        (g, s)                  ``-gmin``
+    8..16    (t, g|d|s), t=g,d,s     charge companions
+    ======== ======================  ========================
+
+    DC uses the first 8 matrix and 2 rhs kinds.  Each consumer maps the
+    table onto its own flat layout: the monolithic assembler's
+    :class:`CNFETSlab` and the partitioned assembler's blocks use
+    :meth:`flat_entries`, the lane-batched engine's group offsets it
+    per lane.
+
+    ``lane_of`` (one lane per device) makes the bank read its biases
+    from a lane-stacked ``(B, dim)`` iterate instead of a ``(dim,)``
+    one.
     """
 
-    def _init_bank(self, elements) -> None:
-        backends = [el.backend for el in elements]
+    def __init__(self, elements, node_index, dim: int,
+                 lane_of: Optional[np.ndarray] = None,
+                 stats: Optional[dict] = None) -> None:
+        self.elements = list(elements)
+        backends = [el.backend for el in self.elements]
         self.sign = np.array([
-            1.0 if el.polarity == "n" else -1.0 for el in elements])
-        self.length = np.array([el.length_m for el in elements])
+            1.0 if el.polarity == "n" else -1.0 for el in self.elements])
+        self.length = np.array([el.length_m for el in self.elements])
         self.kt = np.array([b.kt for b in backends])
         self.ef = np.array([b.ef for b in backends])
         self.pref = np.array([b.pref for b in backends])
@@ -214,148 +287,274 @@ class _StackedCNFETBank:
             [b.device.solver for b in backends])
         self.curves = StackedCurves(
             [b.device.fitted.curve for b in backends])
-        p = len(elements)
+        p = len(self.elements)
+        # rows _G, _D, _S of the (drain, gate, source) terminals
+        terminals = np.array([
+            [dim if el.nodes[t] in GROUND_NAMES
+             else node_index[el.nodes[t]] for el in self.elements]
+            for t in (1, 0, 2)], dtype=np.intp)
+        self.rows = terminals[list(_KIND_ROWS)]
+        self.cols = terminals[list(_KIND_COLS)]
+        self.rhs_rows = terminals[list(_RHS_ROWS)]
+        #: flat position of each terminal in the padded iterate
+        self._gather = terminals if lane_of is None \
+            else terminals + lane_of * (dim + 1)
         #: warm-start VSC hints: Newton iterates / accepted biases
         self.hint = np.zeros(p)
         #: previous-step terminal charges (gate, drain, source), [C]
         self.q_prev = np.zeros((3, p))
-        self.stats: Optional[dict] = None
-        #: chord memo: ((tran, dt, gmin), vgs, vds, values) — the
-        #: frozen Jacobian of the slab's exact-rhs chord iteration
-        #: (see :meth:`CNFETSlab.stamp`).  Only the *matrix* rows are
-        #: frozen; the rhs is rebuilt at the current bias every stamp,
-        #: so the converged solution is exact regardless of how far the
-        #: iterate drifted inside the chord radius, and the assembled
-        #: matrix stays bit-identical so the sparse assembler reuses
-        #: its LU factorisation across iterations *and* steps.
-        self._memo: Optional[Tuple] = None
+        #: run stats dict receiving the stacked-solver counters
+        self.stats = stats
+        # Per-device chord memo (see :meth:`companion`): the frozen
+        # matrix values, the biases they were linearised at, and which
+        # devices hold one for the current (tran, dt, gmin) key.
+        self._memo_key: Optional[Tuple] = None
+        self._memo_vgs = np.zeros(p)
+        self._memo_vds = np.zeros(p)
+        self._memo_values: Optional[np.ndarray] = None
+        self._memo_valid = np.zeros(p, dtype=bool)
 
-    def _bank_reset(self) -> None:
+    def reset(self) -> None:
+        """Forget warm-start hints, previous-step charges and the chord
+        memo."""
         self.hint[:] = 0.0
         self.q_prev[:] = 0.0
-        self._memo = None
+        self._memo_key = None
+        self._memo_valid[:] = False
 
-    def _charges_arrays(self, vgs: np.ndarray, vds: np.ndarray,
-                        didx: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def flat_entries(self, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The entry table in the global ``dim x dim`` layout of
+        :meth:`StampContext.add_flat`: flat matrix positions with
+        ``dim * dim`` as the grounded-entry pad, and rhs rows with
+        ``dim`` as the pad."""
+        grounded = (self.rows >= dim) | (self.cols >= dim)
+        return (np.where(grounded, dim * dim, self.rows * dim + self.cols),
+                self.rhs_rows)
+
+    def _biases(self, x: np.ndarray, idx: Optional[np.ndarray]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """n-frame (mirrored) VGS/VDS of the selected devices."""
+        xp = np.concatenate(
+            (x, np.zeros(x.shape[:-1] + (1,))), axis=-1).ravel()
+        if idx is None:
+            i_g, i_d, i_s = self._gather
+            sign = self.sign
+        else:
+            i_g, i_d, i_s = self._gather[:, idx]
+            sign = self.sign[idx]
+        vs = xp[i_s]
+        return sign * (xp[i_g] - vs), sign * (xp[i_d] - vs)
+
+    def _charges(self, vgs: np.ndarray, vds: np.ndarray,
+                 idx: Optional[np.ndarray],
+                 vsc: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Terminal charges (G, D, S) at n-frame biases [C] —
-        vectorized :meth:`_Backend.charges`."""
-        vsc = self.solver.solve(vgs, vds, self.hint, idx=didx,
-                                stats=self.stats)
-        length = self.length[didx]
-        qg = length * self.cg[didx] * (vgs + vsc)
-        qd = length * (self.cd[didx] * (vds + vsc)
-                       - self.curves.value(vsc + vds, idx=didx))
+        vectorized :meth:`_Backend.charges` (solving for ``vsc``
+        unless given)."""
+        sel = _ALL if idx is None else idx
+        if vsc is None:
+            vsc = self.solver.solve(vgs, vds, self.hint, idx=idx,
+                                    stats=self.stats)
+        length = self.length[sel]
+        qg = length * self.cg[sel] * (vgs + vsc)
+        qd = length * (self.cd[sel] * (vds + vsc)
+                       - self.curves.value(vsc + vds, idx=idx))
         return qg, qd, -(qg + qd)
 
-    def _companion(self, vgs: np.ndarray, vds: np.ndarray,
-                   didx: np.ndarray, gmin: float, tran: bool,
-                   dt: Optional[float]
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked companion stamp values around the given biases.
+    def refresh_charges(self, x_prev: np.ndarray,
+                        idx: Optional[np.ndarray] = None) -> None:
+        """Set ``q_prev`` of the selected devices (default: all) from
+        the previous step's solution."""
+        sel = _ALL if idx is None else idx
+        vgs, vds = self._biases(x_prev, idx)
+        self.q_prev[:, sel] = self._charges(vgs, vds, idx)
 
-        Returns ``(values, rhs_values, vsc)`` with one row per entry
-        kind (see :meth:`_CNFETLaneGroup._build_indices` for the kind
-        table): 8 matrix / 2 rhs kinds in DC, 17 / 5 in transient
-        (charge companions around the bank's ``q_prev`` state).
-        ``vsc`` is the solved inner voltage.
+    def companion(self, x: np.ndarray,
+                  idx: Optional[np.ndarray] = None, *, gmin: float,
+                  tran: bool, dt: Optional[float],
+                  reuse_tol: float = 0.0, seed_qprev: bool = False
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(values, rhs_values)`` companion stamp columns of the
+        selected devices (default: all) around iterate ``x``: one row
+        per entry kind, 8 / 2 in DC and 17 / 5 in transient (charge
+        companions around ``q_prev``).
+
+        ``reuse_tol`` > 0 enables the exact-rhs chord
+        (``NewtonOptions.jacobian_reuse_tol``): while every selected
+        device's bias stays within :data:`_SLAB_CHORD_RADIUS_V` (or
+        ``reuse_tol``, if larger) of its memoised linearisation for the
+        same ``(tran, dt, gmin)``, the matrix rows are returned frozen
+        while the rhs is rebuilt from a fresh closed-form solve at the
+        current bias with the frozen gm/gds/geq coefficients.  That is
+        the classic modified-Newton split: the fixed point satisfies
+        exact KCL (the frozen coefficients cancel between matrix and
+        rhs at convergence), so the radius trades iteration count
+        against factorisation count, never accuracy — which is why it
+        can be far looser than the scalar elements' O(tol^2)
+        frozen-rhs tolerance.  The frozen values keep the assembled
+        data bit-identical, so the sparse assemblers reuse their LU
+        factorisation across iterations and plateau steps.  Devices
+        outside ``idx`` keep their memo untouched.
+
+        With ``seed_qprev=True`` (valid only when ``x`` *is* the
+        previous step's solution, i.e. the first Newton iteration of a
+        transient step) the charges evaluated at ``x`` double as the
+        selected devices' ``q_prev`` refresh.
         """
-        vsc = self.solver.solve(vgs, vds, self.hint, idx=didx,
+        sel = _ALL if idx is None else idx
+        vgs, vds = self._biases(x, idx)
+        key = (tran, dt, gmin)
+        if self._memo_key != key:
+            self._memo_valid[:] = False
+            self._memo_key = key
+        radius = max(reuse_tol, _SLAB_CHORD_RADIUS_V) \
+            if reuse_tol > 0.0 else 0.0
+        memo = self._memo_values
+        if (radius > 0.0 and memo is not None
+                and self._memo_valid[sel].all()
+                and float(np.max(np.abs(vgs - self._memo_vgs[sel])))
+                <= radius
+                and float(np.max(np.abs(vds - self._memo_vds[sel])))
+                <= radius):
+            values = memo if idx is None else memo[:, idx]
+            return values, self._chord_rhs(values, vgs, vds, idx, gmin,
+                                           tran, dt, seed_qprev)
+        if seed_qprev and tran:
+            self.q_prev[:, sel] = self._charges(vgs, vds, idx)
+        vsc = self.solver.solve(vgs, vds, self.hint, idx=idx,
                                 stats=self.stats)
-        # The companion arithmetic lives in the kernel tier (numpy
-        # reference or compiled per-lane loops — same lane-for-lane
-        # arithmetic either way).
         values, rhs_values = active_kernel_backend().cnfet_companion(
-            self, didx, vsc, vgs, vds, gmin, tran, dt)
-        return values, rhs_values, vsc
+            self, idx, vsc, vgs, vds, gmin, tran, dt)
+        if radius > 0.0:
+            if idx is None:
+                self._memo_values = values
+                self._memo_vgs = vgs
+                self._memo_vds = vds
+                self._memo_valid[:] = True
+            else:
+                if memo is None or memo.shape[0] != values.shape[0]:
+                    self._memo_values = np.zeros(
+                        (values.shape[0], len(self.elements)))
+                    self._memo_valid[:] = False
+                self._memo_values[:, idx] = values
+                self._memo_vgs[idx] = vgs
+                self._memo_vds[idx] = vds
+                self._memo_valid[idx] = True
+        elif memo is not None:
+            self._memo_valid[sel] = False
+        return values, rhs_values
+
+    def _chord_rhs(self, values: np.ndarray, vgs: np.ndarray,
+                   vds: np.ndarray, idx: Optional[np.ndarray],
+                   gmin: float, tran: bool, dt: Optional[float],
+                   seed_qprev: bool) -> np.ndarray:
+        """Exact rhs at the current bias around frozen matrix
+        ``values`` (the chord branch of :meth:`companion`)."""
+        sel = _ALL if idx is None else idx
+        vsc = self.solver.solve(vgs, vds, self.hint, idx=idx,
+                                stats=self.stats)
+        kt = self.kt[sel]
+        eta_s = (self.ef[sel] - vsc) / kt
+        eta_d = eta_s - vds / kt
+        ids = self.pref[sel] * (_log1pexp_many(eta_s)
+                                - _log1pexp_many(eta_d))
+        sign = self.sign[sel]
+        gm = values[0]
+        gds = values[2] - gmin
+        residual = sign * ids - gm * sign * vgs - gds * sign * vds
+        rhs_values = np.empty((5 if tran else 2, vgs.size))
+        rhs_values[0] = -residual
+        rhs_values[1] = residual
+        if tran:
+            q0 = self._charges(vgs, vds, idx, vsc)
+            if seed_qprev:
+                self.q_prev[:, sel] = q0
+            for t_idx in range(3):
+                geq_gs = values[8 + 3 * t_idx]
+                geq_ds = values[9 + 3 * t_idx]
+                i_now = (q0[t_idx] - self.q_prev[t_idx, sel]) / dt
+                rhs_values[2 + t_idx] = -(
+                    sign * i_now - geq_gs * sign * vgs
+                    - geq_ds * sign * vds
+                )
+        return rhs_values
 
 
-class _CNFETLaneGroup(_StackedCNFETBank, LaneGroup):
-    """Stacked CNFET stamping: *every* CNFET slot of the batch, all
-    lanes, one vectorized pass per Newton iteration.
+class CNFETSlab:
+    """The monolithic assembler's view of a :class:`CNFETBank`: every
+    device, each Newton iteration, landed in the global ``dim x dim``
+    layout through :meth:`StampContext.add_flat` (a dense bincount
+    scatter-add or a sparse triplet append, depending on the active
+    backend).  :meth:`begin_step` refreshes the previous-step charges
+    from ``ctx.x_prev`` once per transient step; :meth:`stamp` passes
+    ``ctx.reuse_tol`` on to the bank's exact-rhs chord.  The benchmark's
+    traced mode (``perfbench/tracing.py``) times its ``elements.slab``
+    layer through these two methods."""
 
-    The hot path of the lane-batched engine.  A *devlane* is one
-    (element slot, lane) pair; the group flattens all ``S`` CNFET
-    slots x ``B`` lanes into ``P = S * B`` devlanes whose devices may
-    all be different (a Monte-Carlo batch).  The companion arithmetic
-    lives in :class:`_StackedCNFETBank`; the stamp entries land
-    through two ``np.bincount`` scatter-adds against precomputed flat
-    matrix/rhs indices (the ground pad row/column absorbs grounded
-    terminals).
+    def __init__(self, bank: CNFETBank, dim: int) -> None:
+        self.bank = bank
+        self.elements = bank.elements
+        self._m_idx, self._r_idx = bank.flat_entries(dim)
 
-    Previous-step terminal charges are group state, refreshed once per
-    accepted step (the batch twin of the element's per-step memo).
+    def begin_step(self, ctx: StampContext) -> None:
+        """Refresh ``q_prev`` from ``ctx.x_prev`` (transient steps)."""
+        if ctx.analysis == "tran" and ctx.dt is not None \
+                and ctx.x_prev is not None:
+            self.bank.refresh_charges(ctx.x_prev)
+
+    def stamp(self, ctx: StampContext) -> None:
+        """One stacked companion stamp for all devices around
+        ``ctx.x``."""
+        values, rhs_values = self.bank.companion(
+            ctx.x, gmin=ctx.gmin,
+            tran=ctx.analysis == "tran" and ctx.dt is not None,
+            dt=ctx.dt, reuse_tol=ctx.reuse_tol)
+        ctx.add_flat(
+            self._m_idx[:values.shape[0]].ravel(), values.ravel(),
+            self._r_idx[:rhs_values.shape[0]].ravel(),
+            rhs_values.ravel(),
+        )
+
+
+class _CNFETLaneGroup(LaneGroup):
+    """The lane-batched engine's view of a :class:`CNFETBank`: *every*
+    CNFET slot of the batch, all lanes, one stacked pass per Newton
+    iteration.
+
+    A *devlane* is one (element slot, lane) pair; the group flattens
+    all ``S`` CNFET slots x ``B`` lanes into ``P = S * B`` bank devices
+    (slot-major), which may all be different (a Monte-Carlo batch).
+    The stamp entries land through two scatter-adds against the bank's
+    entry table offset per lane into the padded ``(B, n + 1, n + 1)``
+    stacks (the ground pad row/column absorbs grounded terminals).
+    Lanes run without the chord; previous-step charges are refreshed
+    once per accepted step.  The bank is built on first use, when the
+    system layout is known.
     """
 
     nonlinear = True
 
     def __init__(self, slots) -> None:
-        elements = [el for slot in slots for el in slot]
-        LaneGroup.__init__(self, elements)
-        self._init_bank(elements)
+        super().__init__([el for slot in slots for el in slot])
         self.n_lanes = len(slots[0])
         #: lane of each devlane (slot-major flattening)
         self.lane_of = np.array([
             lane for slot in slots for lane in range(len(slot))])
-        self._slots = slots
-        self._indices: Optional[Tuple] = None
+        self._bank: Optional[CNFETBank] = None
 
-    def reset(self) -> None:
-        self._bank_reset()
-
-    def _build_indices(self, ctx: LaneContext) -> Tuple:
-        """Precomputed flat scatter indices (constant per topology).
-
-        Matrix entry kinds (row, col) and rhs kinds per devlane — the
-        exact per-entry sums of the scalar ``stamp``:
-
-        ======== ======================  ========================
-        kind     entry                   value
-        ======== ======================  ========================
-        0        (d, g)                  ``+gm``
-        1        (s, g)                  ``-(gm + gmin)``
-        2        (d, d)                  ``+(gds + gmin)``
-        3        (s, s)                  ``+(gm + gds + 2 gmin)``
-        4        (d, s)                  ``-(gm + gds + gmin)``
-        5        (s, d)                  ``-(gds + gmin)``
-        6        (g, g)                  ``+gmin``
-        7        (g, s)                  ``-gmin``
-        8..16    (t, g|d|s), t=g,d,s     charge companions
-        ======== ======================  ========================
-        """
-        if self._indices is not None:
-            return self._indices
-        pad = ctx.dim + 1
-        lane = self.lane_of
-        i_d = np.empty(len(self.elements), dtype=np.intp)
-        i_g = np.empty_like(i_d)
-        i_s = np.empty_like(i_d)
-        pos = 0
-        for slot in self._slots:
-            d, g, s = slot[0].nodes
-            i_d[pos:pos + len(slot)] = ctx.idx(d)
-            i_g[pos:pos + len(slot)] = ctx.idx(g)
-            i_s[pos:pos + len(slot)] = ctx.idx(s)
-            pos += len(slot)
-        base = lane * (pad * pad)
-
-        def m_idx(row, col):
-            return base + row * pad + col
-
-        matrix_rows = [
-            m_idx(i_d, i_g), m_idx(i_s, i_g), m_idx(i_d, i_d),
-            m_idx(i_s, i_s), m_idx(i_d, i_s), m_idx(i_s, i_d),
-            m_idx(i_g, i_g), m_idx(i_g, i_s),
-        ]
-        for it in (i_g, i_d, i_s):
-            matrix_rows.extend(
-                [m_idx(it, i_g), m_idx(it, i_d), m_idx(it, i_s)])
-        rhs_base = lane * pad
-        rhs_rows = [rhs_base + i_d, rhs_base + i_s,
-                    rhs_base + i_g, rhs_base + i_d, rhs_base + i_s]
-        self._indices = (np.stack(matrix_rows), np.stack(rhs_rows),
-                         i_g, i_d, i_s)
-        return self._indices
+    def _bank_for(self, ctx: LaneContext) -> CNFETBank:
+        bank = self._bank
+        if bank is None:
+            bank = self._bank = CNFETBank(
+                self.elements, ctx.node_index, ctx.dim,
+                lane_of=self.lane_of)
+            pad = ctx.dim + 1
+            self._m_idx = self.lane_of * (pad * pad) \
+                + bank.rows * pad + bank.cols
+            self._r_idx = self.lane_of * pad + bank.rhs_rows
+        bank.stats = self.stats
+        return bank
 
     def _active(self, ctx: LaneContext) -> np.ndarray:
         """Devlane indices whose lane is active in ``ctx``."""
@@ -363,360 +562,35 @@ class _CNFETLaneGroup(_StackedCNFETBank, LaneGroup):
         mask[ctx.lanes] = True
         return np.flatnonzero(mask[self.lane_of])
 
-    def _bias(self, ctx: LaneContext, x: np.ndarray, didx: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """n-frame (mirrored) VGS/VDS per active devlane."""
-        _m, _r, i_g, i_d, i_s = self._build_indices(ctx)
-        xp = np.concatenate(
-            [x, np.zeros((x.shape[0], 1))], axis=1)
-        lane = self.lane_of[didx]
-        vs = xp[lane, i_s[didx]]
-        sign = self.sign[didx]
-        return (sign * (xp[lane, i_g[didx]] - vs),
-                sign * (xp[lane, i_d[didx]] - vs))
-
-    def _charges(self, ctx: LaneContext, x: np.ndarray,
-                 didx: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Terminal charges (G, D, S) at the biases in ``x`` [C]."""
-        vgs, vds = self._bias(ctx, x, didx)
-        return self._charges_arrays(vgs, vds, didx)
-
-    def begin_run(self, ctx: LaneContext) -> None:
-        """Prime the previous-step charge state at the initial
-        solution (the scalar element computes the same values lazily on
-        its first transient stamp)."""
-        self.accept(ctx)
+    def reset(self) -> None:
+        if self._bank is not None:
+            self._bank.reset()
 
     def accept(self, ctx: LaneContext) -> None:
-        didx = self._active(ctx)
-        qg, qd, qs = self._charges(ctx, ctx.x, didx)
-        self.q_prev[0, didx] = qg
-        self.q_prev[1, didx] = qd
-        self.q_prev[2, didx] = qs
+        """Refresh the active lanes' previous-step charges at
+        ``ctx.x``."""
+        self._bank_for(ctx).refresh_charges(ctx.x, self._active(ctx))
+
+    # the run's initial solution primes the charges the same way (the
+    # scalar element computes them lazily on its first transient stamp)
+    begin_run = accept
 
     def stamp(self, ctx: LaneContext) -> None:
-        matrix_idx, rhs_idx, _ig, _id, _is = self._build_indices(ctx)
+        bank = self._bank_for(ctx)
         didx = self._active(ctx)
-        tran = ctx.analysis == "tran" and ctx.dt is not None
-        vgs, vds = self._bias(ctx, ctx.x, didx)
-        values, rhs_values, _vsc = self._companion(
-            vgs, vds, didx, ctx.gmin, tran, ctx.dt)
-        # Two scatter-adds against the precomputed flat indices; the
-        # ground pad row/column absorbs grounded terminals.
+        values, rhs_values = bank.companion(
+            ctx.x, didx, gmin=ctx.gmin,
+            tran=ctx.analysis == "tran" and ctx.dt is not None,
+            dt=ctx.dt)
         backend = active_kernel_backend()
         backend.scatter_add_pad(
             ctx.matrix.reshape(-1),
-            matrix_idx[:values.shape[0], didx].ravel(),
+            self._m_idx[:values.shape[0], didx].ravel(),
             values.ravel())
         backend.scatter_add_pad(
             ctx.rhs.reshape(-1),
-            rhs_idx[:rhs_values.shape[0], didx].ravel(),
+            self._r_idx[:rhs_values.shape[0], didx].ravel(),
             rhs_values.ravel())
-
-
-#: Fast-backend CNFET count at which an assembler switches from the
-#: per-element scalar stamp loop to one stacked :class:`CNFETSlab`.
-#: Below this the stacked pass's fixed costs are not worth it and the
-#: historical scalar path is kept bit-for-bit.
-CNFET_SLAB_MIN_DEVICES = 16
-
-
-class CNFETSlab(_StackedCNFETBank):
-    """Every fast-backend CNFET of *one* circuit, stamped as a single
-    stacked evaluation per Newton iteration.
-
-    The single-circuit twin of :class:`_CNFETLaneGroup`: above a
-    handful of devices, looping the scalar ``CNFETElement.stamp`` —
-    one Python-level closed-form solve per device per iteration — is
-    what dominates large-circuit assembly, so the two-phase assembler
-    (see :class:`repro.circuit.mna.TwoPhaseAssembler`) hands all fast
-    CNFETs to one slab.  Per iteration the slab gathers every device's
-    bias from the iterate, runs one
-    :class:`~repro.pwl.batch.StackedVscSolver` pass, and lands the
-    companion entries through :meth:`StampContext.add_flat` — a dense
-    bincount scatter-add or a sparse triplet append, depending on the
-    active backend.
-
-    Previous-step terminal charges are recomputed vectorized once per
-    ``begin_step`` from ``x_prev`` (the scalar element memoises the
-    same values per step).  The Jacobian-reuse fast path
-    (``NewtonOptions.jacobian_reuse_tol`` > 0) runs an exact-rhs
-    chord: the companion *matrix* rows are frozen at the last
-    linearisation point and restamped verbatim while every device's
-    bias stays within :data:`_SLAB_CHORD_RADIUS_V` of it, but the rhs
-    is rebuilt from a fresh closed-form solve at the current bias each
-    iteration — modified Newton, whose fixed point satisfies exact
-    KCL.  The frozen matrix keeps the assembled data bit-identical,
-    so the sparse backend reuses its LU factorisation across
-    iterations and accepted steps (see
-    :meth:`~repro.circuit.mna.TwoPhaseAssembler.solve`).
-    """
-
-    nonlinear = True
-
-    def __init__(self, elements, dim: int, node_index) -> None:
-        self.elements = list(elements)
-        self._init_bank(self.elements)
-        p = len(self.elements)
-        self.dim = dim
-        self._all = np.arange(p)
-        pad = dim  # xp gather pad: x extended with one zero for ground
-        i_d = np.empty(p, dtype=np.intp)
-        i_g = np.empty(p, dtype=np.intp)
-        i_s = np.empty(p, dtype=np.intp)
-        for k, el in enumerate(self.elements):
-            d, g, s = el.nodes
-            i_d[k] = node_index.get(d, pad) if d not in GROUND_NAMES \
-                else pad
-            i_g[k] = node_index.get(g, pad) if g not in GROUND_NAMES \
-                else pad
-            i_s[k] = node_index.get(s, pad) if s not in GROUND_NAMES \
-                else pad
-        self._i_d, self._i_g, self._i_s = i_d, i_g, i_s
-
-        def m_idx(row, col):
-            # Flattened (row, col) with dim*dim as the grounded-entry
-            # discard pad (row/col == dim means ground here).
-            grounded = (row >= dim) | (col >= dim)
-            return np.where(grounded, dim * dim, row * dim + col)
-
-        matrix_rows = [
-            m_idx(i_d, i_g), m_idx(i_s, i_g), m_idx(i_d, i_d),
-            m_idx(i_s, i_s), m_idx(i_d, i_s), m_idx(i_s, i_d),
-            m_idx(i_g, i_g), m_idx(i_g, i_s),
-        ]
-        for it in (i_g, i_d, i_s):
-            matrix_rows.extend(
-                [m_idx(it, i_g), m_idx(it, i_d), m_idx(it, i_s)])
-        self._m_idx = np.stack(matrix_rows)
-        self._r_idx = np.stack([i_d, i_s, i_g, i_d, i_s])
-        # per-device chord memo of the subset path (the partitioned
-        # assembler evaluates only the active blocks' devices, so
-        # validity must be tracked per device, not slab-wide)
-        self._sub_key: Optional[Tuple] = None
-        self._sub_vgs = np.zeros(p)
-        self._sub_vds = np.zeros(p)
-        self._sub_values: Optional[np.ndarray] = None
-        self._sub_valid = np.zeros(p, dtype=bool)
-
-    def reset(self) -> None:
-        """Forget warm-start hints and previous-step charges."""
-        self._bank_reset()
-        self._sub_key = None
-        self._sub_valid[:] = False
-
-    def _biases(self, x: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        """n-frame (mirrored) per-device VGS/VDS gathered from ``x``."""
-        xp = np.append(x, 0.0)  # ground pad
-        vs = xp[self._i_s]
-        return (self.sign * (xp[self._i_g] - vs),
-                self.sign * (xp[self._i_d] - vs))
-
-    def begin_step(self, ctx: StampContext) -> None:
-        """Refresh the previous-step charge state from ``ctx.x_prev``
-        (transient steps only; DC never reads it)."""
-        if ctx.analysis != "tran" or ctx.dt is None \
-                or ctx.x_prev is None:
-            return
-        vgs, vds = self._biases(ctx.x_prev)
-        qg, qd, qs = self._charges_arrays(vgs, vds, self._all)
-        self.q_prev[0] = qg
-        self.q_prev[1] = qd
-        self.q_prev[2] = qs
-
-    def stamp(self, ctx: StampContext) -> None:
-        """One stacked companion stamp for all devices around
-        ``ctx.x``."""
-        tran = ctx.analysis == "tran" and ctx.dt is not None
-        vgs, vds = self._biases(ctx.x)
-        # Jacobian-reuse fast path (exact-rhs chord): while every
-        # device's bias stays within the chord radius of the memoised
-        # linearisation (same tran flavour, dt and gmin), the *matrix*
-        # rows restamp frozen while the rhs is rebuilt from a fresh
-        # closed-form solve at the current bias with the frozen
-        # gm/gds/geq coefficients.  That is the classic modified-
-        # Newton split: the fixed point satisfies exact KCL (the frozen
-        # coefficients cancel between matrix and rhs at convergence),
-        # so the radius trades iteration count against factorisation
-        # count, never accuracy — which is why it can be far looser
-        # than the scalar elements' O(tol^2) frozen-rhs tolerance.
-        # The frozen matrix keeps the assembled data bit-identical, so
-        # the sparse assembler reuses one LU factorisation across
-        # iterations and across plateau steps.
-        memo = self._memo
-        key = (tran, ctx.dt, ctx.gmin)
-        radius = max(ctx.reuse_tol, _SLAB_CHORD_RADIUS_V) \
-            if ctx.reuse_tol > 0.0 else 0.0
-        if radius > 0.0 and memo is not None \
-                and memo[0] == key \
-                and float(np.max(np.abs(vgs - memo[1]))) <= radius \
-                and float(np.max(np.abs(vds - memo[2]))) <= radius:
-            values = memo[3]
-            vsc = self.solver.solve(vgs, vds, self.hint,
-                                    idx=self._all, stats=self.stats)
-            eta_s = (self.ef - vsc) / self.kt
-            eta_d = eta_s - vds / self.kt
-            ids = self.pref * (_log1pexp_many(eta_s)
-                               - _log1pexp_many(eta_d))
-            sign = self.sign
-            gm = values[0]
-            gds = values[2] - ctx.gmin
-            residual = sign * ids - gm * sign * vgs - gds * sign * vds
-            rhs_values = np.empty((5 if tran else 2,
-                                   len(self.elements)))
-            rhs_values[0] = -residual
-            rhs_values[1] = residual
-            if tran:
-                length = self.length
-                qg = length * self.cg * (vgs + vsc)
-                qd = length * (self.cd * (vds + vsc)
-                               - self.curves.value(vsc + vds))
-                q0 = (qg, qd, -(qg + qd))
-                for t_idx in range(3):
-                    geq_gs = values[8 + 3 * t_idx]
-                    geq_ds = values[9 + 3 * t_idx]
-                    i_now = (q0[t_idx] - self.q_prev[t_idx]) / ctx.dt
-                    rhs_values[2 + t_idx] = -(
-                        sign * i_now - geq_gs * sign * vgs
-                        - geq_ds * sign * vds
-                    )
-        else:
-            values, rhs_values, _vsc = self._companion(
-                vgs, vds, self._all, ctx.gmin, tran, ctx.dt)
-            self._memo = (key, vgs, vds, values) if radius > 0.0 \
-                else None
-        ctx.add_flat(
-            self._m_idx[:values.shape[0]].ravel(), values.ravel(),
-            self._r_idx[:rhs_values.shape[0]].ravel(),
-            rhs_values.ravel(),
-        )
-
-    # -- device-subset evaluation (partitioned assembly) ---------------
-
-    def _biases_at(self, x: np.ndarray, idx: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """n-frame per-device VGS/VDS for a device subset."""
-        xp = np.append(x, 0.0)  # ground pad
-        vs = xp[self._i_s[idx]]
-        sign = self.sign[idx]
-        return (sign * (xp[self._i_g[idx]] - vs),
-                sign * (xp[self._i_d[idx]] - vs))
-
-    def scatter_indices(self, cols: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat matrix / rhs destination index columns for a device
-        subset (global ``dim x dim`` coordinates, grounded entries on
-        the discard pad) — precomputed once per block by the
-        partitioned assembler."""
-        return self._m_idx[:, cols].copy(), self._r_idx[:, cols].copy()
-
-    def refresh_charges(self, x_prev: np.ndarray,
-                        idx: np.ndarray) -> None:
-        """Per-step ``q_prev`` refresh for a device subset — the
-        slab's ``begin_step`` scoped to the blocks active this step
-        (a bypassed block's charges stay frozen with the rest of its
-        contribution and are refreshed on promotion)."""
-        vgs, vds = self._biases_at(x_prev, idx)
-        qg, qd, qs = self._charges_arrays(vgs, vds, idx)
-        self.q_prev[0][idx] = qg
-        self.q_prev[1][idx] = qd
-        self.q_prev[2][idx] = qs
-
-    def companion_subset(self, x: np.ndarray, idx: np.ndarray, *,
-                         gmin: float, tran: bool,
-                         dt: Optional[float],
-                         reuse_tol: float = 0.0,
-                         seed_qprev: bool = False
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(values, rhs_values)`` companion columns for the device
-        subset ``idx`` — :meth:`stamp`'s evaluation core without the
-        scatter, so the partitioned assembler can run one stacked
-        evaluation per Newton iteration across all active blocks and
-        land each block's columns in its own triplet context.
-
-        The Jacobian-reuse chord runs per call over the subset: matrix
-        rows are reused verbatim while every *selected* device's bias
-        stays within the chord radius of its memoised linearisation
-        (devices sleeping in bypassed blocks keep their memo
-        untouched), and the rhs is rebuilt exactly as in
-        :meth:`stamp`.
-
-        With ``seed_qprev=True`` (valid only when ``x`` *is* the
-        previous step's solution, i.e. the first Newton iteration of a
-        transient step) the charges evaluated at ``x`` double as the
-        per-step ``q_prev`` refresh, replacing a separate
-        :meth:`refresh_charges` kernel call."""
-        vgs, vds = self._biases_at(x, idx)
-        key = (tran, dt, gmin)
-        if self._sub_key != key:
-            self._sub_valid[:] = False
-            self._sub_key = key
-        radius = max(reuse_tol, _SLAB_CHORD_RADIUS_V) \
-            if reuse_tol > 0.0 else 0.0
-        n_rows = 17 if tran else 8
-        if (radius > 0.0 and self._sub_values is not None
-                and self._sub_values.shape[0] == n_rows
-                and bool(np.all(self._sub_valid[idx]))
-                and float(np.max(np.abs(vgs - self._sub_vgs[idx])))
-                <= radius
-                and float(np.max(np.abs(vds - self._sub_vds[idx])))
-                <= radius):
-            values = self._sub_values[:, idx]
-            vsc = self.solver.solve(vgs, vds, self.hint, idx=idx,
-                                    stats=self.stats)
-            kt = self.kt[idx]
-            eta_s = (self.ef[idx] - vsc) / kt
-            eta_d = eta_s - vds / kt
-            ids = self.pref[idx] * (_log1pexp_many(eta_s)
-                                    - _log1pexp_many(eta_d))
-            sign = self.sign[idx]
-            gm = values[0]
-            gds = values[2] - gmin
-            residual = sign * ids - gm * sign * vgs - gds * sign * vds
-            rhs_values = np.empty((5 if tran else 2, idx.size))
-            rhs_values[0] = -residual
-            rhs_values[1] = residual
-            if tran:
-                length = self.length[idx]
-                qg = length * self.cg[idx] * (vgs + vsc)
-                qd = length * (self.cd[idx] * (vds + vsc)
-                               - self.curves.value(vsc + vds, idx=idx))
-                q0 = (qg, qd, -(qg + qd))
-                if seed_qprev:
-                    for t_idx in range(3):
-                        self.q_prev[t_idx][idx] = q0[t_idx]
-                for t_idx in range(3):
-                    geq_gs = values[8 + 3 * t_idx]
-                    geq_ds = values[9 + 3 * t_idx]
-                    i_now = (q0[t_idx]
-                             - self.q_prev[t_idx][idx]) / dt
-                    rhs_values[2 + t_idx] = -(
-                        sign * i_now - geq_gs * sign * vgs
-                        - geq_ds * sign * vds
-                    )
-            return values, rhs_values
-        if seed_qprev and tran:
-            qg, qd, qs = self._charges_arrays(vgs, vds, idx)
-            self.q_prev[0][idx] = qg
-            self.q_prev[1][idx] = qd
-            self.q_prev[2][idx] = qs
-        values, rhs_values, _vsc = self._companion(
-            vgs, vds, idx, gmin, tran, dt)
-        if radius > 0.0:
-            if self._sub_values is None \
-                    or self._sub_values.shape[0] != n_rows:
-                self._sub_values = np.zeros(
-                    (n_rows, len(self.elements)))
-                self._sub_valid[:] = False
-            self._sub_values[:, idx] = values
-            self._sub_vgs[idx] = vgs
-            self._sub_vds[idx] = vds
-            self._sub_valid[idx] = True
-        else:
-            self._sub_valid[idx] = False
-        return values, rhs_values
 
 
 class CNFETElement(Element):
@@ -769,31 +643,14 @@ class CNFETElement(Element):
         self._eval_memo = None
 
     @classmethod
-    def lane_group(cls, elements):
-        """Stacked lane group when every lane runs the fast piecewise
-        backend; the reference backend falls back to the scalar loop."""
-        if all(isinstance(el.backend.device, CNFET) for el in elements):
-            return _CNFETLaneGroup([elements])
-        return GenericLaneGroup(elements)
-
-    @classmethod
     def lane_groups(cls, slots):
-        """One merged stacked group across every fast-backend CNFET
-        slot (all devices of the batch evaluate in a single pass);
+        """One merged bank group across every fast-backend CNFET slot
+        (all devices of the batch evaluate in a single pass);
         reference-backend slots fall back to per-lane scalar groups."""
-        stacked = [
-            slot for slot in slots
-            if all(isinstance(el.backend.device, CNFET) for el in slot)
-        ]
-        groups = []
-        if stacked:
-            groups.append(_CNFETLaneGroup(stacked))
-        groups.extend(
+        stacked = [slot for slot in slots if all(map(_is_bankable, slot))]
+        return ([_CNFETLaneGroup(stacked)] if stacked else []) + [
             GenericLaneGroup(slot) for slot in slots
-            if not all(isinstance(el.backend.device, CNFET)
-                       for el in slot)
-        )
-        return groups
+            if not all(map(_is_bankable, slot))]
 
     # -- bias helpers ----------------------------------------------------
 

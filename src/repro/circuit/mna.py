@@ -26,11 +26,12 @@ same two-phase split:
   once per run (positions depend only on topology and analysis mode —
   the pattern self-heals if a mode switch changes them), and
   factorises with SuperLU per Newton iteration.
-* **The CNFET slab** (:class:`~repro.circuit.elements.cnfet.CNFETSlab`):
-  at :data:`CNFET_SLAB_MIN_DEVICES` fast-backend CNFETs and above,
-  all of them evaluate as one stacked closed-form pass per iteration
-  instead of a Python loop of scalar solves.  Circuits below the
-  threshold keep the byte-for-byte historical scalar path.
+* **The CNFET bank** (:class:`~repro.circuit.elements.cnfet.CNFETBank`,
+  scattered by :class:`~repro.circuit.elements.cnfet.CNFETSlab`): at
+  :data:`CNFET_SLAB_MIN_DEVICES` fast-backend CNFETs and above, all of
+  them evaluate as one stacked closed-form pass per iteration instead
+  of a Python loop of scalar solves.  Circuits below the threshold
+  keep the byte-for-byte historical scalar path.
 
 Robustness aids, in escalation order:
 
@@ -49,16 +50,17 @@ import numpy as np
 from repro import faults
 from repro.cancel import CancelToken
 from repro.circuit.elements.base import StampContext, TripletStampContext
-from repro.circuit.elements.cnfet import (
+from repro.circuit.elements.cnfet import (  # noqa: F401 (re-export)
     CNFET_SLAB_MIN_DEVICES,
-    CNFETElement,
+    CNFETBank,
     CNFETSlab,
+    split_bank_devices,
 )
 from repro.circuit.netlist import Circuit
 from repro.circuit.solvers import BackendLike, csc_pattern, resolve_backend
 from repro.errors import AnalysisError
-from repro.pwl.device import CNFET
 from repro.pwl.kernels import active_kernel_backend
+
 
 @dataclass(frozen=True)
 class NewtonOptions:
@@ -145,37 +147,28 @@ class TwoPhaseAssembler:
         :func:`repro.circuit.solvers.resolve_backend`); ``None`` /
         ``"auto"`` picks dense below
         :data:`~repro.circuit.solvers.SPARSE_AUTO_MIN_DIM` unknowns.
-    cnfet_slab : bool, optional
-        Force the stacked CNFET evaluation on/off; default (``None``)
-        enables it at :data:`CNFET_SLAB_MIN_DEVICES` fast-backend
-        devices.
+    device_stats : dict, optional
+        Receives the stacked CNFET solver counters (``stacked_lanes``,
+        ``stacked_fallbacks``) when the circuit's CNFETs run as one
+        bank (at :data:`CNFET_SLAB_MIN_DEVICES` fast-backend devices).
     """
 
     def __init__(self, circuit: Circuit,
                  backend: BackendLike = None,
-                 cnfet_slab: Optional[bool] = None) -> None:
+                 device_stats: Optional[dict] = None) -> None:
         self.circuit = circuit
         n = circuit.dimension()
         self.n = n
         self.backend = resolve_backend(backend, n)
         self._static = [el for el in circuit.elements if not el.nonlinear]
-        dynamic = [el for el in circuit.elements if el.nonlinear]
-        slab_els = [
-            el for el in dynamic
-            if isinstance(el, CNFETElement)
-            and isinstance(el.backend.device, CNFET)
-        ]
-        if cnfet_slab is None:
-            cnfet_slab = len(slab_els) >= CNFET_SLAB_MIN_DEVICES
-        if cnfet_slab and slab_els:
-            self.slab: Optional[CNFETSlab] = CNFETSlab(
-                slab_els, n, circuit.node_index)
-            slab_ids = {id(el) for el in slab_els}
-            self._dynamic = [el for el in dynamic
-                             if id(el) not in slab_ids]
-        else:
-            self.slab = None
-            self._dynamic = dynamic
+        (banked,), (self._dynamic,) = split_bank_devices(
+            [[el for el in circuit.elements if el.nonlinear]])
+        self.slab: Optional[CNFETSlab] = None
+        if banked:
+            # stamped last among the nonlinear elements
+            self.slab = CNFETSlab(CNFETBank(
+                banked, circuit.node_index, n, stats=device_stats), n)
+            self._dynamic.append(self.slab)
         if self.backend.is_sparse:
             self._static_ctx = TripletStampContext(n, circuit.node_index)
             self._dyn_ctx = TripletStampContext(n, circuit.node_index)
@@ -220,33 +213,29 @@ class TwoPhaseAssembler:
             ctx.method = method
             ctx.gmin = gmin
             ctx.source_scale = source_scale
-            for el in self._static:
-                el.stamp(ctx)
-            if self.slab is not None:
-                self.slab.begin_step(ctx)
             self._static_dirty = True
             self._begun = True
-            return
-        ctx = StampContext(
-            matrix=self._static_matrix,
-            rhs=self._static_rhs,
-            node_index=self.circuit.node_index,
-            x=self._x_static,  # placeholder; static stamps never read x
-            analysis=analysis,
-            time=time,
-            dt=dt,
-            x_prev=x_prev,
-            method=method,
-            gmin=gmin,
-            source_scale=source_scale,
-        )
-        self._static_matrix[:] = 0.0
-        self._static_rhs[:] = 0.0
+        else:
+            ctx = StampContext(
+                matrix=self._static_matrix,
+                rhs=self._static_rhs,
+                node_index=self.circuit.node_index,
+                x=self._x_static,  # placeholder; static stamps never read x
+                analysis=analysis,
+                time=time,
+                dt=dt,
+                x_prev=x_prev,
+                method=method,
+                gmin=gmin,
+                source_scale=source_scale,
+            )
+            self._static_matrix[:] = 0.0
+            self._static_rhs[:] = 0.0
+            self._ctx = ctx
         for el in self._static:
             el.stamp(ctx)
         if self.slab is not None:
             self.slab.begin_step(ctx)
-        self._ctx = ctx
 
     def iterate(self, x: np.ndarray,
                 reuse_tol: float = 0.0) -> StampContext:
@@ -277,8 +266,6 @@ class TwoPhaseAssembler:
             ctx.reuse_tol = reuse_tol
             for el in self._dynamic:
                 el.stamp(ctx)
-            if self.slab is not None:
-                self.slab.stamp(ctx)
             return ctx
         ctx = self._ctx
         if ctx is None:
@@ -291,8 +278,6 @@ class TwoPhaseAssembler:
         ctx.reuse_tol = reuse_tol
         for el in self._dynamic:
             el.stamp(ctx)
-        if self.slab is not None:
-            self.slab.stamp(ctx)
         return ctx
 
     # -- sparse pattern bookkeeping -------------------------------------

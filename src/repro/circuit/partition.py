@@ -49,16 +49,11 @@ from repro.circuit.elements.base import (
     Element,
     TripletStampContext,
 )
-from repro.circuit.elements.cnfet import (
-    CNFET_SLAB_MIN_DEVICES,
-    CNFETElement,
-    CNFETSlab,
-)
+from repro.circuit.elements.cnfet import CNFETBank, split_bank_devices
 from repro.circuit.netlist import HIER_SEP, Circuit
 from repro.circuit.solvers import HAVE_SCIPY, SparseBackend, csc_pattern
 from repro.circuit.waveforms import DC
 from repro.errors import AnalysisError, ParameterError
-from repro.pwl.device import CNFET
 
 try:  # dense-block LU reuse (optional; numpy fallback below)
     from scipy.linalg import lu_factor as _lu_factor
@@ -537,6 +532,16 @@ class _ScatterMaps:
                 or not np.array_equal(self.flat, flat))
 
 
+@dataclass(frozen=True)
+class _BankSlice:
+    """One stamping context's devices in the pooled CNFET bank: bank
+    positions plus their scatter columns in the global layout."""
+
+    idx: np.ndarray
+    m_idx: np.ndarray
+    r_idx: np.ndarray
+
+
 class _BlockState:
     """Runtime assembly/bypass state of one :class:`PartitionBlock`."""
 
@@ -555,22 +560,11 @@ class _BlockState:
         self.loc = loc
         self.scope = np.concatenate([block.internal, block.boundary])
         self.static_els = [el for el in block.elements if not el.nonlinear]
-        dynamic = [el for el in block.elements if el.nonlinear]
-        #: fast-backend CNFETs this block contributes to the
-        #: assembler's *shared* slab (one stacked evaluation per Newton
-        #: iteration across every active block — per-block slabs paid
-        #: the kernel call's fixed cost once per block per iteration)
-        self.slab_els = [el for el in dynamic
-                         if isinstance(el, CNFETElement)
-                         and isinstance(el.backend.device, CNFET)]
-        slab_ids = {id(el) for el in self.slab_els}
-        self.dynamic_els = [el for el in dynamic
-                            if id(el) not in slab_ids]
-        #: device positions / scatter columns in the shared slab
-        #: (set by the assembler; empty when the pool is too small)
-        self.slab_idx = np.empty(0, dtype=np.intp)
-        self.slab_midx: Optional[np.ndarray] = None
-        self.slab_ridx: Optional[np.ndarray] = None
+        #: nonlinear elements stamped one by one (the assembler moves
+        #: the block's share of its pooled CNFET bank out of this list)
+        self.dynamic_els = [el for el in block.elements if el.nonlinear]
+        #: this block's devices in the assembler's bank (set by it)
+        self.bank: Optional[_BankSlice] = None
         self.static_ctx = TripletStampContext(n, node_index)
         self.dyn_ctx = TripletStampContext(n, node_index)
         self.smaps = _ScatterMaps()
@@ -791,17 +785,23 @@ class PartitionedAssembler:
     max_bypass_steps : int
         Consecutive accepted steps a block may stay bypassed.
 
+    device_stats : dict, optional
+        Receives the stacked CNFET solver counters, as in the
+        monolithic assembler.
+
     At :data:`~repro.circuit.elements.cnfet.CNFET_SLAB_MIN_DEVICES`
-    fast CNFETs and above, the blocks' devices share one slab (pooled
-    across blocks — one stacked evaluation per Newton iteration covers
-    every active block's devices), as in the monolithic assembler.
+    fast CNFETs and above, the devices of every block and of the
+    interface share one :class:`~repro.circuit.elements.cnfet.CNFETBank`
+    (one stacked evaluation per Newton iteration covers every active
+    block's devices and the interface's), as in the monolithic
+    assembler.
     """
 
     def __init__(self, circuit: Circuit,
                  partition: Optional[Partition] = None, *,
                  bypass_tol: float = 0.0,
-                 max_bypass_steps: int = DEFAULT_MAX_BYPASS_STEPS
-                 ) -> None:
+                 max_bypass_steps: int = DEFAULT_MAX_BYPASS_STEPS,
+                 device_stats: Optional[dict] = None) -> None:
         self.circuit = circuit
         self.partition = partition if partition is not None \
             else partition_circuit(circuit)
@@ -815,27 +815,33 @@ class PartitionedAssembler:
         self._blocks = [
             _BlockState(blk, self.n, node_index)
             for blk in self.partition.blocks]
-        # One shared CNFET slab across all blocks: per Newton iteration
-        # the assembler runs a single stacked evaluation over the
-        # *active* blocks' devices and scatters each block's columns
-        # into its own triplet context (per-block slabs paid the
-        # kernel's fixed call cost once per block per iteration).
-        slab_pool = [el for st in self._blocks for el in st.slab_els]
-        if len(slab_pool) >= CNFET_SLAB_MIN_DEVICES:
-            self._slab: Optional[CNFETSlab] = CNFETSlab(
-                slab_pool, self.n, node_index)
-            pos = 0
-            for st in self._blocks:
-                k = len(st.slab_els)
-                st.slab_idx = np.arange(pos, pos + k)
-                pos += k
-                st.slab_midx, st.slab_ridx = \
-                    self._slab.scatter_indices(st.slab_idx)
-        else:
-            self._slab = None
-            for st in self._blocks:
-                st.dynamic_els = st.dynamic_els + st.slab_els
-                st.slab_idx = np.empty(0, dtype=np.intp)
+        iface = self.partition.interface_elements
+        self._if_static = [el for el in iface if not el.nonlinear]
+        # One CNFET bank pooled across every block and the interface:
+        # per Newton iteration the assembler runs a single stacked
+        # evaluation over the active blocks' and the interface's
+        # devices and scatters each one's columns into its own triplet
+        # context (a bank per block would pay the kernel's fixed call
+        # cost once per block per iteration).
+        banked, rest = split_bank_devices(
+            [st.dynamic_els for st in self._blocks]
+            + [[el for el in iface if el.nonlinear]])
+        self._if_dynamic = rest.pop()
+        for st, els in zip(self._blocks, rest):
+            st.dynamic_els = els
+        pool = [el for els in banked for el in els]
+        self._bank: Optional[CNFETBank] = None
+        self._if_bank: Optional[_BankSlice] = None
+        if pool:
+            self._bank = CNFETBank(pool, node_index, self.n,
+                                   stats=device_stats)
+            m_idx, r_idx = self._bank.flat_entries(self.n)
+            ends = np.cumsum([len(els) for els in banked])
+            slices = [_BankSlice(idx, m_idx[:, idx], r_idx[:, idx])
+                      for idx in np.split(np.arange(len(pool)), ends[:-1])]
+            self._if_bank = slices.pop()
+            for st, bank_slice in zip(self._blocks, slices):
+                st.bank = bank_slice
         gamma = self.partition.gamma
         self.gamma = gamma
         self.ng = int(gamma.size)
@@ -845,21 +851,6 @@ class PartitionedAssembler:
             st.gpos = gloc[st.block.boundary]
         # interface assembly (same two-phase split as a block, but
         # scattered into the dense gamma system)
-        iface = self.partition.interface_elements
-        self._if_static = [el for el in iface if not el.nonlinear]
-        if_dynamic = [el for el in iface if el.nonlinear]
-        slab_els = [el for el in if_dynamic
-                    if isinstance(el, CNFETElement)
-                    and isinstance(el.backend.device, CNFET)]
-        if len(slab_els) >= CNFET_SLAB_MIN_DEVICES:
-            self._if_slab: Optional[CNFETSlab] = CNFETSlab(
-                slab_els, self.n, node_index)
-            slab_ids = {id(el) for el in slab_els}
-            self._if_dynamic = [el for el in if_dynamic
-                                if id(el) not in slab_ids]
-        else:
-            self._if_slab = None
-            self._if_dynamic = if_dynamic
         self._if_static_ctx = TripletStampContext(self.n, node_index)
         self._if_dyn_ctx = TripletStampContext(self.n, node_index)
         self._gloc = gloc
@@ -969,8 +960,7 @@ class PartitionedAssembler:
         self._step = step
         self._first_reuse_tol = None
         self.stats["steps"] += 1
-        self._stamp_static(self._if_static_ctx, self._if_static,
-                           self._if_slab, step)
+        self._stamp_static(self._if_static_ctx, self._if_static, step)
         self._if_static_dirty = True
         key = (analysis, method, gmin, source_scale)
         tol = self.bypass_tol
@@ -999,25 +989,34 @@ class PartitionedAssembler:
                 frozen["age"] += 1
                 self.stats["block_steps_bypassed"] += 1
                 continue
-            self._stamp_static(st.static_ctx, st.static_els, None, step)
+            self._stamp_static(st.static_ctx, st.static_els, step)
             st.static_dirty = True
             st.static_step = self.stats["steps"]
             self.stats["block_steps_active"] += 1
         self._qprev_pending = None
-        if (self._slab is not None and analysis == "tran"
+        if (self._bank is not None and analysis == "tran"
                 and dt is not None and x_prev is not None):
-            # per-step q_prev refresh for the active blocks' devices
-            # (the scoped twin of CNFETSlab.begin_step) — deferred to
-            # the first Newton iteration, whose iterate is x_prev
-            # itself: the companion evaluation there computes the very
-            # charges q_prev needs, saving a kernel call per step
-            active = [st.slab_idx for st in self._blocks
-                      if not st.bypassed and st.slab_idx.size]
-            if active:
-                self._qprev_pending = active[0] if len(active) == 1 \
-                    else np.concatenate(active)
+            # per-step q_prev refresh for the active blocks' and the
+            # interface's devices — deferred to the first Newton
+            # iteration, whose iterate is x_prev itself: the companion
+            # evaluation there computes the very charges q_prev needs,
+            # saving a kernel call per step
+            self._qprev_pending = self._bank_parts()[1]
 
-    def _stamp_static(self, ctx: TripletStampContext, elements, slab,
+    def _bank_parts(self) -> Tuple[list, Optional[np.ndarray]]:
+        """``(parts, idx)``: the bank slices evaluated this iteration
+        with the contexts they land in (the active blocks', then the
+        interface's), and their concatenated bank positions (``None``
+        when there are none)."""
+        parts = [(st.bank, st.dyn_ctx) for st in self._blocks
+                 if not st.bypassed and st.bank.idx.size]
+        if self._if_bank.idx.size:
+            parts.append((self._if_bank, self._if_dyn_ctx))
+        idx = np.concatenate([part.idx for part, _ctx in parts]) \
+            if parts else None
+        return parts, idx
+
+    def _stamp_static(self, ctx: TripletStampContext, elements,
                       step: dict) -> None:
         ctx.clear()
         ctx.analysis = step["analysis"]
@@ -1029,10 +1028,8 @@ class PartitionedAssembler:
         ctx.source_scale = step["source_scale"]
         for el in elements:
             el.stamp(ctx)
-        if slab is not None:
-            slab.begin_step(ctx)
 
-    def _stamp_dynamic(self, ctx: TripletStampContext, elements, slab,
+    def _stamp_dynamic(self, ctx: TripletStampContext, elements,
                        x: np.ndarray, reuse_tol: float) -> None:
         step = self._step
         ctx.clear()
@@ -1047,8 +1044,6 @@ class PartitionedAssembler:
         ctx.reuse_tol = reuse_tol
         for el in elements:
             el.stamp(ctx)
-        if slab is not None:
-            slab.stamp(ctx)
 
     def iterate(self, x: np.ndarray, reuse_tol: float = 0.0) -> None:
         """Stamp the dynamic phase around iterate ``x``; bypassed
@@ -1085,19 +1080,19 @@ class PartitionedAssembler:
                     # column (an intra-step re-frozen block keeps its
                     # fresh static phase and was already counted)
                     self._stamp_static(st.static_ctx, st.static_els,
-                                       None, self._step)
+                                       self._step)
                     st.static_dirty = True
                     st.static_step = step_id
                     self.stats["bypass_promotions"] += 1
                     self.stats["block_steps_bypassed"] -= 1
                     self.stats["block_steps_active"] += 1
                     step = self._step
-                    if (self._slab is not None and st.slab_idx.size
+                    if (self._bank is not None and st.bank.idx.size
                             and step["analysis"] == "tran"
                             and step["dt"] is not None
                             and step["x_prev"] is not None):
-                        self._slab.refresh_charges(step["x_prev"],
-                                                   st.slab_idx)
+                        self._bank.refresh_charges(step["x_prev"],
+                                                   st.bank.idx)
             elif (seg_max is not None and not stalled
                     and st.frozen is not None
                     and st.frozen["step"] == step_id
@@ -1108,45 +1103,38 @@ class PartitionedAssembler:
                 st.bypassed = True
                 self.stats["intra_step_refreezes"] += 1
                 continue
-            self._stamp_dynamic(st.dyn_ctx, st.dynamic_els, None,
-                                x, reuse_tol)
-        if self._slab is not None:
+            self._stamp_dynamic(st.dyn_ctx, st.dynamic_els, x,
+                                reuse_tol)
+        self._stamp_dynamic(self._if_dyn_ctx, self._if_dynamic, x,
+                            reuse_tol)
+        parts, idx = self._bank_parts() if self._bank is not None \
+            else ([], None)
+        if parts:
             # one stacked companion evaluation for every active
-            # block's devices, scattered per block
-            parts = [st for st in self._blocks
-                     if not st.bypassed and st.slab_idx.size]
-            if parts:
-                step = self._step
-                tran = step["analysis"] == "tran" \
-                    and step["dt"] is not None
-                idx = parts[0].slab_idx if len(parts) == 1 else \
-                    np.concatenate([st.slab_idx for st in parts])
-                seed = False
-                pending = self._qprev_pending
-                if pending is not None:
-                    self._qprev_pending = None
-                    if np.array_equal(idx, pending) \
-                            and np.array_equal(x, step["x_prev"]):
-                        seed = True  # charges at x double as q_prev
-                    else:  # pragma: no cover - first iterate moved
-                        self._slab.refresh_charges(step["x_prev"],
-                                                   pending)
-                values, rhs_values = self._slab.companion_subset(
-                    x, idx, gmin=step["gmin"], tran=tran,
-                    dt=step["dt"], reuse_tol=reuse_tol,
-                    seed_qprev=seed)
-                nv, nr = values.shape[0], rhs_values.shape[0]
-                pos = 0
-                for st in parts:
-                    k = st.slab_idx.size
-                    st.dyn_ctx.add_flat(
-                        st.slab_midx[:nv].ravel(),
-                        values[:, pos:pos + k].ravel(),
-                        st.slab_ridx[:nr].ravel(),
-                        rhs_values[:, pos:pos + k].ravel())
-                    pos += k
-        self._stamp_dynamic(self._if_dyn_ctx, self._if_dynamic,
-                            self._if_slab, x, reuse_tol)
+            # block's and the interface's devices, scattered per part
+            step = self._step
+            tran = step["analysis"] == "tran" and step["dt"] is not None
+            seed = False
+            pending = self._qprev_pending
+            if pending is not None:
+                self._qprev_pending = None
+                if np.array_equal(idx, pending) \
+                        and np.array_equal(x, step["x_prev"]):
+                    seed = True  # charges at x double as q_prev
+                else:  # pragma: no cover - first iterate moved
+                    self._bank.refresh_charges(step["x_prev"], pending)
+            values, rhs_values = self._bank.companion(
+                x, idx, gmin=step["gmin"], tran=tran, dt=step["dt"],
+                reuse_tol=reuse_tol, seed_qprev=seed)
+            nv, nr = values.shape[0], rhs_values.shape[0]
+            pos = 0
+            for part, ctx in parts:
+                k = part.idx.size
+                ctx.add_flat(part.m_idx[:nv].ravel(),
+                             values[:, pos:pos + k].ravel(),
+                             part.r_idx[:nr].ravel(),
+                             rhs_values[:, pos:pos + k].ravel())
+                pos += k
         self._x = x
 
     # -- interface system -----------------------------------------------------

@@ -416,7 +416,10 @@ def transient(
         Accumulates step statistics: ``steps`` (accepted), ``solves``,
         ``iterations`` (Newton), ``rejected_newton``,
         ``breakpoints_hit``, and in adaptive mode additionally
-        ``rejected_lte``, ``dt_smallest``, ``dt_largest``.
+        ``rejected_lte``, ``dt_smallest``, ``dt_largest``.  Circuits
+        whose CNFETs run as one stacked bank also count
+        ``stacked_lanes`` (device solves) and ``stacked_fallbacks``
+        (solves that needed the scalar fallback).
     adaptive : bool, optional
         Force the stepping mode; default ``dt is None``.
     rtol, atol : float, optional
@@ -518,9 +521,11 @@ def transient(
     # the sparse backend, the symbolic pattern) live across steps;
     # only the static stamps are refreshed per step.
     if part is not None:
-        assembler = PartitionedAssembler(circuit, part, bypass_tol=tol)
+        assembler = PartitionedAssembler(circuit, part, bypass_tol=tol,
+                                         device_stats=stats)
     else:
-        assembler = TwoPhaseAssembler(circuit, backend=backend)
+        assembler = TwoPhaseAssembler(circuit, backend=backend,
+                                      device_stats=stats)
     before = None if stats is None else dict(stats)
     run = _ScalarRun(circuit, x, recorder, assembler, options, method,
                      {} if stats is None else stats, cancel)

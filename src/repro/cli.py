@@ -32,8 +32,8 @@ stream).  ``netlist``, ``mc`` and ``characterize`` accept
 (auto switches to sparse at the measured dense/sparse crossover
 dimension; see ``docs/hierarchy.md``) and
 ``--kernels {auto,numpy,compiled}`` to pick the hot-kernel tier
-(auto prefers a compiled tier — numba or the system C compiler —
-falling back to numpy; see ``docs/kernels.md``).  Process counts for
+(auto prefers the compiled tier — the system C compiler through
+ctypes — falling back to numpy; see ``docs/kernels.md``).  Process counts for
 ``mc`` (default: all cores) and ``characterize`` (default: 1) come
 from ``--workers``; ``auto`` honours the ``REPRO_WORKERS``
 environment variable before falling back to ``os.cpu_count()``.
@@ -79,12 +79,11 @@ def _backend_argument(parser: argparse.ArgumentParser) -> None:
                              "engine (auto picks sparse above the "
                              "dense/sparse crossover dimension)")
     parser.add_argument("--kernels",
-                        choices=("auto", "numpy", "compiled", "numba",
-                                 "cc"),
+                        choices=("auto", "numpy", "compiled", "cc"),
                         default="auto",
                         help="hot-kernel tier (auto prefers compiled "
-                             "— numba or the system C compiler — and "
-                             "falls back to numpy; overrides the "
+                             "— the system C compiler — and falls "
+                             "back to numpy; overrides the "
                              "REPRO_KERNELS environment variable)")
 
 

@@ -212,8 +212,8 @@ class RunnerConfig:
         """Copy of this config with one factor's levels replaced.
 
         Used by drivers that must prune unavailable levels (e.g. the
-        ``compiled`` kernel tier on a machine without numba or a C
-        compiler) before executing a committed config.
+        ``compiled`` kernel tier on a machine without a C compiler)
+        before executing a committed config.
         """
         if name not in self.factor_names:
             raise ParameterError(

@@ -32,8 +32,8 @@ Registered workloads cover the BENCH sections the runner regenerates:
   1e-9 V lane-parity gate.
 * ``circuit_transient`` — a single transient over the generic factor
   matrix: ``circuit`` (ring | rca), ``size``, ``backend``
-  (dense | sparse | auto), ``kernels`` (numpy | compiled | numba | cc
-  | auto), ``chord`` (on | off).
+  (dense | sparse | auto), ``kernels`` (numpy | compiled | cc |
+  auto), ``chord`` (on | off).
 * ``vsc_sweep`` — the stacked-VSC kernel swept over a dense bias grid
   per kernel tier (factor ``kernels``); the parity column is the
   kernel-parity gate.

@@ -10,15 +10,16 @@ in the assemblers.  Each has two interchangeable implementations:
     :mod:`repro.pwl.kernels.numpy_backend` — byte-identical waveforms,
     zero dependencies.
 
-``compiled``
-    Per-lane loops compiled either by numba (``numba_backend``) or by
-    the system C compiler through ctypes (``cc_backend``), whichever is
-    available.  Same arithmetic lane for lane; transcendentals may
-    differ from numpy's SIMD ufuncs by a few ulp, bounded engine-side
-    to <= 1e-12 V on waveforms (the bench parity gate).
+``compiled`` (alias ``cc``)
+    Per-lane loops compiled by the system C compiler and loaded
+    through ctypes (``cc_backend``).  Same arithmetic lane for lane;
+    transcendentals may differ from numpy's SIMD ufuncs by a few ulp,
+    bounded engine-side to <= 1e-12 V on waveforms (the bench parity
+    gate).  It also carries the frozen-pivot sparse LU refactorization
+    lane.
 
 Selection mirrors the sparse linear-solver resolve pattern
-(:func:`repro.circuit.solvers.resolve_backend`): ``auto`` prefers a
+(:func:`repro.circuit.solvers.resolve_backend`): ``auto`` prefers the
 compiled tier and falls back to numpy, the ``REPRO_KERNELS``
 environment variable overrides the default, and the ``--kernels`` CLI
 flag overrides both.  The active tier is process-global (stamp paths
@@ -39,7 +40,6 @@ __all__ = [
     "KernelBackendLike",
     "active_kernel_backend",
     "compiled_backend_available",
-    "have_numba",
     "resolve_kernel_backend",
     "set_kernel_backend",
     "using_kernels",
@@ -66,58 +66,32 @@ def _get_numpy_backend():
     return _numpy_backend
 
 
-def have_numba() -> bool:
-    """True when numba imports (the preferred compiled tier)."""
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _get_compiled_backend(kind: str = "any"):
-    """Compiled backend instance, or None (error recorded).
-
-    ``kind``: ``"any"`` (numba, then cc), ``"numba"``, or ``"cc"``.
-    """
+def _get_compiled_backend():
+    """Compiled (cc) backend instance, or None (error recorded)."""
     global _compiled_backend, _compiled_error, _compiled_probed
-    if kind == "any" and _compiled_probed:
-        return _compiled_backend
-    errors = []
-    backend = None
-    if kind in ("any", "numba"):
-        try:
-            from repro.pwl.kernels.numba_backend import NumbaKernelBackend
-            backend = NumbaKernelBackend()
-        except Exception as exc:  # ImportError, or numba init failure
-            errors.append(f"numba: {exc}")
-    if backend is None and kind in ("any", "cc"):
+    if not _compiled_probed:
+        _compiled_probed = True
         try:
             from repro.pwl.kernels.cc_backend import CcKernelBackend
-            backend = CcKernelBackend()
+            _compiled_backend = CcKernelBackend()
         except Exception as exc:
-            errors.append(f"cc: {exc}")
-    if kind == "any":
-        _compiled_probed = True
-        _compiled_backend = backend
-        _compiled_error = "; ".join(errors) if backend is None else None
-    return backend
+            _compiled_error = f"cc: {exc}"
+    return _compiled_backend
 
 
 def compiled_backend_available() -> bool:
-    """True when a compiled tier (numba or cc) can be instantiated."""
+    """True when the compiled (cc) tier can be instantiated."""
     return _get_compiled_backend() is not None
 
 
 def resolve_kernel_backend(spec: KernelBackendLike = None):
     """Kernel backend for ``spec``.
 
-    ``None`` and ``"auto"`` consult ``REPRO_KERNELS`` and then prefer a
-    compiled tier, falling back to numpy; ``"numpy"`` forces the
-    reference tier; ``"compiled"`` requires a compiled tier (numba or
-    cc) and raises :class:`ParameterError` when neither is available;
-    ``"numba"`` / ``"cc"`` pin the specific compiled flavour.  A
-    backend instance passes through unchanged.
+    ``None`` and ``"auto"`` consult ``REPRO_KERNELS`` and then prefer
+    the compiled tier, falling back to numpy; ``"numpy"`` forces the
+    reference tier; ``"compiled"`` (or its alias ``"cc"``) requires
+    the compiled tier and raises :class:`ParameterError` when it is
+    unavailable.  A backend instance passes through unchanged.
     """
     if spec is None or spec == "auto":
         env = os.environ.get(_ENV_VAR, "").strip()
@@ -134,19 +108,17 @@ def resolve_kernel_backend(spec: KernelBackendLike = None):
         name = spec.strip().lower()
         if name == "numpy":
             return _get_numpy_backend()
-        if name in ("compiled", "numba", "cc"):
-            kind = "any" if name == "compiled" else name
-            backend = _get_compiled_backend(kind)
+        if name in ("compiled", "cc"):
+            backend = _get_compiled_backend()
             if backend is None:
-                detail = _compiled_error or "numba not installed and " \
-                    "no C compiler found"
                 raise ParameterError(
-                    f"kernel backend '{name}' unavailable ({detail}); "
-                    "use --kernels numpy or install numba")
+                    f"kernel backend '{name}' unavailable "
+                    f"({_compiled_error}); use --kernels numpy or "
+                    "install a C compiler")
             return backend
         raise ParameterError(
             f"unknown kernel backend '{spec}' "
-            "(expected auto, numpy, compiled, numba or cc)")
+            "(expected auto, numpy, compiled or cc)")
     if hasattr(spec, "vsc_solve"):
         return spec
     raise ParameterError(f"unknown kernel backend spec: {spec!r}")

@@ -7,7 +7,7 @@
  *   1. stacked_vsc_solve  — the hint-warmed shifted-cubic region solve
  *      plus residual validation of StackedVscSolver.solve;
  *   2. cnfet_companion    — the stacked companion-model bank evaluation
- *      of _StackedCNFETBank._companion (currents, analytic small-signal
+ *      of CNFETBank.companion (currents, analytic small-signal
  *      and charge partials, companion residuals);
  *   3. scatter_add_pad / triplet_append / scatter_accum — the dense
  *      bincount and sparse-triplet scatter-add stamping primitives;
@@ -255,7 +255,7 @@ static double curve_derivative(const double *bps_r,
 
 /* Companion stamp values around given biases; vsc comes from kernel 1
  * (or its scalar fallback).  Fills values (17|8, n) and rhs (5|2, n)
- * row-major, matching _StackedCNFETBank._companion row for row. */
+ * row-major, matching the numpy tier's cnfet_companion row for row. */
 void cnfet_companion(
     idx_t n, const idx_t *didx,
     const double *vsc, const double *vgs, const double *vds,

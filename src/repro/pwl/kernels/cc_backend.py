@@ -214,6 +214,14 @@ class CcKernelBackend:
     def __init__(self) -> None:
         self._lib = build_library()
         self._ptrs = _PtrCache()
+        self._aranges: dict = {}
+
+    def _all_rows(self, n: int) -> np.ndarray:
+        """Cached ``arange(n)`` row selection (an all-devices call)."""
+        rows = self._aranges.get(n)
+        if rows is None:
+            rows = self._aranges[n] = np.arange(n, dtype=np.int64)
+        return rows
 
     # -- kernel 1: stacked VSC solve -----------------------------------
 
@@ -238,12 +246,12 @@ class CcKernelBackend:
 
     # -- kernel 2: stacked companion bank evaluation -------------------
 
-    def cnfet_companion(self, bank, didx: np.ndarray, vsc: np.ndarray,
-                        vgs: np.ndarray, vds: np.ndarray, gmin: float,
-                        tran: bool, dt
+    def cnfet_companion(self, bank, didx: Optional[np.ndarray],
+                        vsc: np.ndarray, vgs: np.ndarray,
+                        vds: np.ndarray, gmin: float, tran: bool, dt
                         ) -> Tuple[np.ndarray, np.ndarray]:
-        n = didx.size
-        didx64 = _as_i64(didx)
+        n = vsc.size
+        didx64 = self._all_rows(n) if didx is None else _as_i64(didx)
         vsc = _as_f64(vsc)
         vgs = _as_f64(vgs)
         vds = _as_f64(vds)

@@ -2,12 +2,11 @@
 
 These are the vectorized implementations the engine has always run
 (moved here verbatim from ``StackedVscSolver.solve``,
-``_StackedCNFETBank._companion`` and the ``add_flat`` stamping
-primitives), so selecting ``kernels="numpy"`` reproduces the historical
-waveforms bit for bit.  The compiled tiers
-(:mod:`repro.pwl.kernels.cc_backend`,
-:mod:`repro.pwl.kernels.numba_backend`) mirror this arithmetic lane by
-lane; see :doc:`/kernels` for the parity contract.
+``CNFETBank.companion`` and the ``add_flat`` stamping primitives), so
+selecting ``kernels="numpy"`` reproduces the historical waveforms bit
+for bit.  The compiled tier (:mod:`repro.pwl.kernels.cc_backend`)
+mirrors this arithmetic lane by lane; see :doc:`/kernels` for the
+parity contract.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ class NumpyKernelBackend:
     """Reference kernel tier: vectorized numpy, no compilation."""
 
     name = "numpy"
-    #: True for tiers whose kernels are compiled (numba / cc)
+    #: True for tiers whose kernels are compiled (cc)
     compiled = False
 
     # -- kernel 1: stacked VSC solve -----------------------------------
@@ -99,35 +98,39 @@ class NumpyKernelBackend:
 
     # -- kernel 2: stacked companion bank evaluation -------------------
 
-    def cnfet_companion(self, bank, didx: np.ndarray, vsc: np.ndarray,
-                        vgs: np.ndarray, vds: np.ndarray, gmin: float,
-                        tran: bool, dt: Optional[float]
+    def cnfet_companion(self, bank, didx: Optional[np.ndarray],
+                        vsc: np.ndarray, vgs: np.ndarray,
+                        vds: np.ndarray, gmin: float, tran: bool,
+                        dt: Optional[float]
                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked companion stamp values around the given biases (see
-        ``_StackedCNFETBank._companion`` for the kind-row table)."""
+        """Stacked companion stamp values around the given biases for
+        the bank devices ``didx`` (``None``: all of them; see
+        :class:`~repro.circuit.elements.cnfet.CNFETBank` for the
+        kind-row table)."""
         from repro.circuit.elements.cnfet import _logistic_many
         from repro.pwl.device import _log1pexp_many
 
-        sign = bank.sign[didx]
-        kt = bank.kt[didx]
-        eta_s = (bank.ef[didx] - vsc) / kt
+        sel = slice(None) if didx is None else didx
+        sign = bank.sign[sel]
+        kt = bank.kt[sel]
+        eta_s = (bank.ef[sel] - vsc) / kt
         eta_d = eta_s - vds / kt
-        pref = bank.pref[didx]
+        pref = bank.pref[sel]
         ids = pref * (_log1pexp_many(eta_s) - _log1pexp_many(eta_d))
         sig_s = _logistic_many(eta_s)
         sig_d = _logistic_many(eta_d)
         di_dvsc = (pref / kt) * (sig_d - sig_s)
         dq_s = bank.curves.derivative(vsc, idx=didx)
         dq_d = bank.curves.derivative(vsc + vds, idx=didx)
-        cg, cd = bank.cg[didx], bank.cd[didx]
-        denominator = bank.csum[didx] - dq_s - dq_d
+        cg, cd = bank.cg[sel], bank.cd[sel]
+        denominator = bank.csum[sel] - dq_s - dq_d
         dvsc_g = -cg / denominator
         dvsc_d = -(cd - dq_d) / denominator
         gm = di_dvsc * dvsc_g
         gds = (pref / kt) * sig_d + di_dvsc * dvsc_d
         residual = sign * ids - gm * sign * vgs - gds * sign * vds
         n_kinds = 17 if tran else 8
-        values = np.empty((n_kinds, didx.size))
+        values = np.empty((n_kinds, vsc.size))
         values[0] = gm
         values[1] = -(gm + gmin)
         values[2] = gds + gmin
@@ -136,12 +139,12 @@ class NumpyKernelBackend:
         values[5] = -(gds + gmin)
         values[6] = gmin
         values[7] = -gmin
-        rhs_values = np.empty((5 if tran else 2, didx.size))
+        rhs_values = np.empty((5 if tran else 2, vsc.size))
         rhs_values[0] = -residual
         rhs_values[1] = residual
         if tran:
             # Charge companions (vectorized ``_stamp_charges``).
-            length = bank.length[didx]
+            length = bank.length[sel]
             q_d_mobile = bank.curves.value(vsc + vds, idx=didx)
             qg = length * cg * (vgs + vsc)
             qd = length * (cd * (vds + vsc) - q_d_mobile)
@@ -155,7 +158,7 @@ class NumpyKernelBackend:
             for t_idx in range(3):
                 geq_gs = dq_dvgs[t_idx] / dt
                 geq_ds = dq_dvds[t_idx] / dt
-                i_now = (q0[t_idx] - bank.q_prev[t_idx, didx]) / dt
+                i_now = (q0[t_idx] - bank.q_prev[t_idx, sel]) / dt
                 row = 8 + 3 * t_idx
                 values[row] = geq_gs
                 values[row + 1] = geq_ds

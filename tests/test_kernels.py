@@ -1,6 +1,6 @@
 """Kernel-tier resolution, parity across tiers, and worker sharding.
 
-The compiled tier (numba or the ctypes/C fallback) must be a pure
+The compiled tier (C loops through ctypes) must be a pure
 performance change: the numpy tier is the reference, the compiled
 loops must agree with it to float noise at the kernel level
 (``<= 1e-12`` V on the stacked-VSC solve — the same gate ``make
@@ -52,8 +52,8 @@ def _assert_arcs_close(got, ref):
 
 def _require_compiled():
     if not compiled_backend_available():
-        pytest.skip("no compiled kernel tier (numba absent and no "
-                    "working C compiler)")
+        pytest.skip("no compiled kernel tier (no working C "
+                    "compiler)")
 
 
 @pytest.fixture(params=["numpy", "compiled"])
@@ -91,6 +91,10 @@ class TestResolution:
             resolve_kernel_backend("fortran")
         with pytest.raises(ParameterError):
             resolve_kernel_backend(42)
+        # there is no numba flavour: ``compiled`` is the cc tier
+        with pytest.raises(ParameterError,
+                           match="expected auto, numpy, compiled or cc"):
+            resolve_kernel_backend("numba")
 
     def test_instance_passes_through(self):
         backend = resolve_kernel_backend("numpy")

@@ -11,9 +11,17 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.circuit import Circuit, NewtonOptions, transient
+from repro.circuit import (
+    Capacitor,
+    Circuit,
+    CNFETElement,
+    NewtonOptions,
+    VoltageSource,
+    transient,
+)
 from repro.circuit.logic import (
     LogicFamily,
+    add_inverter,
     build_inverter_chain,
     build_ring_oscillator,
     build_ripple_carry_adder,
@@ -34,6 +42,20 @@ def _rca8(pulse: bool = True) -> Circuit:
                 el.waveform = Pulse(v1=0.0, v2=FAM.vdd, delay=2e-12,
                                     rise=1e-12, fall=1e-12,
                                     width=6e-12, period=1.0)
+    return c
+
+
+def _flat_chain(stages: int = 10) -> Circuit:
+    """Flat (hierarchy-free) inverter chain with a pulse at its input
+    and a load capacitor per stage."""
+    c = Circuit("flat chain")
+    c.add(VoltageSource("vdd_src", "vdd", "0", FAM.vdd))
+    c.add(VoltageSource("vin_src", "n0", "0",
+                        Pulse(v1=0.0, v2=FAM.vdd, delay=2e-12, rise=1e-12,
+                              fall=1e-12, width=6e-12, period=1.0)))
+    for i in range(stages):
+        add_inverter(c, FAM, f"inv{i}", f"n{i}", f"n{i + 1}")
+        c.add(Capacitor(f"cl{i}", f"n{i + 1}", "0", FAM.load_f))
     return c
 
 
@@ -93,8 +115,9 @@ class TestTransientParity:
     def test_rca8_nobypass_matches_monolithic(self):
         c = _rca8()
         x0 = robust_dc_solve(c)
+        mono_stats = {}
         ds_mono = transient(c, tstop=2e-11, dt=5e-13, x0=x0,
-                            record_currents=False)
+                            record_currents=False, stats=mono_stats)
         c2 = _rca8()
         stats = {}
         ds_part = transient(c2, tstop=2e-11, dt=5e-13, x0=x0,
@@ -102,6 +125,9 @@ class TestTransientParity:
                             bypass_tol=0.0, stats=stats)
         assert stats["partition_steps"] > 0
         assert stats["partition_block_steps_bypassed"] == 0
+        # both engines hand the run's stats to their CNFET bank
+        assert mono_stats["stacked_lanes"] > 0
+        assert stats["stacked_lanes"] > 0
         assert _max_trace_err(ds_mono, ds_part) < 1e-9
 
     def test_rca8_bypass_matches_within_tolerance(self):
@@ -185,6 +211,29 @@ class TestTransientParity:
                             record_currents=False, partition=part2)
         assert _max_trace_err(ds_mono, ds_part) < 1e-8
 
+    def test_interface_cnfets_share_the_bank(self):
+        # A flat chain cut into small connectivity blocks leaves some
+        # inverters with every terminal on a boundary node: their
+        # CNFETs sit on the interface and evaluate in the same pooled
+        # bank as the blocks' devices.
+        c = _flat_chain()
+        part = partition_circuit(c, max_block=5)
+        on_interface = [el for el in part.interface_elements
+                        if isinstance(el, CNFETElement)]
+        assert part.blocks and on_interface
+        x0 = robust_dc_solve(c)
+        ds_mono = transient(c, tstop=2e-11, dt=5e-13, x0=x0,
+                            record_currents=False)
+        for tol, bound in ((0.0, 1e-9), (None, 5e-6)):
+            c2 = _flat_chain()
+            stats = {}
+            ds_part = transient(
+                c2, tstop=2e-11, dt=5e-13, x0=x0, record_currents=False,
+                partition=partition_circuit(c2, max_block=5),
+                bypass_tol=tol, stats=stats)
+            assert stats["stacked_lanes"] > 0
+            assert _max_trace_err(ds_mono, ds_part) < bound
+
     def test_partition_for_wrong_circuit_rejected(self):
         part = partition_circuit(_rca8())
         with pytest.raises(ParameterError):
@@ -210,8 +259,11 @@ class TestAutoEscalation:
         assert stats["partition_escalated"] == 1
         assert stats["steps"] == len(ds.axis) - 1
         assert "partition_steps" not in stats
+        ref_stats = {}
         ref = transient(_rca8(), tstop=5e-12, dt=5e-13, x0=x0,
-                        record_currents=False, partition="off")
+                        record_currents=False, partition="off",
+                        stats=ref_stats)
+        assert stats["stacked_lanes"] == ref_stats["stacked_lanes"]
         np.testing.assert_array_equal(ds.axis, ref.axis)
         for name in ref.names:
             np.testing.assert_array_equal(ds.trace(name),

@@ -211,23 +211,31 @@ class TestSlab:
         assert assembler.slab is None
 
     def test_slab_vs_scalar_stamping_parity(self, adder):
-        """Forcing the slab off must reproduce the slab waveforms to
+        """The bank-assembled system equals the one-phase
+        ``assemble()`` (every CNFET through its scalar ``stamp``) at
+        the same iterate, in DC and in a transient step, to
         closed-form solver noise."""
+        from repro.circuit.mna import assemble
+
         circuit, _ = adder
-        x0 = robust_dc_solve(circuit, None, TIGHT, backend="dense")
-
-        def run(cnfet_slab):
-            assembler = TwoPhaseAssembler(circuit, backend="dense",
-                                          cnfet_slab=cnfet_slab)
-            from repro.circuit.mna import newton_solve
-
+        x_prev = robust_dc_solve(circuit, None, TIGHT, backend="dense")
+        x = x_prev + np.random.default_rng(7).uniform(
+            -0.05, 0.05, x_prev.size)
+        tran = dict(analysis="tran", time=1e-12, dt=1e-12,
+                    x_prev=x_prev, method="be")
+        for step in (dict(analysis="dc"), tran):
             circuit.reset_state()
-            return newton_solve(circuit, x0.copy(), TIGHT,
-                                analysis="dc", assembler=assembler)
-
-        x_slab = run(True)
-        x_scalar = run(False)
-        assert np.max(np.abs(x_slab - x_scalar)) <= 1e-9
+            assembler = TwoPhaseAssembler(circuit, backend="dense")
+            assert assembler.slab is not None
+            assembler.begin_step(**step)
+            bank = assembler.iterate(x)
+            circuit.reset_state()
+            scalar = assemble(circuit, x, **step)
+            for got, ref in ((bank.matrix, scalar.matrix),
+                             (bank.rhs, scalar.rhs)):
+                np.testing.assert_allclose(got, ref, rtol=1e-10,
+                                           atol=1e-20,
+                                           err_msg=step["analysis"])
 
 
 class TestSparseInternals:
