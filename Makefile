@@ -1,9 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-slow chaos chaos-smoke bench bench-report \
-	examples smoke service-smoke experiments-smoke docs-check \
-	perfbench-smoke
+.PHONY: test test-fast test-slow test-numpy-kernels chaos chaos-smoke \
+	bench bench-report examples smoke service-smoke experiments-smoke \
+	docs-check perfbench-smoke
 
 ## tier-1 test suite (what CI gates on) — includes the doc
 ## coverage and docs link-checker gates
@@ -20,6 +20,15 @@ test-fast:
 ## lanes together cover everything `make test` covers
 test-slow:
 	$(PYTHON) -m pytest -x -q -m "slow"
+
+## the kernel parity suites on the forced numpy tier (docs/kernels.md):
+## the reference tier must keep running every engine path on its own,
+## not only as the other side of the compiled-tier comparisons
+NUMPY_KERNEL_SUITES := tests/test_kernels.py tests/test_sparse_backend.py \
+	tests/test_batch_parity.py tests/test_partition.py \
+	tests/test_mna_twophase.py tests/test_newton_reuse.py
+test-numpy-kernels:
+	REPRO_KERNELS=numpy $(PYTHON) -m pytest -x -q $(NUMPY_KERNEL_SUITES)
 
 ## full chaos suite (docs/robustness.md): seeded fault plans over
 ## campaign/exprunner/service workloads, asserting fault-free parity —

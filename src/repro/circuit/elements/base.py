@@ -137,25 +137,6 @@ class StampContext:
         self.add_rhs(ia, -i)
         self.add_rhs(ib, i)
 
-    # -- vectorized stamping (CNFET slab / stacked groups) --------------
-
-    def add_flat(self, m_idx: np.ndarray, m_val: np.ndarray,
-                 r_idx: np.ndarray, r_val: np.ndarray) -> None:
-        """Bulk scatter-add of precomputed stamp entries.
-
-        ``m_idx`` holds flattened matrix positions ``row * dim + col``
-        with ``dim * dim`` as a discard pad for grounded entries;
-        ``r_idx`` holds rhs rows with ``dim`` as the pad.  The dense
-        implementation lands everything with two padded scatter-adds
-        through the active kernel tier (numpy bincount or a compiled
-        loop); :class:`TripletStampContext` overrides this to record
-        COO triplets instead.
-        """
-        from repro.pwl.kernels import active_kernel_backend
-        backend = active_kernel_backend()
-        backend.scatter_add_pad(self.matrix.reshape(-1), m_idx, m_val)
-        backend.scatter_add_pad(self.rhs, r_idx, r_val)
-
 
 class TripletStampContext(StampContext):
     """Stamping context that records COO triplets (sparse assembly).
@@ -212,8 +193,11 @@ class TripletStampContext(StampContext):
 
     def add_flat(self, m_idx: np.ndarray, m_val: np.ndarray,
                  r_idx: np.ndarray, r_val: np.ndarray) -> None:
-        """Bulk-append matrix triplets (pad entries dropped) and
-        scatter the rhs contributions."""
+        """Bulk-append precomputed stamp entries: ``m_idx`` holds flat
+        matrix positions ``row * dim + col`` with ``dim * dim`` as a
+        discard pad for grounded entries (dropped), ``r_idx`` rhs rows
+        with ``dim`` as the pad (the partitioned assembler's bank
+        columns land this way)."""
         from repro.pwl.kernels import active_kernel_backend
         backend = active_kernel_backend()
         count = self.count
@@ -477,6 +461,14 @@ class Element:
     def accept_step(self, ctx: StampContext) -> None:
         """Called once after a transient step converges; elements with
         memory (trapezoidal capacitors, inductors) update their state."""
+
+    @classmethod
+    def accept_group(cls, elements: Sequence["Element"],
+                     node_index: Dict[str, int]):
+        """One callable doing :meth:`accept_step` for all ``elements``
+        (of this class, in one scalar transient) from a context, or
+        ``None`` to call each element's.  Override to vectorize."""
+        return None
 
     def reset_state(self) -> None:
         """Forget any transient state (called when an analysis starts)."""

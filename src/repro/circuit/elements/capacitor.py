@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.elements.base import (
+    GROUND_NAMES,
     Element,
     LaneContext,
     LaneGroup,
@@ -124,3 +125,42 @@ class Capacitor(Element):
     @classmethod
     def lane_group(cls, elements):
         return _CapacitorLaneGroup(elements)
+
+    @classmethod
+    def accept_group(cls, elements, node_index):
+        return _CapacitorAcceptGroup(elements, node_index)
+
+
+class _CapacitorAcceptGroup:
+    """:meth:`Capacitor.accept_step` of many capacitors as one vector
+    update: the same arithmetic per element, the branch-current state
+    read from and written back to the elements."""
+
+    def __init__(self, elements, node_index) -> None:
+        self.elements = list(elements)
+        self.c = np.array([el.capacitance for el in self.elements])
+        dim = len(node_index)
+        # terminal positions in an iterate padded with one ground zero
+        self.ia, self.ib = (np.array([
+            dim if el.nodes[t] in GROUND_NAMES else node_index[el.nodes[t]]
+            for el in self.elements], dtype=np.intp) for t in (0, 1))
+
+    def __call__(self, ctx: StampContext) -> None:
+        if ctx.dt is None:
+            return
+        dim = len(ctx.node_index)
+        x = np.zeros(dim + 1)
+        x[:dim] = ctx.x[:dim]
+        v_now = x[self.ia] - x[self.ib]
+        if ctx.x_prev is not None:
+            x[:dim] = ctx.x_prev[:dim]
+        else:
+            x[:dim] = 0.0
+        v_prev = x[self.ia] - x[self.ib]
+        if ctx.method == "trap":
+            i_prev = np.array([el._i_prev for el in self.elements])
+            i_new = (2.0 * self.c / ctx.dt) * (v_now - v_prev) - i_prev
+        else:
+            i_new = self.c * (v_now - v_prev) / ctx.dt
+        for el, value in zip(self.elements, i_new.tolist()):
+            el._i_prev = value

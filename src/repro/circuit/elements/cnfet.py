@@ -60,16 +60,6 @@ from repro.reference.fettoy import FETToyModel
 _SLAB_CHORD_RADIUS_V = 1e-4
 
 
-def _logistic_many(x: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`_logistic` (same branch at 0)."""
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def _log1pexp(x: float) -> float:
     """Stable ``log(1 + exp(x))`` (order-0 Fermi-Dirac integral)."""
     if x > 35.0:
@@ -198,8 +188,6 @@ _KIND_ROWS = (_D, _S, _D, _S, _D, _S, _G, _G) + (_G,) * 3 + (_D,) * 3 \
     + (_S,) * 3
 _KIND_COLS = (_G, _G, _D, _S, _S, _D, _G, _S) + (_G, _D, _S) * 3
 _RHS_ROWS = (_D, _S, _G, _D, _S)
-#: selection of every device (a view, not a gather)
-_ALL = slice(None)
 
 
 def _is_bankable(el: Element) -> bool:
@@ -215,11 +203,14 @@ def split_bank_devices(groups):
     fast-backend CNFETs in total, ``banked`` holds them and ``rest``
     every other element; below the threshold nothing is banked.
     """
-    banked = [[el for el in group if _is_bankable(el)] for group in groups]
+    banked, rest = [], []
+    for group in groups:
+        flags = [_is_bankable(el) for el in group]
+        banked.append([el for el, f in zip(group, flags) if f])
+        rest.append([el for el, f in zip(group, flags) if not f])
     if sum(map(len, banked)) < CNFET_SLAB_MIN_DEVICES:
         return [[] for _ in groups], [list(group) for group in groups]
-    return banked, [[el for el in group if not _is_bankable(el)]
-                    for group in groups]
+    return banked, rest
 
 
 class CNFETBank:
@@ -228,21 +219,26 @@ class CNFETBank:
 
     ``P`` devices (possibly all different) evaluate together: inner
     self-consistent voltages through
-    :class:`~repro.pwl.batch.StackedVscSolver` (hint-warmed closed
-    forms, scalar fallback on region drift), charge-curve values and
-    derivatives through :class:`~repro.pwl.batch.StackedCurves`, and
-    every downstream quantity — currents, analytic small-signal and
-    charge partials, companion residuals — is the scalar
-    :meth:`_Backend.evaluate_full` arithmetic on ``(P,)`` arrays, run
-    by the active kernel tier.
+    :class:`~repro.pwl.batch.StackedVscSolver` tables (hint-warmed
+    closed forms, scalar fallback on region drift), charge-curve values
+    and derivatives through :class:`~repro.pwl.batch.StackedCurves`
+    tables, and every downstream quantity — currents, analytic
+    small-signal and charge partials, companion residuals — is the
+    scalar :meth:`_Backend.evaluate_full` arithmetic.  One call of the
+    active kernel tier's ``bank_stamp`` does all of it per iteration,
+    from the bias gather out of the iterate to the scatter-add into the
+    caller's buffers (see :doc:`/kernels`).
 
     The bank holds the per-device parameters, the warm-start hints,
     the previous-step terminal charges ``q_prev``, a per-device chord
-    memo, and one node table of the devices' terminal rows (ground on
-    the pad row ``dim``).  From the node table it writes, once, the
-    stamp-entry table: ``rows``/``cols`` of the 17 matrix entry kinds
-    and ``rhs_rows`` of the 5 rhs kinds, one column per device — the
-    exact per-entry sums of the scalar ``stamp``:
+    memo, and the gather table of the devices' terminal positions in
+    the iterate (``-1`` for ground).  All of them are persistent arrays
+    updated in place, so the compiled tier binds its pointers once per
+    bank.  From the terminal rows it writes, once, the stamp-entry
+    table: ``rows``/``cols`` of the 17 matrix entry kinds and
+    ``rhs_rows`` of the 5 rhs kinds, one column per device (ground on
+    the pad row ``dim``) — the exact per-entry sums of the scalar
+    ``stamp``:
 
     ======== ======================  ========================
     kind     entry                   value
@@ -259,10 +255,11 @@ class CNFETBank:
     ======== ======================  ========================
 
     DC uses the first 8 matrix and 2 rhs kinds.  Each consumer maps the
-    table onto its own flat layout: the monolithic assembler's
-    :class:`CNFETSlab` and the partitioned assembler's blocks use
-    :meth:`flat_entries`, the lane-batched engine's group offsets it
-    per lane.
+    table onto its own flat layout and hands :meth:`companion` a
+    ``target``: the monolithic assembler's :class:`CNFETSlab` composes
+    :meth:`flat_entries` with its CSC pattern (sparse) or uses it as is
+    (dense), the lane-batched engine's group offsets it per lane.  The
+    partitioned assembler takes value columns instead.
 
     ``lane_of`` (one lane per device) makes the bank read its biases
     from a lane-stacked ``(B, dim)`` iterate instead of a ``(dim,)``
@@ -273,10 +270,19 @@ class CNFETBank:
                  lane_of: Optional[np.ndarray] = None,
                  stats: Optional[dict] = None) -> None:
         self.elements = list(elements)
-        backends = [el.backend for el in self.elements]
         self.sign = np.array([
             1.0 if el.polarity == "n" else -1.0 for el in self.elements])
         self.length = np.array([el.length_m for el in self.elements])
+        # One table row per distinct device model: a circuit of many
+        # instances of few models streams a cache-sized parameter set.
+        models: dict = {}
+        for el in self.elements:
+            models.setdefault(id(el.backend.device), el.backend)
+        row_of = {key: row for row, key in enumerate(models)}
+        #: table row of each device in the per-model arrays below
+        self.table = np.array([row_of[id(el.backend.device)]
+                               for el in self.elements], dtype=np.int64)
+        backends = list(models.values())
         self.kt = np.array([b.kt for b in backends])
         self.ef = np.array([b.ef for b in backends])
         self.pref = np.array([b.pref for b in backends])
@@ -287,18 +293,19 @@ class CNFETBank:
             [b.device.solver for b in backends])
         self.curves = StackedCurves(
             [b.device.fitted.curve for b in backends])
-        p = len(self.elements)
+        p = self.p = len(self.elements)
         # rows _G, _D, _S of the (drain, gate, source) terminals
         terminals = np.array([
             [dim if el.nodes[t] in GROUND_NAMES
              else node_index[el.nodes[t]] for el in self.elements]
-            for t in (1, 0, 2)], dtype=np.intp)
+            for t in (1, 0, 2)], dtype=np.int64)
         self.rows = terminals[list(_KIND_ROWS)]
         self.cols = terminals[list(_KIND_COLS)]
         self.rhs_rows = terminals[list(_RHS_ROWS)]
-        #: flat position of each terminal in the padded iterate
-        self._gather = terminals if lane_of is None \
-            else terminals + lane_of * (dim + 1)
+        #: flat position of each terminal in the (lane-stacked)
+        #: iterate, -1 for ground
+        offset = 0 if lane_of is None else lane_of * dim
+        self.gather = np.where(terminals == dim, -1, terminals + offset)
         #: warm-start VSC hints: Newton iterates / accepted biases
         self.hint = np.zeros(p)
         #: previous-step terminal charges (gate, drain, source), [C]
@@ -309,10 +316,12 @@ class CNFETBank:
         # matrix values, the biases they were linearised at, and which
         # devices hold one for the current (tran, dt, gmin) key.
         self._memo_key: Optional[Tuple] = None
-        self._memo_vgs = np.zeros(p)
-        self._memo_vds = np.zeros(p)
-        self._memo_values: Optional[np.ndarray] = None
-        self._memo_valid = np.zeros(p, dtype=bool)
+        self.memo_vgs = np.zeros(p)
+        self.memo_vds = np.zeros(p)
+        self.memo_values = np.zeros((17, p))
+        self.memo_valid = np.zeros(p, dtype=bool)
+        #: per-tier kernel state (the compiled tier's pointer binding)
+        self.kernel_state: dict = {}
 
     def reset(self) -> None:
         """Forget warm-start hints, previous-step charges and the chord
@@ -320,65 +329,37 @@ class CNFETBank:
         self.hint[:] = 0.0
         self.q_prev[:] = 0.0
         self._memo_key = None
-        self._memo_valid[:] = False
+        self.memo_valid[:] = False
 
     def flat_entries(self, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The entry table in the global ``dim x dim`` layout of
-        :meth:`StampContext.add_flat`: flat matrix positions with
-        ``dim * dim`` as the grounded-entry pad, and rhs rows with
-        ``dim`` as the pad."""
+        """The entry table in the global ``dim x dim`` layout: flat
+        matrix positions with ``dim * dim`` as the grounded-entry pad,
+        and rhs rows with ``dim`` as the pad."""
         grounded = (self.rows >= dim) | (self.cols >= dim)
         return (np.where(grounded, dim * dim, self.rows * dim + self.cols),
                 self.rhs_rows)
-
-    def _biases(self, x: np.ndarray, idx: Optional[np.ndarray]
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        """n-frame (mirrored) VGS/VDS of the selected devices."""
-        xp = np.concatenate(
-            (x, np.zeros(x.shape[:-1] + (1,))), axis=-1).ravel()
-        if idx is None:
-            i_g, i_d, i_s = self._gather
-            sign = self.sign
-        else:
-            i_g, i_d, i_s = self._gather[:, idx]
-            sign = self.sign[idx]
-        vs = xp[i_s]
-        return sign * (xp[i_g] - vs), sign * (xp[i_d] - vs)
-
-    def _charges(self, vgs: np.ndarray, vds: np.ndarray,
-                 idx: Optional[np.ndarray],
-                 vsc: Optional[np.ndarray] = None
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Terminal charges (G, D, S) at n-frame biases [C] —
-        vectorized :meth:`_Backend.charges` (solving for ``vsc``
-        unless given)."""
-        sel = _ALL if idx is None else idx
-        if vsc is None:
-            vsc = self.solver.solve(vgs, vds, self.hint, idx=idx,
-                                    stats=self.stats)
-        length = self.length[sel]
-        qg = length * self.cg[sel] * (vgs + vsc)
-        qd = length * (self.cd[sel] * (vds + vsc)
-                       - self.curves.value(vsc + vds, idx=idx))
-        return qg, qd, -(qg + qd)
 
     def refresh_charges(self, x_prev: np.ndarray,
                         idx: Optional[np.ndarray] = None) -> None:
         """Set ``q_prev`` of the selected devices (default: all) from
         the previous step's solution."""
-        sel = _ALL if idx is None else idx
-        vgs, vds = self._biases(x_prev, idx)
-        self.q_prev[:, sel] = self._charges(vgs, vds, idx)
+        active_kernel_backend().bank_stamp(self, x_prev, idx,
+                                           charges_only=True)
 
     def companion(self, x: np.ndarray,
                   idx: Optional[np.ndarray] = None, *, gmin: float,
                   tran: bool, dt: Optional[float],
-                  reuse_tol: float = 0.0, seed_qprev: bool = False
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(values, rhs_values)`` companion stamp columns of the
-        selected devices (default: all) around iterate ``x``: one row
-        per entry kind, 8 / 2 in DC and 17 / 5 in transient (charge
-        companions around ``q_prev``).
+                  reuse_tol: float = 0.0, seed_qprev: bool = False,
+                  target=None) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Companion stamp of the selected devices (default: all) around
+        iterate ``x``: one row per entry kind, 8 / 2 in DC and 17 / 5
+        in transient (charge companions around ``q_prev``).
+
+        With ``target = (m_out, m_map, r_out, r_map)`` the stamp is
+        scatter-added straight into the flat buffers ``m_out`` / ``r_out``
+        through the ``(17, P)`` / ``(5, P)`` index maps (entries at or
+        past a buffer's size are discarded) and ``None`` is returned;
+        without one, the ``(values, rhs_values)`` columns.
 
         ``reuse_tol`` > 0 enables the exact-rhs chord
         (``NewtonOptions.jacobian_reuse_tol``): while every selected
@@ -402,119 +383,69 @@ class CNFETBank:
         transient step) the charges evaluated at ``x`` double as the
         selected devices' ``q_prev`` refresh.
         """
-        sel = _ALL if idx is None else idx
-        vgs, vds = self._biases(x, idx)
         key = (tran, dt, gmin)
         if self._memo_key != key:
-            self._memo_valid[:] = False
+            self.memo_valid[:] = False
             self._memo_key = key
         radius = max(reuse_tol, _SLAB_CHORD_RADIUS_V) \
             if reuse_tol > 0.0 else 0.0
-        memo = self._memo_values
-        if (radius > 0.0 and memo is not None
-                and self._memo_valid[sel].all()
-                and float(np.max(np.abs(vgs - self._memo_vgs[sel])))
-                <= radius
-                and float(np.max(np.abs(vds - self._memo_vds[sel])))
-                <= radius):
-            values = memo if idx is None else memo[:, idx]
-            return values, self._chord_rhs(values, vgs, vds, idx, gmin,
-                                           tran, dt, seed_qprev)
-        if seed_qprev and tran:
-            self.q_prev[:, sel] = self._charges(vgs, vds, idx)
-        vsc = self.solver.solve(vgs, vds, self.hint, idx=idx,
-                                stats=self.stats)
-        values, rhs_values = active_kernel_backend().cnfet_companion(
-            self, idx, vsc, vgs, vds, gmin, tran, dt)
-        if radius > 0.0:
-            if idx is None:
-                self._memo_values = values
-                self._memo_vgs = vgs
-                self._memo_vds = vds
-                self._memo_valid[:] = True
-            else:
-                if memo is None or memo.shape[0] != values.shape[0]:
-                    self._memo_values = np.zeros(
-                        (values.shape[0], len(self.elements)))
-                    self._memo_valid[:] = False
-                self._memo_values[:, idx] = values
-                self._memo_vgs[idx] = vgs
-                self._memo_vds[idx] = vds
-                self._memo_valid[idx] = True
-        elif memo is not None:
-            self._memo_valid[sel] = False
-        return values, rhs_values
-
-    def _chord_rhs(self, values: np.ndarray, vgs: np.ndarray,
-                   vds: np.ndarray, idx: Optional[np.ndarray],
-                   gmin: float, tran: bool, dt: Optional[float],
-                   seed_qprev: bool) -> np.ndarray:
-        """Exact rhs at the current bias around frozen matrix
-        ``values`` (the chord branch of :meth:`companion`)."""
-        sel = _ALL if idx is None else idx
-        vsc = self.solver.solve(vgs, vds, self.hint, idx=idx,
-                                stats=self.stats)
-        kt = self.kt[sel]
-        eta_s = (self.ef[sel] - vsc) / kt
-        eta_d = eta_s - vds / kt
-        ids = self.pref[sel] * (_log1pexp_many(eta_s)
-                                - _log1pexp_many(eta_d))
-        sign = self.sign[sel]
-        gm = values[0]
-        gds = values[2] - gmin
-        residual = sign * ids - gm * sign * vgs - gds * sign * vds
-        rhs_values = np.empty((5 if tran else 2, vgs.size))
-        rhs_values[0] = -residual
-        rhs_values[1] = residual
-        if tran:
-            q0 = self._charges(vgs, vds, idx, vsc)
-            if seed_qprev:
-                self.q_prev[:, sel] = q0
-            for t_idx in range(3):
-                geq_gs = values[8 + 3 * t_idx]
-                geq_ds = values[9 + 3 * t_idx]
-                i_now = (q0[t_idx] - self.q_prev[t_idx, sel]) / dt
-                rhs_values[2 + t_idx] = -(
-                    sign * i_now - geq_gs * sign * vgs
-                    - geq_ds * sign * vds
-                )
-        return rhs_values
+        return active_kernel_backend().bank_stamp(
+            self, x, idx, gmin=gmin, tran=tran, dt=dt, radius=radius,
+            seed_qprev=seed_qprev, target=target)
 
 
 class CNFETSlab:
     """The monolithic assembler's view of a :class:`CNFETBank`: every
-    device, each Newton iteration, landed in the global ``dim x dim``
-    layout through :meth:`StampContext.add_flat` (a dense bincount
-    scatter-add or a sparse triplet append, depending on the active
-    backend).  :meth:`begin_step` refreshes the previous-step charges
-    from ``ctx.x_prev`` once per transient step; :meth:`stamp` passes
-    ``ctx.reuse_tol`` on to the bank's exact-rhs chord.  The benchmark's
-    traced mode (``perfbench/tracing.py``) times its ``elements.slab``
-    layer through these two methods."""
+    device, each Newton iteration, landed in the global system by one
+    fused ``bank_stamp`` call.  The target is the dense ``dim x dim``
+    matrix through :meth:`CNFETBank.flat_entries` (the default), or
+    whatever ``(m_out, m_map, r_out, r_map)`` the assembler passes —
+    the sparse assembler's CSC ``data`` through the entry table
+    composed with its pattern.
+
+    :meth:`begin_step` only arms a deferred refresh of the
+    previous-step charges; the first :meth:`stamp` of the step seeds
+    ``q_prev`` from its own evaluation when its iterate *is*
+    ``x_prev`` (every fixed step), and refreshes from ``x_prev`` first
+    otherwise (an adaptive predictor start).  :meth:`stamp` passes
+    ``ctx.reuse_tol`` on to the bank's exact-rhs chord.  The
+    benchmark's traced mode (``perfbench/tracing.py``) times its
+    ``elements.slab`` layer through these two methods."""
 
     def __init__(self, bank: CNFETBank, dim: int) -> None:
         self.bank = bank
         self.elements = bank.elements
-        self._m_idx, self._r_idx = bank.flat_entries(dim)
+        self.m_idx, self.r_idx = bank.flat_entries(dim)
+        self._pending: Optional[np.ndarray] = None
 
     def begin_step(self, ctx: StampContext) -> None:
-        """Refresh ``q_prev`` from ``ctx.x_prev`` (transient steps)."""
+        """Arm the deferred ``q_prev`` refresh from ``ctx.x_prev``
+        (transient steps)."""
+        self._pending = None
         if ctx.analysis == "tran" and ctx.dt is not None \
                 and ctx.x_prev is not None:
-            self.bank.refresh_charges(ctx.x_prev)
+            self._pending = np.array(ctx.x_prev, dtype=float)
 
-    def stamp(self, ctx: StampContext) -> None:
-        """One stacked companion stamp for all devices around
-        ``ctx.x``."""
-        values, rhs_values = self.bank.companion(
+    def stamp(self, ctx: StampContext, target=None) -> None:
+        """One fused companion stamp for all devices around ``ctx.x``,
+        into ``target`` (default: the dense ``ctx.matrix`` /
+        ``ctx.rhs``)."""
+        seed = False
+        pending = self._pending
+        if pending is not None:
+            self._pending = None
+            if np.array_equal(ctx.x, pending):
+                seed = True  # charges at x double as q_prev
+            else:
+                self.bank.refresh_charges(pending)
+        if target is None:
+            target = (ctx.matrix.reshape(-1), self.m_idx, ctx.rhs,
+                      self.r_idx)
+        self.bank.companion(
             ctx.x, gmin=ctx.gmin,
             tran=ctx.analysis == "tran" and ctx.dt is not None,
-            dt=ctx.dt, reuse_tol=ctx.reuse_tol)
-        ctx.add_flat(
-            self._m_idx[:values.shape[0]].ravel(), values.ravel(),
-            self._r_idx[:rhs_values.shape[0]].ravel(),
-            rhs_values.ravel(),
-        )
+            dt=ctx.dt, reuse_tol=ctx.reuse_tol, seed_qprev=seed,
+            target=target)
 
 
 class _CNFETLaneGroup(LaneGroup):
@@ -525,12 +456,11 @@ class _CNFETLaneGroup(LaneGroup):
     A *devlane* is one (element slot, lane) pair; the group flattens
     all ``S`` CNFET slots x ``B`` lanes into ``P = S * B`` bank devices
     (slot-major), which may all be different (a Monte-Carlo batch).
-    The stamp entries land through two scatter-adds against the bank's
-    entry table offset per lane into the padded ``(B, n + 1, n + 1)``
-    stacks (the ground pad row/column absorbs grounded terminals).
-    Lanes run without the chord; previous-step charges are refreshed
-    once per accepted step.  The bank is built on first use, when the
-    system layout is known.
+    The stamp lands through the bank's entry table offset per lane into
+    the padded ``(B, n + 1, n + 1)`` stacks (the ground pad row/column
+    absorbs grounded terminals).  Lanes run without the chord;
+    previous-step charges are refreshed once per accepted step.  The
+    bank is built on first use, when the system layout is known.
     """
 
     nonlinear = True
@@ -556,8 +486,11 @@ class _CNFETLaneGroup(LaneGroup):
         bank.stats = self.stats
         return bank
 
-    def _active(self, ctx: LaneContext) -> np.ndarray:
-        """Devlane indices whose lane is active in ``ctx``."""
+    def _active(self, ctx: LaneContext) -> Optional[np.ndarray]:
+        """Devlane indices whose lane is active in ``ctx`` (``None``
+        when every lane is)."""
+        if len(ctx.lanes) == self.n_lanes:
+            return None
         mask = np.zeros(self.n_lanes, dtype=bool)
         mask[ctx.lanes] = True
         return np.flatnonzero(mask[self.lane_of])
@@ -577,20 +510,11 @@ class _CNFETLaneGroup(LaneGroup):
 
     def stamp(self, ctx: LaneContext) -> None:
         bank = self._bank_for(ctx)
-        didx = self._active(ctx)
-        values, rhs_values = bank.companion(
-            ctx.x, didx, gmin=ctx.gmin,
+        bank.companion(
+            ctx.x, self._active(ctx), gmin=ctx.gmin,
             tran=ctx.analysis == "tran" and ctx.dt is not None,
-            dt=ctx.dt)
-        backend = active_kernel_backend()
-        backend.scatter_add_pad(
-            ctx.matrix.reshape(-1),
-            self._m_idx[:values.shape[0], didx].ravel(),
-            values.ravel())
-        backend.scatter_add_pad(
-            ctx.rhs.reshape(-1),
-            self._r_idx[:rhs_values.shape[0], didx].ravel(),
-            rhs_values.ravel())
+            dt=ctx.dt, target=(ctx.matrix.reshape(-1), self._m_idx,
+                               ctx.rhs.reshape(-1), self._r_idx))
 
 
 class CNFETElement(Element):

@@ -34,15 +34,21 @@ from repro.circuit.netlist import Circuit, Instance, SubCircuit
 from repro.circuit.waveforms import Waveform
 from repro.errors import ParameterError
 from repro.pwl.device import CNFET
-from repro.reference.fettoy import FETToyParameters
+from repro.reference.fettoy import FETToyModel, FETToyParameters
 
 
 @dataclass
 class LogicFamily:
-    """A matched pair of n/p devices plus shared sizing defaults."""
+    """A matched pair of n/p devices plus shared sizing defaults.
 
-    n_device: CNFET
-    p_device: CNFET
+    The devices may be fast :class:`~repro.pwl.device.CNFET` models or
+    :class:`~repro.reference.fettoy.FETToyModel` reference devices; the
+    builders mark every pull-up site ``polarity="p"`` explicitly, since
+    a reference device carries no polarity of its own.
+    """
+
+    n_device: Union[CNFET, FETToyModel]
+    p_device: Union[CNFET, FETToyModel]
     vdd: float = 0.6
     length_nm: float = 30.0
     load_f: float = 1e-17
@@ -64,7 +70,7 @@ def add_inverter(circuit: Union[Circuit, SubCircuit], family: LogicFamily, name:
     """Complementary inverter ``name`` from ``vin`` to ``vout``."""
     circuit.add(CNFETElement(
         f"{name}_p", vout, vin, vdd_node, device=family.p_device,
-        length_nm=family.length_nm,
+        length_nm=family.length_nm, polarity="p",
     ))
     circuit.add(CNFETElement(
         f"{name}_n", vout, vin, "0", device=family.n_device,
@@ -79,11 +85,11 @@ def add_nand2(circuit: Union[Circuit, SubCircuit], family: LogicFamily, name: st
     mid = f"{name}_mid"
     circuit.add(CNFETElement(
         f"{name}_pa", vout, in_a, vdd_node, device=family.p_device,
-        length_nm=family.length_nm,
+        length_nm=family.length_nm, polarity="p",
     ))
     circuit.add(CNFETElement(
         f"{name}_pb", vout, in_b, vdd_node, device=family.p_device,
-        length_nm=family.length_nm,
+        length_nm=family.length_nm, polarity="p",
     ))
     circuit.add(CNFETElement(
         f"{name}_na", vout, in_a, mid, device=family.n_device,
@@ -102,11 +108,11 @@ def add_nor2(circuit: Union[Circuit, SubCircuit], family: LogicFamily, name: str
     mid = f"{name}_mid"
     circuit.add(CNFETElement(
         f"{name}_pa", mid, in_a, vdd_node, device=family.p_device,
-        length_nm=family.length_nm,
+        length_nm=family.length_nm, polarity="p",
     ))
     circuit.add(CNFETElement(
         f"{name}_pb", vout, in_b, mid, device=family.p_device,
-        length_nm=family.length_nm,
+        length_nm=family.length_nm, polarity="p",
     ))
     circuit.add(CNFETElement(
         f"{name}_na", vout, in_a, "0", device=family.n_device,
@@ -128,6 +134,7 @@ def add_nand3(circuit: Union[Circuit, SubCircuit], family: LogicFamily, name: st
         circuit.add(CNFETElement(
             f"{name}_{tag}", vout, node, vdd_node,
             device=family.p_device, length_nm=family.length_nm,
+            polarity="p",
         ))
     circuit.add(CNFETElement(
         f"{name}_na", vout, in_a, mid1, device=family.n_device,
@@ -158,7 +165,7 @@ def add_tgate_buffer(circuit: Union[Circuit, SubCircuit], family: LogicFamily, n
     ))
     circuit.add(CNFETElement(
         f"{name}_p", vout, enable_bar, vin, device=family.p_device,
-        length_nm=family.length_nm,
+        length_nm=family.length_nm, polarity="p",
     ))
 
 

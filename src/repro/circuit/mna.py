@@ -27,11 +27,16 @@ same two-phase split:
   the pattern self-heals if a mode switch changes them), and
   factorises with SuperLU per Newton iteration.
 * **The CNFET bank** (:class:`~repro.circuit.elements.cnfet.CNFETBank`,
-  scattered by :class:`~repro.circuit.elements.cnfet.CNFETSlab`): at
+  stamped by :class:`~repro.circuit.elements.cnfet.CNFETSlab`): at
   :data:`CNFET_SLAB_MIN_DEVICES` fast-backend CNFETs and above, all of
-  them evaluate as one stacked closed-form pass per iteration instead
-  of a Python loop of scalar solves.  Circuits below the threshold
-  keep the byte-for-byte historical scalar path.
+  them evaluate as one fused ``bank_stamp`` kernel call per iteration
+  instead of a Python loop of scalar solves, scatter-adding straight
+  into the dense matrix or the CSC ``data`` (through the bank's entry
+  table composed with the pattern once per analysis mode — banked
+  devices record no triplets).  ``begin_step`` only arms the bank's
+  previous-step charge refresh: the first iteration of a fixed step
+  starts at ``x_prev`` and seeds the charges from its own evaluation.
+  Circuits below the threshold keep the scalar element path.
 
 Robustness aids, in escalation order:
 
@@ -163,12 +168,11 @@ class TwoPhaseAssembler:
         self._static = [el for el in circuit.elements if not el.nonlinear]
         (banked,), (self._dynamic,) = split_bank_devices(
             [[el for el in circuit.elements if el.nonlinear]])
+        #: the CNFET bank, stamped after the other nonlinear elements
         self.slab: Optional[CNFETSlab] = None
         if banked:
-            # stamped last among the nonlinear elements
             self.slab = CNFETSlab(CNFETBank(
                 banked, circuit.node_index, n, stats=device_stats), n)
-            self._dynamic.append(self.slab)
         if self.backend.is_sparse:
             self._static_ctx = TripletStampContext(n, circuit.node_index)
             self._dyn_ctx = TripletStampContext(n, circuit.node_index)
@@ -181,9 +185,17 @@ class TwoPhaseAssembler:
             self._static_map: Optional[np.ndarray] = None
             self._static_data: Optional[np.ndarray] = None
             self._static_dirty = True
+            #: flat positions of the non-bank dynamic triplets, and the
+            #: CSC slots of those followed by the bank's kept entries
             self._dyn_flat: Optional[np.ndarray] = None
             self._dyn_map: Optional[np.ndarray] = None
+            #: entry kinds of the bank in the pattern (8 DC, 17 tran)
+            #: and the bank's (17, P) CSC data slots (nnz: discarded)
+            self._bank_kinds = 0
+            self._bank_map: Optional[np.ndarray] = None
             self._begun = False
+            #: assembled CSC data + rhs of the last iterate
+            self._system: Optional[tuple] = None
             #: LU-factorisation reuse across iterations with identical
             #: ``data`` (the Jacobian-reuse chord freezes the stamps,
             #: so comparing the scattered values is enough)
@@ -266,6 +278,7 @@ class TwoPhaseAssembler:
             ctx.reuse_tol = reuse_tol
             for el in self._dynamic:
                 el.stamp(ctx)
+            self._sparse_system(ctx)
             return ctx
         ctx = self._ctx
         if ctx is None:
@@ -278,59 +291,81 @@ class TwoPhaseAssembler:
         ctx.reuse_tol = reuse_tol
         for el in self._dynamic:
             el.stamp(ctx)
+        if self.slab is not None:
+            self.slab.stamp(ctx)
         return ctx
 
     # -- sparse pattern bookkeeping -------------------------------------
 
-    def _rebuild_pattern(self, s_flat: np.ndarray,
-                         d_flat: np.ndarray) -> None:
+    def _rebuild_pattern(self, s_flat: np.ndarray, d_flat: np.ndarray,
+                         kinds: int) -> None:
         """Symbolic CSC pattern + static/dynamic scatter maps.
 
         Positions depend only on the topology and the analysis mode
-        (each element emits a fixed entry sequence per mode), so this
-        runs once per run in steady state; a mode switch (dc -> tran
-        adds capacitor and charge-companion entries) is detected by
-        the flat-position comparison in :meth:`_sparse_system` and
-        rebuilds automatically.  The pattern is stored directly in the
-        CSC layout SuperLU consumes and the scatter maps compose the
-        row-major -> column-major permutation, so per-iteration work
-        is two value scatters — no matrix construction or format
-        conversion.
+        (each element emits a fixed entry sequence per mode, and the
+        bank ``kinds`` entries per device), so this runs once per run
+        and mode in steady state; a mode switch (dc -> tran adds
+        capacitor and charge-companion entries) is detected by
+        :meth:`_sparse_system` and rebuilds automatically.  The pattern
+        is stored directly in the CSC layout SuperLU consumes and the
+        scatter maps compose the row-major -> column-major permutation,
+        so per-iteration work is value scatters — no matrix
+        construction or format conversion.  The bank's entry table is
+        composed through the same maps into :attr:`_bank_map`, which
+        its fused stamp scatters through straight into the CSC data.
         """
+        bank_flat = np.zeros(0, dtype=np.intp)
+        if kinds:
+            m_idx = self.slab.m_idx[:kinds]
+            keep = m_idx < self.n * self.n
+            bank_flat = m_idx[keep]
         self._pattern_flat, self._indices, self._indptr, \
             (self._static_map, self._dyn_map) = csc_pattern(
-                self.n, s_flat, d_flat)
+                self.n, s_flat, np.concatenate((d_flat, bank_flat)))
+        if kinds:
+            self._bank_map = np.full(self.slab.m_idx.shape,
+                                     self._pattern_flat.size,
+                                     dtype=np.int64)
+            self._bank_map[:kinds][keep] = self._dyn_map[d_flat.size:]
+        self._bank_kinds = kinds
         self._static_flat = s_flat.copy()
         self._dyn_flat = d_flat.copy()
         self._static_dirty = True
         self._lu_data = None
         self._lu = None
 
-    def _sparse_system(self):
-        """Scatter the recorded triplets into CSC data + rhs."""
+    def _sparse_system(self, ctx: TripletStampContext) -> None:
+        """Scatter the recorded triplets and the bank's fused stamp
+        into CSC data + rhs (kept for :meth:`solve`)."""
         s_flat, s_val = self._static_ctx.triplets()
-        d_flat, d_val = self._dyn_ctx.triplets()
-        if (self._pattern_flat is None
-                or self._static_flat.size != s_flat.size
-                or self._dyn_flat.size != d_flat.size
-                or not np.array_equal(s_flat, self._static_flat)
+        d_flat, d_val = ctx.triplets()
+        kinds = 0
+        if self.slab is not None:
+            kinds = 17 if ctx.analysis == "tran" and ctx.dt is not None \
+                else 8
+        if (self._pattern_flat is None or kinds != self._bank_kinds
+                or (self._static_dirty
+                    and not np.array_equal(s_flat, self._static_flat))
                 or not np.array_equal(d_flat, self._dyn_flat)):
-            self._rebuild_pattern(s_flat, d_flat)
-        nnz = self._pattern_flat.size
+            self._rebuild_pattern(s_flat, d_flat, kinds)
         if self._static_dirty:
             self._static_data = np.bincount(
-                self._static_map, weights=s_val, minlength=nnz)
+                self._static_map, weights=s_val,
+                minlength=self._pattern_flat.size)
             self._static_dirty = False
         data = active_kernel_backend().scatter_accum(
-            self._static_data, self._dyn_map, d_val)
-        rhs = self._static_ctx.rhs + self._dyn_ctx.rhs
-        return data, rhs
+            self._static_data, self._dyn_map[:d_flat.size], d_val)
+        rhs = self._static_ctx.rhs + ctx.rhs
+        if kinds:
+            self.slab.stamp(ctx, target=(data, self._bank_map, rhs,
+                                         self.slab.r_idx))
+        self._system = (data, rhs)
 
     def solve(self) -> np.ndarray:
         """Solve the assembled system through the active backend
         (raises :class:`~repro.errors.AnalysisError` when singular)."""
         if self.backend.is_sparse:
-            data, rhs = self._sparse_system()
+            data, rhs = self._system
             # Factorisation reuse: when the Jacobian-reuse chord froze
             # every stamp, the scattered values are bit-identical to
             # the previous iteration's and the (dominant) SuperLU
@@ -416,17 +451,18 @@ def newton_solve(circuit: Circuit, x0: np.ndarray,
             # freely.
             v_delta = delta[:n_nodes]
             if n_nodes:
-                worst = int(np.argmax(np.abs(v_delta)))
-                max_dv = float(np.abs(v_delta[worst]))
+                abs_dv = np.abs(v_delta)
+                worst = int(abs_dv.argmax())
+                max_dv = float(abs_dv[worst])
             else:
                 max_dv = 0.0
             if max_dv > options.max_step:
                 delta = delta * (options.max_step / max_dv)
             x = x + delta
-            converged = np.all(
+            converged = (
                 np.abs(delta[:n_nodes])
                 <= options.vtol + options.reltol * np.abs(x[:n_nodes])
-            )
+            ).all()
             if converged and max_dv <= options.max_step:
                 return x
     finally:

@@ -56,10 +56,13 @@ from repro.circuit.waveforms import DC
 from repro.errors import AnalysisError, ParameterError
 
 try:  # dense-block LU reuse (optional; numpy fallback below)
-    from scipy.linalg import lu_factor as _lu_factor
-    from scipy.linalg import lu_solve as _lu_solve
+    # the raw LAPACK routines scipy.linalg.lu_factor / lu_solve wrap:
+    # the same results without their per-call validation overhead,
+    # which dominates at block sizes
+    from scipy.linalg.lapack import dgetrf as _getrf
+    from scipy.linalg.lapack import dgetrs as _getrs
 except ImportError:  # pragma: no cover - no-scipy guard
-    _lu_factor = _lu_solve = None
+    _getrf = _getrs = None
 
 #: Default maximum number of elements per block; hierarchy groups and
 #: connectivity clusters larger than this are split further.
@@ -89,8 +92,9 @@ def _is_time_varying(element: Element) -> bool:
     return waveform is not None and not isinstance(waveform, DC)
 
 
-def _dt_matches(frozen_dt, dt, rel: float = 1e-9) -> bool:
-    """Whether a step size matches a frozen block's, to ``rel``.
+def _dt_matches(frozen_dt: np.ndarray, dt: Optional[float],
+                rel: float = 1e-9) -> np.ndarray:
+    """Which frozen step sizes (``nan`` = none) match ``dt``, to ``rel``.
 
     Exact equality would defeat bypass on any breakpoint-bearing run:
     the step that lands on a breakpoint computes ``dt`` as a time
@@ -98,9 +102,9 @@ def _dt_matches(frozen_dt, dt, rel: float = 1e-9) -> bool:
     mismatch would refresh *every* block twice per source edge.  A
     1e-9 relative slack changes the trap/BE companion conductances
     (``2C/dt``) by far less than any bypass tolerance resolves."""
-    if frozen_dt is None or dt is None:
-        return frozen_dt is None and dt is None
-    return abs(dt - frozen_dt) <= rel * abs(frozen_dt)
+    if dt is None:
+        return np.isnan(frozen_dt)
+    return np.abs(dt - frozen_dt) <= rel * np.abs(frozen_dt)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +148,8 @@ def _hier_groups(elements: Sequence[Element], max_block: int
 
     top: Dict[Tuple[str, ...], List[Element]] = {}
     for el in elements:
-        segments = el.name.split(HIER_SEP)
-        key = (segments[0],) if len(segments) > 1 else ("",)
-        top.setdefault(key, []).append(el)
+        head, sep, _ = el.name.partition(HIER_SEP)
+        top.setdefault((head,) if sep else ("",), []).append(el)
     for key, els in top.items():
         place(key, els, 1 if key != ("",) else 0)
     return groups
@@ -406,17 +409,21 @@ def partition_circuit(circuit: Circuit, *,
         raise ParameterError(f"max_block must be >= 1, got {max_block!r}")
     circuit.dimension()  # assign node/aux indices
     elements = list(circuit.elements)
+    # every pass below walks each element's non-ground nodes
+    nodes_of = {id(el): _non_ground_nodes(el) for el in elements}
     groups = _hier_groups(elements, max_block)
     if groups is None or len(groups) < 2:
         groups = _connectivity_groups(elements, max_block, cut_degree,
                                       cut_nets)
 
+    # node -> {group key: number of the group's elements touching it};
     # nodes touched by >= 2 groups are boundary
-    node_groups: Dict[str, set] = {}
+    touch: Dict[str, Dict[Tuple[str, ...], int]] = {}
     for key in sorted(groups):
         for el in groups[key]:
-            for node in _non_ground_nodes(el):
-                node_groups.setdefault(node, set()).add(key)
+            for node in nodes_of[id(el)]:
+                counts = touch.setdefault(node, {})
+                counts[key] = counts.get(key, 0) + 1
 
     # Absorb single-block-affine elements: an element every one of
     # whose non-ground nodes is also touched by exactly one *other*
@@ -424,35 +431,32 @@ def partition_circuit(circuit: Circuit, *,
     # sources and load capacitors form a degenerate group that turns
     # every circuit input and output into a boundary node — on rca32
     # that inflates the interface from ~35 unknowns (carry chain +
-    # supply) to ~200 (every source aux and terminal).
+    # supply) to ~200 (every source aux and terminal).  Its own group
+    # touches each of its nodes, so every node's groups must be the
+    # same pair {own, target}.
     moves: List[Tuple[Element, Tuple[str, ...], Tuple[str, ...]]] = []
     for key in sorted(groups):
         for el in groups[key]:
-            nodes = _non_ground_nodes(el)
+            nodes = nodes_of[id(el)]
             if not nodes:
                 continue
-            others = set()
-            for node in nodes:
-                others |= node_groups[node]
-            others.discard(key)
-            if len(others) != 1:
-                continue
-            target = next(iter(others))
-            if all(target in node_groups[node] for node in nodes):
+            pair = touch[nodes[0]].keys()
+            if len(pair) == 2 and all(touch[node].keys() == pair
+                                      for node in nodes[1:]):
+                target = next(k for k in pair if k != key)
                 moves.append((el, key, target))
-    if moves:
-        for el, src, dst in moves:
-            groups[src].remove(el)
-            groups[dst].append(el)
-        groups = {key: els for key, els in groups.items() if els}
-        node_groups = {}
-        for key in sorted(groups):
-            for el in groups[key]:
-                for node in _non_ground_nodes(el):
-                    node_groups.setdefault(node, set()).add(key)
+    for el, src, dst in moves:
+        groups[src].remove(el)
+        groups[dst].append(el)
+        for node in nodes_of[id(el)]:
+            counts = touch[node]
+            counts[src] -= 1
+            if not counts[src]:
+                del counts[src]
+            counts[dst] += 1
+    groups = {key: els for key, els in groups.items() if els}
 
-    boundary = {node for node, keys in node_groups.items()
-                if len(keys) > 1}
+    boundary = {node for node, counts in touch.items() if len(counts) > 1}
 
     node_index = circuit.node_index
     blocks: List[PartitionBlock] = []
@@ -460,20 +464,20 @@ def partition_circuit(circuit: Circuit, *,
     for key in sorted(groups):
         members = groups[key]
         kept: List[Element] = []
+        touched: set = set()
         for el in members:
-            nodes = _non_ground_nodes(el)
-            if not nodes or all(node in boundary for node in nodes):
+            nodes = nodes_of[id(el)]
+            if boundary.issuperset(nodes):
                 # couples only boundary nodes (or only ground): pure
                 # interface element; its aux unknowns follow it
                 interface.append(el)
             else:
                 kept.append(el)
+                touched.update(nodes)
         if not kept:
             continue
-        internal_nodes = sorted(
-            node_index[node]
-            for node in {n for el in kept for n in _non_ground_nodes(el)}
-            if node not in boundary)
+        internal_nodes = [node_index[node]
+                          for node in touched - boundary]
         aux: List[int] = []
         for el in kept:
             aux.extend(range(el.aux_index, el.aux_index + el.n_aux))
@@ -482,10 +486,7 @@ def partition_circuit(circuit: Circuit, *,
             elements=kept,
             internal=np.array(sorted(internal_nodes + aux), dtype=np.intp),
             boundary=np.array(
-                sorted(node_index[node]
-                       for node in {n for el in kept
-                                    for n in _non_ground_nodes(el)}
-                       if node in boundary),
+                sorted(node_index[node] for node in touched & boundary),
                 dtype=np.intp),
             time_varying=any(_is_time_varying(el) for el in kept),
         )
@@ -500,9 +501,9 @@ def partition_circuit(circuit: Circuit, *,
     # the interface solve owns it.
     boundary_names = set(boundary)
     block_nodes = {name for blk in blocks for el in blk.elements
-                   for name in _non_ground_nodes(el)}
+                   for name in nodes_of[id(el)]}
     for el in interface:
-        for node in _non_ground_nodes(el):
+        for node in nodes_of[id(el)]:
             if node not in block_nodes:
                 boundary_names.add(node)
     return Partition(circuit, blocks, interface, sorted(boundary_names))
@@ -595,13 +596,13 @@ class _BlockState:
         self._a_fac = None
         self._a_dense: Optional[np.ndarray] = None
         self.sys_serial = 0
-        # bypass bookkeeping
-        self.bypassed = False
+        #: frozen Schur contribution (bypass state lives in the
+        #: assembler's per-block arrays)
         self.frozen: Optional[dict] = None
-        self.frozen_version = 0
         self.static_step = -1  # step id of the last static stamp
         self.wave_els = [el for el in block.elements
-                         if _is_time_varying(el)]
+                         if _is_time_varying(el)] \
+            if block.time_varying else []
         self.gpos: Optional[np.ndarray] = None  # set by the assembler
         self.seg: Optional[slice] = None        # slice into scope_all
         self.iseg: Optional[slice] = None       # slice into internal_all
@@ -610,17 +611,17 @@ class _BlockState:
     # -- pattern / scatter --------------------------------------------------
 
     def _rebuild(self, maps: _ScatterMaps, flat: np.ndarray) -> None:
-        n, ni, m = self.n, self.ni, self.m
-        rows = self.loc[flat // n]
-        cols = self.loc[flat % n]
-        if flat.size and (rows.min() < 0 or cols.min() < 0):
+        ni, m = self.ni, self.m
+        rows, cols = np.divmod(flat, self.n)
+        rows, cols = self.loc[rows], self.loc[cols]
+        if flat.size and min(rows.min(), cols.min()) < 0:
             raise AnalysisError(
                 f"block {self.block.name!r} stamped outside its scope; "
                 "partition is inconsistent with the netlist")
         in_a = (rows < ni) & (cols < ni)
         maps.flat = flat.copy()
-        maps.a_sel = np.flatnonzero(in_a)
-        maps.efc_sel = np.flatnonzero(~in_a)
+        maps.a_sel = in_a.nonzero()[0]
+        maps.efc_sel = (~in_a).nonzero()[0]
         maps.efc_map = (rows[maps.efc_sel] * m + cols[maps.efc_sel])
         maps.a_map = rows[maps.a_sel] * ni + cols[maps.a_sel]
         self.static_dirty = True
@@ -730,12 +731,12 @@ class _BlockState:
             a = self.a_static.copy()
             np.add.at(a.ravel(), self.dmaps.a_map,
                       d_val[self.dmaps.a_sel])
-            if _lu_factor is not None:
-                fac = _lu_factor(a, check_finite=False)
-                if not np.all(np.diagonal(fac[0])):
+            if _getrf is not None:
+                lu, piv, info = _getrf(a)
+                if info != 0:
                     raise np.linalg.LinAlgError(
                         "singular block system")
-                self._a_fac = fac
+                self._a_fac = (lu, piv)
                 self._a_dense = None
             else:
                 self._a_dense = a
@@ -745,7 +746,7 @@ class _BlockState:
 
         def solve_stacked(b_stack: np.ndarray) -> np.ndarray:
             if fac is not None:
-                return _lu_solve(fac, b_stack, check_finite=False)
+                return _getrs(*fac, b_stack)[0]
             return np.linalg.solve(dense, b_stack)
 
         return solve_stacked, E, F, C, r_int, r_bd, unchanged
@@ -872,11 +873,10 @@ class PartitionedAssembler:
         # the interface triplets alone, so if those are bit-identical
         # to the previous fully-bypassed solve the returned iterate is
         # too — a quiescent step skips the interface assembly, the
-        # Schur solve, and the back-substitution entirely.
+        # Schur solve, and the back-substitution entirely.  The
+        # signature holds the bytes of the frozen versions and of the
+        # interface triplets and rhs.
         self._cache_sig: Optional[tuple] = None
-        self._cache_sval: Optional[np.ndarray] = None
-        self._cache_dval: Optional[np.ndarray] = None
-        self._cache_r: Optional[np.ndarray] = None
         self._cache_x: Optional[np.ndarray] = None
         # Concatenated per-block scopes: drift checks for all blocks
         # collapse into one gather + one segmented max instead of a
@@ -898,6 +898,27 @@ class PartitionedAssembler:
             self._seg_starts = np.empty(0, dtype=np.intp)
         self._frozen_x_all = np.zeros(self._scope_all.size)
         self._frozen_xp_all = np.zeros(self._scope_all.size)
+        # Per-block bypass state as arrays, so a quiescent step decides
+        # every block's bypass in a few array operations: the bypassed
+        # mask, and the frozen state's step key (interned; -1 = never
+        # frozen or frozen without x_prev), step size (nan = none), age
+        # in steps, step id and version.
+        nblk = len(blocks)
+        self._bypassed = np.zeros(nblk, dtype=bool)
+        self._fz_key = np.full(nblk, -1, dtype=np.intp)
+        self._fz_dt = np.full(nblk, np.nan)
+        self._fz_age = np.zeros(nblk, dtype=np.intp)
+        self._fz_step = np.full(nblk, -1, dtype=np.intp)
+        self._fz_version = np.zeros(nblk, dtype=np.intp)
+        self._keys: Dict[tuple, int] = {}
+        # blocks whose frozen (key, dt) match a step's, cached per
+        # (key, dt, number of refreezes so far)
+        self._refreezes = 0
+        self._drift_memo: Dict[int, tuple] = {}
+        self._match_sig: Optional[tuple] = None
+        self._match = np.zeros(nblk, dtype=bool)
+        self._wave_blocks = [i for i, st in enumerate(blocks)
+                             if st.wave_els]
         # Fixed-pattern back-substitution operator: the per-block
         # ``x_b = y - X @ x_gamma`` matvecs stack into one CSR product
         # over every internal unknown (pattern = internal x gpos per
@@ -962,37 +983,37 @@ class PartitionedAssembler:
         self.stats["steps"] += 1
         self._stamp_static(self._if_static_ctx, self._if_static, step)
         self._if_static_dirty = True
-        key = (analysis, method, gmin, source_scale)
         tol = self.bypass_tol
-        candidates = (tol > 0.0 and analysis == "tran"
-                      and x_prev is not None and self._blocks)
-        if candidates:
-            # one gather + one segmented max for every block's drift
-            seg_max = np.maximum.reduceat(
-                np.abs(x_prev[self._scope_all] - self._frozen_xp_all),
-                self._seg_starts)
-        for i, st in enumerate(self._blocks):
-            st.bypassed = False
-            frozen = st.frozen
-            if (candidates and frozen is not None
-                    and frozen["key"] == key
-                    and _dt_matches(frozen["dt"], dt)
-                    and frozen["age"] < self.max_bypass_steps
-                    and frozen["x_prev_valid"]
-                    and seg_max[i] <= tol
-                    and frozen["src_vals"] == tuple(
-                        el.waveform.value(time) for el in st.wave_els)):
+        bypassed = np.zeros(len(self._blocks), dtype=bool)
+        key = self._keys.get((analysis, method, gmin, source_scale))
+        if (tol > 0.0 and analysis == "tran" and x_prev is not None
+                and key is not None):
+            sig = (key, dt, self._refreezes)
+            if sig != self._match_sig:
+                self._match = ((self._fz_key == key)
+                               & _dt_matches(self._fz_dt, dt))
+                self._match_sig = sig
+            bypassed = (self._match
+                        & (self._fz_age < self.max_bypass_steps)
+                        & self._within_tol(x_prev, self._frozen_xp_all))
+            for i in self._wave_blocks:
                 # A time-varying block stays bypassable while its
                 # sources sit on a waveform plateau (values identical
                 # to the frozen step); any ramp breaks the equality.
-                st.bypassed = True
-                frozen["age"] += 1
-                self.stats["block_steps_bypassed"] += 1
-                continue
+                st = self._blocks[i]
+                if bypassed[i] and st.frozen["src_vals"] != tuple(
+                        el.waveform.value(time) for el in st.wave_els):
+                    bypassed[i] = False
+        self._bypassed = bypassed
+        self._fz_age += bypassed
+        n_bypassed = int(np.count_nonzero(bypassed))
+        self.stats["block_steps_bypassed"] += n_bypassed
+        self.stats["block_steps_active"] += bypassed.size - n_bypassed
+        for i in (~bypassed).nonzero()[0]:
+            st = self._blocks[i]
             self._stamp_static(st.static_ctx, st.static_els, step)
             st.static_dirty = True
             st.static_step = self.stats["steps"]
-            self.stats["block_steps_active"] += 1
         self._qprev_pending = None
         if (self._bank is not None and analysis == "tran"
                 and dt is not None and x_prev is not None):
@@ -1003,13 +1024,32 @@ class PartitionedAssembler:
             # saving a kernel call per step
             self._qprev_pending = self._bank_parts()[1]
 
+    def _within_tol(self, x: np.ndarray, frozen: np.ndarray) -> np.ndarray:
+        """Per block: whether ``x`` stays within the bypass tolerance of
+        ``frozen`` (the frozen iterates or previous solutions) over the
+        block's scope — one gather and one segmented max for every
+        block.  Memoised per ``frozen`` array on the bytes of ``x`` and
+        the refreeze count: a quiescent run hands in the same vector
+        step after step."""
+        key = (x.tobytes(), self._refreezes)
+        memo = self._drift_memo.get(id(frozen))
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        within = np.maximum.reduceat(
+            np.abs(x[self._scope_all] - frozen),
+            self._seg_starts) <= self.bypass_tol
+        self._drift_memo[id(frozen)] = (key, within)
+        return within
+
     def _bank_parts(self) -> Tuple[list, Optional[np.ndarray]]:
         """``(parts, idx)``: the bank slices evaluated this iteration
         with the contexts they land in (the active blocks', then the
         interface's), and their concatenated bank positions (``None``
         when there are none)."""
-        parts = [(st.bank, st.dyn_ctx) for st in self._blocks
-                 if not st.bypassed and st.bank.idx.size]
+        blocks = self._blocks
+        parts = [(blocks[i].bank, blocks[i].dyn_ctx)
+                 for i in (~self._bypassed).nonzero()[0]
+                 if blocks[i].bank.idx.size]
         if self._if_bank.idx.size:
             parts.append((self._if_bank, self._if_dyn_ctx))
         idx = np.concatenate([part.idx for part, _ctx in parts]) \
@@ -1063,46 +1103,43 @@ class PartitionedAssembler:
         stalled = reuse_tol < self._first_reuse_tol
         tol = self.bypass_tol
         step_id = self.stats["steps"]
-        seg_max = None
-        if self._blocks and tol > 0.0 \
-                and self._step["analysis"] == "tran":
-            seg_max = np.maximum.reduceat(
-                np.abs(x[self._scope_all] - self._frozen_x_all),
-                self._seg_starts)
-        for i, st in enumerate(self._blocks):
-            if st.bypassed:
-                if seg_max[i] <= tol and not stalled:
-                    continue
-                st.bypassed = False
-                if st.static_step != step_id:
-                    # bypassed since begin_step: stamp the static
-                    # phase it skipped and move it to the active
-                    # column (an intra-step re-frozen block keeps its
-                    # fresh static phase and was already counted)
-                    self._stamp_static(st.static_ctx, st.static_els,
-                                       self._step)
-                    st.static_dirty = True
-                    st.static_step = step_id
-                    self.stats["bypass_promotions"] += 1
-                    self.stats["block_steps_bypassed"] -= 1
-                    self.stats["block_steps_active"] += 1
-                    step = self._step
-                    if (self._bank is not None and st.bank.idx.size
-                            and step["analysis"] == "tran"
-                            and step["dt"] is not None
-                            and step["x_prev"] is not None):
-                        self._bank.refresh_charges(step["x_prev"],
-                                                   st.bank.idx)
-            elif (seg_max is not None and not stalled
-                    and st.frozen is not None
-                    and st.frozen["step"] == step_id
-                    and seg_max[i] <= tol):
-                # the last solve froze this block's contribution at a
-                # linearisation point the iterate has not left: reuse
-                # it instead of re-stamping and re-factorising
-                st.bypassed = True
-                self.stats["intra_step_refreezes"] += 1
-                continue
+        bypassed = self._bypassed
+        if (self._blocks and tol > 0.0 and not stalled
+                and self._step["analysis"] == "tran"):
+            still = self._within_tol(x, self._frozen_x_all)
+        else:
+            still = np.zeros(bypassed.size, dtype=bool)
+        # the last solve froze these active blocks' contributions at a
+        # linearisation point the iterate has not left: reuse them
+        # instead of re-stamping and re-factorising
+        refreeze = ~bypassed & still & (self._fz_step == step_id)
+        promote = bypassed & ~still
+        self.stats["intra_step_refreezes"] += int(np.count_nonzero(refreeze))
+        for i in promote.nonzero()[0]:
+            st = self._blocks[i]
+            if st.static_step != step_id:
+                # bypassed since begin_step: stamp the static phase it
+                # skipped and move it to the active column (an
+                # intra-step re-frozen block keeps its fresh static
+                # phase and was already counted)
+                self._stamp_static(st.static_ctx, st.static_els,
+                                   self._step)
+                st.static_dirty = True
+                st.static_step = step_id
+                self.stats["bypass_promotions"] += 1
+                self.stats["block_steps_bypassed"] -= 1
+                self.stats["block_steps_active"] += 1
+                step = self._step
+                if (self._bank is not None and st.bank.idx.size
+                        and step["analysis"] == "tran"
+                        and step["dt"] is not None
+                        and step["x_prev"] is not None):
+                    self._bank.refresh_charges(step["x_prev"],
+                                               st.bank.idx)
+        bypassed = (bypassed & still) | refreeze
+        self._bypassed = bypassed
+        for i in (~bypassed).nonzero()[0]:
+            st = self._blocks[i]
             self._stamp_dynamic(st.dyn_ctx, st.dynamic_els, x,
                                 reuse_tol)
         self._stamp_dynamic(self._if_dyn_ctx, self._if_dynamic, x,
@@ -1182,27 +1219,28 @@ class PartitionedAssembler:
         if self._x is None:
             raise AnalysisError("iterate must be called before solve")
         blocks = self._blocks
+        bypassed = self._bypassed
         all_byp = (bool(blocks) and self.ng > 0
-                   and all(st.bypassed for st in blocks))
+                   and np.count_nonzero(bypassed) == bypassed.size)
         sig = None
         if all_byp:
-            _, s_val = self._if_static_ctx.triplets()
-            _, d_val = self._if_dyn_ctx.triplets()
             r_g = (self._if_static_ctx.rhs
                    + self._if_dyn_ctx.rhs)[self.gamma]
-            sig = tuple(st.frozen_version for st in blocks)
-            if (self._cache_x is not None and sig == self._cache_sig
-                    and np.array_equal(s_val, self._cache_sval)
-                    and np.array_equal(d_val, self._cache_dval)
-                    and np.array_equal(r_g, self._cache_r)):
+            sig = (self._fz_version.tobytes(), r_g.tobytes()) + tuple(
+                a.tobytes() for a in self._if_static_ctx.triplets()
+                + self._if_dyn_ctx.triplets())
+            if self._cache_x is not None and sig == self._cache_sig:
                 self.stats["interface_solve_reuses"] += 1
                 return self._cache_x.copy()
         S_base, r_base = self._interface_system()
-        contributions = []
-        for st in self._blocks:
-            if st.bypassed:
-                contributions.append((st, st.frozen))
-                continue
+        step = self._step
+        x_prev = step["x_prev"]
+        key = (-1 if x_prev is None else self._keys.setdefault(
+            (step["analysis"], step["method"], step["gmin"],
+             step["source_scale"]), len(self._keys)))
+        active = []
+        for i in (~bypassed).nonzero()[0]:
+            st = blocks[i]
             solve_stacked, E, F, C, r_int, r_bd, reusable = st.system()
             fz0 = st.frozen
             if (reusable and fz0 is not None
@@ -1222,56 +1260,47 @@ class PartitionedAssembler:
                 y = sol[:, 0]
                 X = sol[:, 1:]
                 s_add = C - F @ X
-            x_prev = self._step["x_prev"]
-            frozen = {
-                "key": (self._step["analysis"], self._step["method"],
-                        self._step["gmin"],
-                        self._step["source_scale"]),
-                "dt": self._step["dt"],
-                "x_prev_valid": x_prev is not None,
-                "src_vals": tuple(el.waveform.value(self._step["time"])
+            st.frozen = {
+                "src_vals": tuple(el.waveform.value(step["time"])
                                   for el in st.wave_els)
-                if self._step["time"] is not None else (),
+                if step["time"] is not None else (),
                 "y": y, "X": X,
                 "s_add": s_add,
                 "r_contrib": r_bd - F @ y,
-                "age": 0,
-                "step": self.stats["steps"],
                 "sys_serial": st.sys_serial,
             }
+            self._fz_key[i] = key
+            self._fz_dt[i] = np.nan if step["dt"] is None else step["dt"]
+            self._fz_age[i] = 0
+            self._fz_step[i] = self.stats["steps"]
+            self._fz_version[i] += 1
+            self._refreezes += 1
             self._frozen_x_all[st.seg] = self._x[st.scope]
             if x_prev is not None:
                 self._frozen_xp_all[st.seg] = x_prev[st.scope]
-            st.frozen = frozen
-            st.frozen_version += 1
             self._y_all[st.iseg] = y
             if self._bsub is not None and st.nb:
                 self._bsub.data[st.dseg] = X.ravel()
-            contributions.append((st, frozen))
+            active.append(st)
         x_new = np.empty(self.n)
         if self.ng == 0:
-            for st, fz in contributions:
-                x_new[st.block.internal] = fz["y"]
+            for st in blocks:
+                x_new[st.block.internal] = st.frozen["y"]
             return x_new
-        x_g = self._solve_interface(S_base, r_base, contributions)
+        x_g = self._solve_interface(S_base, r_base, active)
         x_new[self.gamma] = x_g
         if self._bsub is not None:
             x_new[self._internal_all] = self._y_all - self._bsub @ x_g
         else:
-            for st, fz in contributions:
+            for st in blocks:
+                fz = st.frozen
                 if st.nb:
                     x_new[st.block.internal] = \
                         fz["y"] - fz["X"] @ x_g[st.gpos]
                 else:
                     x_new[st.block.internal] = fz["y"]
         if all_byp:
-            # triplets() returns views into reused stamp buffers;
-            # cache copies so the next iteration can compare against
-            # them after the contexts are cleared and restamped
             self._cache_sig = sig
-            self._cache_sval = s_val.copy()
-            self._cache_dval = d_val.copy()
-            self._cache_r = r_g
             self._cache_x = x_new.copy()
         return x_new
 
@@ -1280,13 +1309,14 @@ class PartitionedAssembler:
         across iterations and steps (a quiescent circuit re-scatters
         nothing): invalidated only when the bypassed set or one of its
         frozen factorizations changes."""
-        sig = tuple((i, st.frozen_version)
-                    for i, st in enumerate(self._blocks) if st.bypassed)
+        bypassed = self._bypassed
+        sig = (bypassed.tobytes(), self._fz_version[bypassed].tobytes())
         if sig != self._frozen_sig:
             S = np.zeros((self.ng, self.ng))
             r = np.zeros(self.ng)
-            for st in self._blocks:
-                if st.bypassed and st.nb:
+            for i in bypassed.nonzero()[0]:
+                st = self._blocks[i]
+                if st.nb:
                     fz = st.frozen
                     S[np.ix_(st.gpos, st.gpos)] += fz["s_add"]
                     r[st.gpos] += fz["r_contrib"]
@@ -1296,12 +1326,13 @@ class PartitionedAssembler:
         return self._frozen_S, self._frozen_r
 
     def _solve_interface(self, S_base: np.ndarray, r_base: np.ndarray,
-                         contributions) -> np.ndarray:
+                         active: List[_BlockState]) -> np.ndarray:
         S_fz, r_fz = self._frozen_sums()
         S = S_base + S_fz
         r = r_base + r_fz
-        for st, fz in contributions:
-            if st.nb and not st.bypassed:
+        for st in active:
+            if st.nb:
+                fz = st.frozen
                 S[np.ix_(st.gpos, st.gpos)] += fz["s_add"]
                 r[st.gpos] += fz["r_contrib"]
         return np.linalg.solve(S, r)

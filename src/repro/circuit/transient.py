@@ -93,15 +93,27 @@ def _collect_breakpoints(circuit: Circuit, tstop: float) -> List[float]:
     return sorted(times)
 
 
-def _stateful_elements(circuit: Circuit) -> List:
-    """Elements whose ``accept_step`` actually commits state.
+def _step_commits(circuit: Circuit) -> List:
+    """Callables committing the elements' per-step state from a
+    context: one per class that vectorizes it
+    (:meth:`Element.accept_group`), else one ``accept_step`` per
+    element.
 
-    Most elements inherit the base no-op; a 32-bit adder is ~1200
-    elements of which ~30 (the trap capacitors / inductors) keep
-    per-step state, so skipping the no-ops removes the dominant
-    Python-call cost of step acceptance."""
-    return [el for el in circuit.elements
-            if type(el).accept_step is not Element.accept_step]
+    Most elements inherit the base no-op ``accept_step`` and are
+    skipped: a 32-bit adder is ~1200 elements of which ~30 (the trap
+    capacitors) keep per-step state, committed in one vector update."""
+    by_class: Dict[type, List[Element]] = {}
+    for el in circuit.elements:
+        if type(el).accept_step is not Element.accept_step:
+            by_class.setdefault(type(el), []).append(el)
+    commits: List = []
+    for cls, elements in by_class.items():
+        group = cls.accept_group(elements, circuit.node_index)
+        if group is not None:
+            commits.append(group)
+        else:
+            commits.extend(el.accept_step for el in elements)
+    return commits
 
 
 def _trace_dataset(circuit: Circuit, times: Sequence[float],
@@ -320,7 +332,7 @@ class _ScalarRun:
             node_index=circuit.node_index, x=x, analysis="tran",
             method=method,
         )
-        self._accepting = _stateful_elements(circuit)
+        self._commits = _step_commits(circuit)
 
     def newton(self, time: float, dt: float,
                x_start: Optional[np.ndarray] = None
@@ -344,8 +356,8 @@ class _ScalarRun:
         ctx.time = t
         ctx.dt = step
         ctx.x_prev = self.x[0]
-        for el in self._accepting:
-            el.accept_step(ctx)
+        for commit in self._commits:
+            commit(ctx)
         self.recorder.record(t, x_new[0])
         self.x = x_new
         self.stats["steps"] = self.stats.get("steps", 0) + 1

@@ -31,7 +31,7 @@ Seams (the strings call sites pass to :func:`fire`):
     (DC) or step rejection (transient) then absorb.
 ``kernel.backend``
     The compiled kernel tier fails to resolve; the numpy reference
-    backend (byte-identical by the kernels contract) is returned
+    backend (equal within the kernel parity contract) is returned
     instead.
 ``service.transport``
     :class:`repro.service.ServiceClient` sees a transport-level

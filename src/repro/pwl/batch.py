@@ -461,25 +461,32 @@ class StackedVscSolver:
         self._lanes = np.arange(n_lanes)
 
     def solve(self, vgs: np.ndarray, vds: np.ndarray, hint: np.ndarray,
-              idx: Optional[np.ndarray] = None,
-              stats=None) -> np.ndarray:
+              idx: Optional[np.ndarray] = None, stats=None,
+              table: Optional[np.ndarray] = None) -> np.ndarray:
         """VSC per lane (source-referenced, n-frame biases).
 
         ``idx`` selects a lane subset (``vgs``/``vds`` then carry one
         entry per selected lane).  ``hint`` is the full per-lane hint
-        array, updated in place at the solved entries.  ``stats``
-        (optional dict) accumulates ``"stacked_lanes"`` and
+        array, updated in place at the solved entries.  ``table``
+        (optional) maps many hint entries onto few solver lanes — a
+        bank of devices sharing tables: ``hint`` and ``idx`` then count
+        table entries, and entry ``i`` solves on lane ``table[i]``.
+        ``stats`` (optional dict) accumulates ``"stacked_lanes"`` and
         ``"stacked_fallbacks"`` counters.
         """
         from repro.pwl.kernels import active_kernel_backend
-        rows = self._lanes if idx is None else idx
+        if table is None:
+            pos = rows = self._lanes if idx is None else idx
+        else:
+            pos = np.arange(table.size) if idx is None else idx
+            rows = table[pos]
         n = len(rows)
         out = np.empty(n)
         # The vectorized (or compiled) region solve lives in the kernel
         # tier; it fills ``out`` and reports the selection positions
         # that still need the exact scalar fallback.
         bad = active_kernel_backend().vsc_solve(
-            self, rows, idx, vgs, vds, hint, out)
+            self, rows, vgs, vds, hint[pos], out)
         for k in bad:
             out[k] = self.solvers[int(rows[k])].solve(
                 float(vgs[k]), float(vds[k]), 0.0)
@@ -487,7 +494,7 @@ class StackedVscSolver:
             stats["stacked_lanes"] = stats.get("stacked_lanes", 0) + n
             stats["stacked_fallbacks"] = \
                 stats.get("stacked_fallbacks", 0) + bad.size
-        hint[rows] = out
+        hint[pos] = out
         return out
 
 

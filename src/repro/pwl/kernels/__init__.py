@@ -1,22 +1,22 @@
 """Kernel tiers for the stacked hot path.
 
-The lane-batched engine funnels through three measured hot kernels —
-the :class:`~repro.pwl.batch.StackedVscSolver` region solve, the
-stacked CNFET companion-bank evaluation, and the scatter-add stamping
-in the assemblers.  Each has two interchangeable implementations:
+The engines funnel through three measured hot kernels — the
+:class:`~repro.pwl.batch.StackedVscSolver` region solve, the fused
+CNFET bank stamp (``bank_stamp``: bias gather, chord check, VSC
+solve, companion, ``q_prev`` seeding and scatter in one call per
+Newton iteration), and the scatter-add stamping in the assemblers.
+Each has two interchangeable implementations:
 
 ``numpy``
-    The historical vectorized code, moved verbatim to
-    :mod:`repro.pwl.kernels.numpy_backend` — byte-identical waveforms,
-    zero dependencies.
+    Vectorized numpy (:mod:`repro.pwl.kernels.numpy_backend`) — the
+    parity reference, zero dependencies.
 
 ``compiled`` (alias ``cc``)
     Per-lane loops compiled by the system C compiler and loaded
-    through ctypes (``cc_backend``).  Same arithmetic lane for lane;
-    transcendentals may differ from numpy's SIMD ufuncs by a few ulp,
-    bounded engine-side to <= 1e-12 V on waveforms (the bench parity
-    gate).  It also carries the frozen-pivot sparse LU refactorization
-    lane.
+    through ctypes (``cc_backend``).  The same quantities lane for
+    lane, to rounding: <= 1e-12 V on the VSC solve and 1e-12 relative
+    on the bank stamp (the parity tests).  It also carries the
+    frozen-pivot sparse LU refactorization lane.
 
 Selection mirrors the sparse linear-solver resolve pattern
 (:func:`repro.circuit.solvers.resolve_backend`): ``auto`` prefers the
@@ -99,8 +99,8 @@ def resolve_kernel_backend(spec: KernelBackendLike = None):
             return resolve_kernel_backend(env)
         if faults.fire("kernel.backend"):
             # Injected compiled-tier probe failure: auto resolution
-            # degrades to the numpy reference tier, byte-identical by
-            # the kernels contract (docs/robustness.md).
+            # degrades to the numpy reference tier, equal within the
+            # kernel parity contract (docs/robustness.md).
             return _get_numpy_backend()
         backend = _get_compiled_backend()
         return backend if backend is not None else _get_numpy_backend()

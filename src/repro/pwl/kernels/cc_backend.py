@@ -27,9 +27,8 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -118,49 +117,37 @@ def _build_library() -> ctypes.CDLL:
 
 
 def _declare(lib: ctypes.CDLL) -> None:
-    c_idx = ctypes.c_int64
-    p_d = ctypes.POINTER(ctypes.c_double)
-    p_i = ctypes.POINTER(ctypes.c_int64)
-    lib.stacked_vsc_solve.restype = c_idx
-    lib.stacked_vsc_solve.argtypes = [
-        c_idx, p_i, p_d, p_d, p_d, p_d, p_d, p_d, p_d, p_d, p_d,
-        c_idx, p_d, p_d, p_i,
-    ]
-    lib.cnfet_companion.restype = None
-    lib.cnfet_companion.argtypes = [
-        c_idx, p_i, p_d, p_d, p_d, p_d, p_d, p_d, p_d, p_d, p_d, p_d,
-        p_d, p_d, p_d, p_d, c_idx, c_idx, p_d,
-        ctypes.c_double, ctypes.c_int, ctypes.c_double, p_d, p_d,
-    ]
+    # every pointer is a c_void_p taking a buffer address (_address)
+    i, p = ctypes.c_int64, _VP
+    lib.stacked_vsc_solve.restype = i
+    lib.stacked_vsc_solve.argtypes = [i] + [p] * 10 + [i, p, p, p]
+    lib.bank_stamp.restype = i
+    lib.bank_stamp.argtypes = [ctypes.POINTER(_Bank),
+                               ctypes.POINTER(_StampCall)]
     lib.scatter_add_pad.restype = None
-    lib.scatter_add_pad.argtypes = [p_d, c_idx, p_i, p_d, c_idx]
-    lib.triplet_append.restype = c_idx
-    lib.triplet_append.argtypes = [p_i, p_d, c_idx, c_idx, p_i, p_d]
+    lib.scatter_add_pad.argtypes = [p, i, p, p, i]
+    lib.triplet_append.restype = i
+    lib.triplet_append.argtypes = [p, p, i, i, p, p]
     lib.scatter_accum.restype = None
-    lib.scatter_accum.argtypes = [p_d, p_i, p_d, c_idx]
-    lib.lu_refactor.restype = c_idx
-    lib.lu_refactor.argtypes = [
-        c_idx, p_i, p_i, p_d, p_i, p_i,
-        p_i, p_i, p_d, p_i, p_i, p_d, p_d,
-    ]
+    lib.scatter_accum.argtypes = [p, p, p, i]
+    lib.lu_refactor.restype = i
+    lib.lu_refactor.argtypes = [i] + [p] * 12
     lib.lu_solve_factored.restype = None
-    lib.lu_solve_factored.argtypes = [
-        c_idx, p_i, p_i, p_d, p_i, p_i, p_d, p_i, p_i, p_d, p_d, p_d,
-    ]
+    lib.lu_solve_factored.argtypes = [i] + [p] * 11
     lib.csc_residual_inf.restype = ctypes.c_double
-    lib.csc_residual_inf.argtypes = [c_idx, p_i, p_i, p_d, p_d, p_d, p_d]
+    lib.csc_residual_inf.argtypes = [i] + [p] * 6
 
 
-_P_D = ctypes.POINTER(ctypes.c_double)
-_P_I = ctypes.POINTER(ctypes.c_int64)
-
-
-def _pd(a: np.ndarray):
-    return a.ctypes.data_as(_P_D)
-
-
-def _pi(a: np.ndarray):
-    return a.ctypes.data_as(_P_I)
+def _address(a: np.ndarray) -> int:
+    """Buffer address of a C-contiguous array (a quarter of the cost of
+    ``a.ctypes.data`` for writable ones)."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        # read-only or empty buffers
+        if not a.flags.c_contiguous:
+            raise ValueError("kernel buffers must be C-contiguous")
+        return a.ctypes.data
 
 
 def _as_f64(a: np.ndarray) -> np.ndarray:
@@ -171,38 +158,105 @@ def _as_i64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-class _PtrCache:
-    """Identity-keyed LRU of ctypes pointers.
+_VP = ctypes.c_void_p
 
-    ``ndarray.ctypes.data_as`` costs ~8 us per call; a hot solve
-    marshals ~20 *persistent* arrays (solver/bank parameter tables)
-    per Newton iteration, so their pointers are cached by object
-    identity.  The cache holds a strong reference to each keyed array,
-    which both pins the buffer and keeps the id stable; per-call
-    arrays simply churn through the LRU tail.
-    """
 
-    def __init__(self, cap: int = 128) -> None:
-        self._cap = cap
-        self._map: "OrderedDict" = OrderedDict()
+class _Bank(ctypes.Structure):
+    """``bank_t`` of ``_kernels.c``: a bank's persistent arrays."""
 
-    def _get(self, a: np.ndarray, typ):
-        key = (id(a), typ is _P_I)
-        hit = self._map.get(key)
-        if hit is not None and hit[0] is a:
-            self._map.move_to_end(key)
-            return hit[1]
-        p = a.ctypes.data_as(typ)
-        self._map[key] = (a, p)
-        if len(self._map) > self._cap:
-            self._map.popitem(last=False)
-        return p
+    _fields_ = [("p", ctypes.c_int64), ("gather", _VP), ("table", _VP)] + [
+        (name, _VP) for name in (
+            "sign", "length", "kt", "ef", "pref", "cg", "cd", "csum")
+    ] + [("s_kbps", ctypes.c_int64)] + [
+        (name, _VP) for name in (
+            "s_bps", "s_lo", "s_hi", "s_polys", "s_cg", "s_cd", "s_csum")
+    ] + [("c_kbps", ctypes.c_int64)] + [
+        (name, _VP) for name in (
+            "c_bps", "c_coeffs", "c_dcoeffs", "hint", "q_prev",
+            "memo_vgs", "memo_vds", "memo_values", "memo_valid",
+            "vgs", "vds", "vsc", "bad")
+    ]
 
-    def pd(self, a: np.ndarray):
-        return self._get(a, _P_D)
 
-    def pi(self, a: np.ndarray):
-        return self._get(a, _P_I)
+class _StampCall(ctypes.Structure):
+    """``stamp_call_t`` of ``_kernels.c``: one call's arguments."""
+
+    _fields_ = [
+        ("n", ctypes.c_int64), ("idx", _VP), ("x", _VP),
+        ("gmin", ctypes.c_double), ("dt", ctypes.c_double),
+        ("radius", ctypes.c_double),
+        ("tran", ctypes.c_int32), ("seed", ctypes.c_int32),
+        ("charges_only", ctypes.c_int32), ("pass_", ctypes.c_int32),
+        ("chord", ctypes.c_int32),
+        ("n_sub", ctypes.c_int64), ("sub", _VP),
+        ("m_out", _VP), ("m_map", _VP), ("m_size", ctypes.c_int64),
+        ("r_out", _VP), ("r_map", _VP), ("r_size", ctypes.c_int64),
+        ("values", _VP), ("rhs", _VP),
+    ]
+
+
+class _BankBinding:
+    """A bank's :class:`_Bank` pointer table, built once per bank: the
+    bank's arrays are persistent (updated in place), so only the
+    per-call fields of :class:`_StampCall` change between calls."""
+
+    def __init__(self, bank) -> None:
+        p = bank.p
+        self.vgs = np.empty(p)
+        self.vds = np.empty(p)
+        self.vsc = np.empty(p)
+        self.bad = np.empty(p, dtype=np.int64)
+        solver, curves = bank.solver, bank.curves
+        arrays = {
+            "gather": bank.gather, "table": bank.table,
+            "sign": bank.sign,
+            "length": bank.length, "kt": bank.kt, "ef": bank.ef,
+            "pref": bank.pref, "cg": bank.cg, "cd": bank.cd,
+            "csum": bank.csum, "s_bps": solver.bps,
+            "s_lo": solver.lo_edges, "s_hi": solver.hi_edges,
+            "s_polys": solver.polys, "s_cg": solver.cg,
+            "s_cd": solver.cd, "s_csum": solver.csum,
+            "c_bps": curves.bps, "c_coeffs": curves.coeffs,
+            "c_dcoeffs": curves.dcoeffs, "hint": bank.hint,
+            "q_prev": bank.q_prev, "memo_vgs": bank.memo_vgs,
+            "memo_vds": bank.memo_vds, "memo_values": bank.memo_values,
+            "memo_valid": bank.memo_valid, "vgs": self.vgs,
+            "vds": self.vds, "vsc": self.vsc, "bad": self.bad,
+        }
+        for name, array in arrays.items():
+            dtype = np.int64 if name in ("gather", "table", "bad") \
+                else np.bool_ if name == "memo_valid" else np.float64
+            if array.dtype != dtype or not array.flags.c_contiguous:
+                raise ValueError(f"bank array {name} must be C-contiguous "
+                                 f"{np.dtype(dtype).name}")
+        #: pins every bound buffer for the binding's lifetime
+        self._arrays = arrays
+        self.p = p
+        #: iterate size the gather table reads up to
+        self.x_size = int(bank.gather.max(initial=-1)) + 1
+        self.bank = _Bank(p=p, s_kbps=solver.bps.shape[1],
+                          c_kbps=curves.bps.shape[1],
+                          **{name: array.ctypes.data
+                             for name, array in arrays.items()})
+        self.call = _StampCall()
+        self.bank_ref = ctypes.byref(self.bank)
+        self.call_ref = ctypes.byref(self.call)
+        self._maps = None
+
+    def bind_maps(self, m_map: np.ndarray, r_map: np.ndarray) -> None:
+        """Point the call at a target's index maps (persistent per
+        consumer and analysis mode, so rebinding is rare)."""
+        if self._maps is None or self._maps[0] is not m_map \
+                or self._maps[1] is not r_map:
+            m_buf, r_buf = _as_i64(m_map), _as_i64(r_map)
+            if m_buf.shape != (17, self.p) or r_buf.shape != (5, self.p) \
+                    or m_buf.min(initial=0) < 0 or r_buf.min(initial=0) < 0:
+                raise ValueError("bank stamp maps must be non-negative "
+                                 "(17, P) / (5, P) index tables")
+            # the converted buffers stay pinned with the keys
+            self._maps = (m_map, r_map, m_buf, r_buf)
+            self.call.m_map = _address(m_buf)
+            self.call.r_map = _address(r_buf)
 
 
 class CcKernelBackend:
@@ -213,66 +267,102 @@ class CcKernelBackend:
 
     def __init__(self) -> None:
         self._lib = build_library()
-        self._ptrs = _PtrCache()
-        self._aranges: dict = {}
-
-    def _all_rows(self, n: int) -> np.ndarray:
-        """Cached ``arange(n)`` row selection (an all-devices call)."""
-        rows = self._aranges.get(n)
-        if rows is None:
-            rows = self._aranges[n] = np.arange(n, dtype=np.int64)
-        return rows
 
     # -- kernel 1: stacked VSC solve -----------------------------------
 
-    def vsc_solve(self, solver, rows: np.ndarray, idx, vgs: np.ndarray,
-                  vds: np.ndarray, hint: np.ndarray,
+    def vsc_solve(self, solver, rows: np.ndarray, vgs: np.ndarray,
+                  vds: np.ndarray, probe: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
         n = len(rows)
         rows64 = _as_i64(rows)
         vgs = _as_f64(vgs)
         vds = _as_f64(vds)
+        probe = _as_f64(probe)
         bad = np.empty(n, dtype=np.int64)
-        cp = self._ptrs
+        a = _address
         n_bad = self._lib.stacked_vsc_solve(
-            n, cp.pi(rows64), _pd(vgs), _pd(vds),
-            cp.pd(solver.bps), cp.pd(solver.lo_edges),
-            cp.pd(solver.hi_edges), cp.pd(solver.polys),
-            cp.pd(solver.cg), cp.pd(solver.cd),
-            cp.pd(solver.csum), solver.bps.shape[1],
-            cp.pd(hint), _pd(out), _pi(bad),
+            n, a(rows64), a(vgs), a(vds),
+            a(solver.bps), a(solver.lo_edges), a(solver.hi_edges),
+            a(solver.polys), a(solver.cg), a(solver.cd), a(solver.csum),
+            solver.bps.shape[1], a(probe), a(out), a(bad),
         )
         return bad[:n_bad]
 
-    # -- kernel 2: stacked companion bank evaluation -------------------
+    # -- kernel 2: fused CNFET bank stamp ------------------------------
 
-    def cnfet_companion(self, bank, didx: Optional[np.ndarray],
-                        vsc: np.ndarray, vgs: np.ndarray,
-                        vds: np.ndarray, gmin: float, tran: bool, dt
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        n = vsc.size
-        didx64 = self._all_rows(n) if didx is None else _as_i64(didx)
-        vsc = _as_f64(vsc)
-        vgs = _as_f64(vgs)
-        vds = _as_f64(vds)
-        curves = bank.curves
-        values = np.empty((17 if tran else 8, n))
-        rhs_values = np.empty((5 if tran else 2, n))
-        cp = self._ptrs
-        self._lib.cnfet_companion(
-            n, cp.pi(didx64), _pd(vsc), _pd(vgs), _pd(vds),
-            cp.pd(bank.sign), cp.pd(bank.length), cp.pd(bank.kt),
-            cp.pd(bank.ef), cp.pd(bank.pref), cp.pd(bank.cg),
-            cp.pd(bank.cd), cp.pd(bank.csum),
-            cp.pd(curves.bps), cp.pd(curves.coeffs),
-            cp.pd(curves.dcoeffs),
-            curves.bps.shape[0], curves.bps.shape[1],
-            cp.pd(bank.q_prev),
-            float(gmin), int(bool(tran)),
-            float(dt) if dt is not None else 0.0,
-            _pd(values), _pd(rhs_values),
-        )
-        return values, rhs_values
+    def bank_stamp(self, bank, x: np.ndarray, idx: Optional[np.ndarray],
+                   *, gmin: float = 0.0, tran: bool = False,
+                   dt: Optional[float] = None, radius: float = 0.0,
+                   seed_qprev: bool = False, target=None,
+                   charges_only: bool = False):
+        """The numpy tier's :meth:`bank_stamp` as one C call (two when
+        a lane needs the exact scalar VSC fallback)."""
+        binding = bank.kernel_state.get(self.name)
+        if binding is None:
+            binding = bank.kernel_state[self.name] = _BankBinding(bank)
+        call = binding.call
+        n = bank.p if idx is None else len(idx)
+        x = _as_f64(x)
+        if x.size < binding.x_size:
+            raise ValueError(f"iterate of size {x.size} is too short for "
+                             f"the bank's gather table ({binding.x_size})")
+        call.n = n
+        call.x = _address(x)
+        if idx is None:
+            call.idx = None
+        else:
+            idx = _as_i64(idx)
+            if n and (idx.min() < 0 or idx.max() >= bank.p):
+                raise ValueError("bank device selection out of range")
+            call.idx = _address(idx)
+        call.gmin = gmin
+        call.dt = dt if dt is not None else 0.0
+        call.radius = radius
+        call.tran = tran
+        call.seed = seed_qprev
+        call.charges_only = charges_only
+        call.pass_ = 0
+        out = None
+        if target is not None:
+            m_out, m_map, r_out, r_map = target
+            if m_out.dtype != np.float64 or r_out.dtype != np.float64:
+                raise ValueError("bank stamp targets must be float64")
+            binding.bind_maps(m_map, r_map)
+            # written in place: _address rejects a non-contiguous view
+            call.m_out = _address(m_out)
+            call.m_size = m_out.size
+            call.r_out = _address(r_out)
+            call.r_size = r_out.size
+            call.values = call.rhs = None
+        else:
+            call.m_out = call.r_out = None
+            if charges_only:
+                call.values = call.rhs = None
+            else:
+                out = (np.empty((17 if tran else 8, n)),
+                       np.empty((5 if tran else 2, n)))
+                call.values = _address(out[0])
+                call.rhs = _address(out[1])
+        n_bad = self._lib.bank_stamp(binding.bank_ref, binding.call_ref)
+        if n_bad:
+            # exact scalar fallback for the lanes whose region drifted,
+            # then a second pass over just those lanes
+            bad = binding.bad[:n_bad]
+            rows = bank.table[bad if idx is None else idx[bad]]
+            solvers = bank.solver.solvers
+            for k, r in zip(bad.tolist(), rows.tolist()):
+                binding.vsc[k] = solvers[r].solve(
+                    float(binding.vgs[k]), float(binding.vds[k]), 0.0)
+            call.pass_ = 1
+            call.n_sub = n_bad
+            call.sub = _address(bad)
+            self._lib.bank_stamp(binding.bank_ref, binding.call_ref)
+        stats = bank.stats
+        if stats is not None:
+            stats["stacked_lanes"] = stats.get("stacked_lanes", 0) + n
+            stats["stacked_fallbacks"] = \
+                stats.get("stacked_fallbacks", 0) + n_bad
+        return out
 
     # -- kernel 3: scatter-add stamping --------------------------------
 
@@ -280,8 +370,9 @@ class CcKernelBackend:
                         m_val: np.ndarray) -> None:
         m_idx = _as_i64(m_idx)
         m_val = _as_f64(m_val)
-        self._lib.scatter_add_pad(_pd(out), out.size, _pi(m_idx),
-                                  _pd(m_val), m_idx.size)
+        self._lib.scatter_add_pad(_address(out), out.size,
+                                  _address(m_idx), _address(m_val),
+                                  m_idx.size)
 
     def triplet_append(self, m_idx: np.ndarray, m_val: np.ndarray,
                        dim2: int, out_idx: np.ndarray,
@@ -289,8 +380,8 @@ class CcKernelBackend:
         m_idx = _as_i64(m_idx)
         m_val = _as_f64(m_val)
         kept = self._lib.triplet_append(
-            _pi(m_idx), _pd(m_val), m_idx.size, dim2,
-            _pi(out_idx[offset:]), _pd(out_val[offset:]),
+            _address(m_idx), _address(m_val), m_idx.size, dim2,
+            _address(out_idx[offset:]), _address(out_val[offset:]),
         )
         return int(kept)
 
@@ -299,8 +390,8 @@ class CcKernelBackend:
         data = base.copy()
         map_idx = _as_i64(map_idx)
         values = _as_f64(values)
-        self._lib.scatter_accum(_pd(data), _pi(map_idx), _pd(values),
-                                map_idx.size)
+        self._lib.scatter_accum(_address(data), _address(map_idx),
+                                _address(values), map_idx.size)
         return data
 
     # -- kernel 4: frozen-pivot LU refactorization ---------------------
@@ -314,24 +405,21 @@ class CcKernelBackend:
         contiguous).  Returns 0 on success, a 1-based column index on
         a zero pivot — the caller refreshes the symbolics.
         """
-        cp = self._ptrs
+        a = _address
         return int(self._lib.lu_refactor(
-            sym.n, cp.pi(sym.indptr), cp.pi(sym.indices), _pd(data),
-            cp.pi(sym.pr), cp.pi(sym.pcinv),
-            cp.pi(sym.lp), cp.pi(sym.li), cp.pd(sym.lx),
-            cp.pi(sym.up), cp.pi(sym.ui), cp.pd(sym.ux),
-            cp.pd(sym.work)))
+            sym.n, a(sym.indptr), a(sym.indices), a(data), a(sym.pr),
+            a(sym.pcinv), a(sym.lp), a(sym.li), a(sym.lx), a(sym.up),
+            a(sym.ui), a(sym.ux), a(sym.work)))
 
     def lu_solve(self, sym, rhs: np.ndarray) -> np.ndarray:
         """Permute-forward-backward solve from ``lu_refactor``."""
         rhs = _as_f64(rhs)
         out = np.empty(sym.n)
-        cp = self._ptrs
+        a = _address
         self._lib.lu_solve_factored(
-            sym.n, cp.pi(sym.lp), cp.pi(sym.li), cp.pd(sym.lx),
-            cp.pi(sym.up), cp.pi(sym.ui), cp.pd(sym.ux),
-            cp.pi(sym.prinv), cp.pi(sym.pc),
-            _pd(rhs), _pd(out), cp.pd(sym.work))
+            sym.n, a(sym.lp), a(sym.li), a(sym.lx), a(sym.up), a(sym.ui),
+            a(sym.ux), a(sym.prinv), a(sym.pc), a(rhs), a(out),
+            a(sym.work))
         return out
 
     def csc_residual(self, sym, data: np.ndarray, x: np.ndarray,
@@ -339,7 +427,7 @@ class CcKernelBackend:
         """``max|A x - rhs|`` — the staleness guard of the lane."""
         x = _as_f64(x)
         rhs = _as_f64(rhs)
-        cp = self._ptrs
+        a = _address
         return float(self._lib.csc_residual_inf(
-            sym.n, cp.pi(sym.indptr), cp.pi(sym.indices), _pd(data),
-            _pd(x), _pd(rhs), cp.pd(sym.work)))
+            sym.n, a(sym.indptr), a(sym.indices), a(data), a(x), a(rhs),
+            a(sym.work)))

@@ -1,12 +1,10 @@
-"""Pure-numpy kernel tier — the byte-identical reference.
+"""Pure-numpy kernel tier — the parity reference.
 
-These are the vectorized implementations the engine has always run
-(moved here verbatim from ``StackedVscSolver.solve``,
-``CNFETBank.companion`` and the ``add_flat`` stamping primitives), so
-selecting ``kernels="numpy"`` reproduces the historical waveforms bit
-for bit.  The compiled tier (:mod:`repro.pwl.kernels.cc_backend`)
-mirrors this arithmetic lane by lane; see :doc:`/kernels` for the
-parity contract.
+The vectorized implementations of the ``StackedVscSolver.solve``
+region solve, the ``CNFETBank`` companion / chord evaluation and the
+``add_flat`` stamping primitives.  The compiled tier
+(:mod:`repro.pwl.kernels.cc_backend`) mirrors this arithmetic lane by
+lane; see :doc:`/kernels` for the parity contract.
 """
 
 from __future__ import annotations
@@ -34,21 +32,21 @@ class NumpyKernelBackend:
 
     # -- kernel 1: stacked VSC solve -----------------------------------
 
-    def vsc_solve(self, solver, rows: np.ndarray,
-                  idx: Optional[np.ndarray], vgs: np.ndarray,
-                  vds: np.ndarray, hint: np.ndarray,
+    def vsc_solve(self, solver, rows: np.ndarray, vgs: np.ndarray,
+                  vds: np.ndarray, probe: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
-        """Two hint-warmed attempts for every selected lane; fills
-        ``out`` and returns the selection positions that still need the
-        scalar fallback."""
-        bps = solver.bps[rows] if idx is not None else solver.bps
-        sub = np.arange(len(rows)) if idx is not None else rows
+        """Two hint-warmed attempts for every selected lane (solver
+        lanes ``rows``, warm-start hints ``probe``); fills ``out`` and
+        returns the selection positions that still need the scalar
+        fallback."""
+        bps = solver.bps[rows]
         n = len(rows)
+        sub = np.arange(n)
         vds_q = np.floor(vds * _STACK_VDS_SCALE + 0.5) * _STACK_VDS_QUANTUM
         qt = (solver.cg[rows] * vgs + solver.cd[rows] * vds) \
             / solver.csum[rows]
         ok = np.zeros(n, dtype=bool)
-        probe_s = hint[rows]
+        probe_s = probe
         probe_d = probe_s + vds_q
         old_err = np.seterr(invalid="ignore", divide="ignore",
                             over="ignore")
@@ -96,78 +94,63 @@ class NumpyKernelBackend:
             np.seterr(**old_err)
         return np.flatnonzero(~ok)
 
-    # -- kernel 2: stacked companion bank evaluation -------------------
+    # -- kernel 2: fused CNFET bank stamp ------------------------------
 
-    def cnfet_companion(self, bank, didx: Optional[np.ndarray],
-                        vsc: np.ndarray, vgs: np.ndarray,
-                        vds: np.ndarray, gmin: float, tran: bool,
-                        dt: Optional[float]
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked companion stamp values around the given biases for
-        the bank devices ``didx`` (``None``: all of them; see
-        :class:`~repro.circuit.elements.cnfet.CNFETBank` for the
-        kind-row table)."""
-        from repro.circuit.elements.cnfet import _logistic_many
-        from repro.pwl.device import _log1pexp_many
+    def bank_stamp(self, bank, x: np.ndarray, idx: Optional[np.ndarray],
+                   *, gmin: float = 0.0, tran: bool = False,
+                   dt: Optional[float] = None, radius: float = 0.0,
+                   seed_qprev: bool = False, target=None,
+                   charges_only: bool = False):
+        """One per-iteration stamp of the bank devices ``idx`` (``None``:
+        all of them) around iterate ``x``.
 
-        sel = slice(None) if didx is None else didx
-        sign = bank.sign[sel]
-        kt = bank.kt[sel]
-        eta_s = (bank.ef[sel] - vsc) / kt
-        eta_d = eta_s - vds / kt
-        pref = bank.pref[sel]
-        ids = pref * (_log1pexp_many(eta_s) - _log1pexp_many(eta_d))
-        sig_s = _logistic_many(eta_s)
-        sig_d = _logistic_many(eta_d)
-        di_dvsc = (pref / kt) * (sig_d - sig_s)
-        dq_s = bank.curves.derivative(vsc, idx=didx)
-        dq_d = bank.curves.derivative(vsc + vds, idx=didx)
-        cg, cd = bank.cg[sel], bank.cd[sel]
-        denominator = bank.csum[sel] - dq_s - dq_d
-        dvsc_g = -cg / denominator
-        dvsc_d = -(cd - dq_d) / denominator
-        gm = di_dvsc * dvsc_g
-        gds = (pref / kt) * sig_d + di_dvsc * dvsc_d
-        residual = sign * ids - gm * sign * vgs - gds * sign * vds
-        n_kinds = 17 if tran else 8
-        values = np.empty((n_kinds, vsc.size))
-        values[0] = gm
-        values[1] = -(gm + gmin)
-        values[2] = gds + gmin
-        values[3] = gm + gds + 2.0 * gmin
-        values[4] = -(gm + gds + gmin)
-        values[5] = -(gds + gmin)
-        values[6] = gmin
-        values[7] = -gmin
-        rhs_values = np.empty((5 if tran else 2, vsc.size))
-        rhs_values[0] = -residual
-        rhs_values[1] = residual
-        if tran:
-            # Charge companions (vectorized ``_stamp_charges``).
-            length = bank.length[sel]
-            q_d_mobile = bank.curves.value(vsc + vds, idx=didx)
-            qg = length * cg * (vgs + vsc)
-            qd = length * (cd * (vds + vsc) - q_d_mobile)
-            q0 = (qg, qd, -(qg + qd))
-            dg_gs = length * cg * (1.0 + dvsc_g)
-            dg_ds = length * cg * dvsc_d
-            dd_gs = length * dvsc_g * (cd - dq_d)
-            dd_ds = length * (1.0 + dvsc_d) * (cd - dq_d)
-            dq_dvgs = (dg_gs, dd_gs, -(dg_gs + dd_gs))
-            dq_dvds = (dg_ds, dd_ds, -(dg_ds + dd_ds))
-            for t_idx in range(3):
-                geq_gs = dq_dvgs[t_idx] / dt
-                geq_ds = dq_dvds[t_idx] / dt
-                i_now = (q0[t_idx] - bank.q_prev[t_idx, sel]) / dt
-                row = 8 + 3 * t_idx
-                values[row] = geq_gs
-                values[row + 1] = geq_ds
-                values[row + 2] = -(geq_gs + geq_ds)
-                rhs_values[2 + t_idx] = -(
-                    sign * i_now - geq_gs * sign * vgs
-                    - geq_ds * sign * vds
-                )
-        return values, rhs_values
+        Gathers the n-frame biases, takes the chord decision against the
+        bank's per-device memo (``radius`` > 0), solves VSC, evaluates
+        the companion (kind-row table of
+        :class:`~repro.circuit.elements.cnfet.CNFETBank`) or, on a chord
+        hit, the exact rhs around the memoised matrix values, seeds
+        ``q_prev`` from the charges at ``x`` when ``seed_qprev``, and
+        scatter-adds into ``target = (m_out, m_map, r_out, r_map)`` —
+        flat buffers and ``(17, P)`` / ``(5, P)`` index maps whose
+        entries at or past the buffer size are discarded.  Without a
+        target it returns the ``(values, rhs_values)`` columns instead.
+        With ``charges_only`` it only sets ``q_prev`` from the charges
+        at ``x`` (the refresh from a previous step's solution).
+        """
+        sel = slice(None) if idx is None else idx
+        vgs, vds = _biases(bank, x, idx)
+        if charges_only:
+            bank.q_prev[:, sel] = _charges(bank, vgs, vds, idx)
+            return None
+        if (radius > 0.0 and bank.memo_valid[sel].all()
+                and float(np.max(np.abs(vgs - bank.memo_vgs[sel])))
+                <= radius
+                and float(np.max(np.abs(vds - bank.memo_vds[sel])))
+                <= radius):
+            values = bank.memo_values[:17 if tran else 8, sel]
+            rhs_values = _chord_rhs(bank, values, vgs, vds, idx, gmin,
+                                    tran, dt, seed_qprev)
+        else:
+            vsc = bank.solver.solve(vgs, vds, bank.hint, idx=idx,
+                                    stats=bank.stats, table=bank.table)
+            values, rhs_values = _companion(bank, idx, vsc, vgs, vds,
+                                            gmin, tran, dt, seed_qprev)
+            if radius > 0.0:
+                bank.memo_values[:values.shape[0], sel] = values
+                bank.memo_vgs[sel] = vgs
+                bank.memo_vds[sel] = vds
+                bank.memo_valid[sel] = True
+            else:
+                bank.memo_valid[sel] = False
+        if target is None:
+            return values, rhs_values
+        m_out, m_map, r_out, r_map = target
+        self.scatter_add_pad(m_out, m_map[:values.shape[0], sel].ravel(),
+                             values.ravel())
+        self.scatter_add_pad(r_out,
+                             r_map[:rhs_values.shape[0], sel].ravel(),
+                             rhs_values.ravel())
+        return None
 
     # -- kernel 3: scatter-add stamping --------------------------------
 
@@ -196,3 +179,155 @@ class NumpyKernelBackend:
         scatter of the sparse assembler (``base`` is not mutated)."""
         return base + np.bincount(map_idx, weights=values,
                                   minlength=base.size)
+
+
+# -- the bank-stamp arithmetic (vectorized scalar element stamps) -------
+
+def _logistic_many(x: np.ndarray) -> np.ndarray:
+    """Vectorized ``1 / (1 + exp(-x))`` (same branch at 0 as the scalar
+    element's ``_logistic``)."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _biases(bank, x: np.ndarray, idx: Optional[np.ndarray]
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """n-frame (mirrored) VGS/VDS of the selected devices; gather
+    position -1 (ground) reads the appended zero."""
+    xp = np.concatenate((x.ravel(), np.zeros(1)))
+    if idx is None:
+        i_g, i_d, i_s = bank.gather
+        sign = bank.sign
+    else:
+        i_g, i_d, i_s = bank.gather[:, idx]
+        sign = bank.sign[idx]
+    vs = xp[i_s]
+    return sign * (xp[i_g] - vs), sign * (xp[i_d] - vs)
+
+
+def _charges(bank, vgs: np.ndarray, vds: np.ndarray,
+             idx: Optional[np.ndarray], vsc: Optional[np.ndarray] = None
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terminal charges (G, D, S) at n-frame biases [C] — vectorized
+    ``_Backend.charges`` (solving for ``vsc`` unless given)."""
+    sel = slice(None) if idx is None else idx
+    if vsc is None:
+        vsc = bank.solver.solve(vgs, vds, bank.hint, idx=idx,
+                                stats=bank.stats, table=bank.table)
+    tab = bank.table[sel]
+    length = bank.length[sel]
+    qg = length * bank.cg[tab] * (vgs + vsc)
+    qd = length * (bank.cd[tab] * (vds + vsc)
+                   - bank.curves.value(vsc + vds, idx=tab))
+    return qg, qd, -(qg + qd)
+
+
+def _companion(bank, didx: Optional[np.ndarray], vsc: np.ndarray,
+               vgs: np.ndarray, vds: np.ndarray, gmin: float, tran: bool,
+               dt: Optional[float], seed_qprev: bool
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacked companion stamp values around the given biases (the
+    scalar ``CNFETElement.stamp`` arithmetic on ``(P,)`` arrays)."""
+    from repro.pwl.device import _log1pexp_many
+
+    sel = slice(None) if didx is None else didx
+    tab = bank.table[sel]
+    sign = bank.sign[sel]
+    kt = bank.kt[tab]
+    eta_s = (bank.ef[tab] - vsc) / kt
+    eta_d = eta_s - vds / kt
+    pref = bank.pref[tab]
+    ids = pref * (_log1pexp_many(eta_s) - _log1pexp_many(eta_d))
+    sig_s = _logistic_many(eta_s)
+    sig_d = _logistic_many(eta_d)
+    di_dvsc = (pref / kt) * (sig_d - sig_s)
+    dq_s = bank.curves.derivative(vsc, idx=tab)
+    dq_d = bank.curves.derivative(vsc + vds, idx=tab)
+    cg, cd = bank.cg[tab], bank.cd[tab]
+    denominator = bank.csum[tab] - dq_s - dq_d
+    dvsc_g = -cg / denominator
+    dvsc_d = -(cd - dq_d) / denominator
+    gm = di_dvsc * dvsc_g
+    gds = (pref / kt) * sig_d + di_dvsc * dvsc_d
+    residual = sign * ids - gm * sign * vgs - gds * sign * vds
+    n_kinds = 17 if tran else 8
+    values = np.empty((n_kinds, vsc.size))
+    values[0] = gm
+    values[1] = -(gm + gmin)
+    values[2] = gds + gmin
+    values[3] = gm + gds + 2.0 * gmin
+    values[4] = -(gm + gds + gmin)
+    values[5] = -(gds + gmin)
+    values[6] = gmin
+    values[7] = -gmin
+    rhs_values = np.empty((5 if tran else 2, vsc.size))
+    rhs_values[0] = -residual
+    rhs_values[1] = residual
+    if tran:
+        # Charge companions (vectorized ``_stamp_charges``).
+        length = bank.length[sel]
+        q0 = _charges(bank, vgs, vds, didx, vsc)
+        if seed_qprev:
+            bank.q_prev[:, sel] = q0
+        dg_gs = length * cg * (1.0 + dvsc_g)
+        dg_ds = length * cg * dvsc_d
+        dd_gs = length * dvsc_g * (cd - dq_d)
+        dd_ds = length * (1.0 + dvsc_d) * (cd - dq_d)
+        dq_dvgs = (dg_gs, dd_gs, -(dg_gs + dd_gs))
+        dq_dvds = (dg_ds, dd_ds, -(dg_ds + dd_ds))
+        for t_idx in range(3):
+            geq_gs = dq_dvgs[t_idx] / dt
+            geq_ds = dq_dvds[t_idx] / dt
+            i_now = (q0[t_idx] - bank.q_prev[t_idx, sel]) / dt
+            row = 8 + 3 * t_idx
+            values[row] = geq_gs
+            values[row + 1] = geq_ds
+            values[row + 2] = -(geq_gs + geq_ds)
+            rhs_values[2 + t_idx] = -(
+                sign * i_now - geq_gs * sign * vgs
+                - geq_ds * sign * vds
+            )
+    return values, rhs_values
+
+
+def _chord_rhs(bank, values: np.ndarray, vgs: np.ndarray,
+               vds: np.ndarray, idx: Optional[np.ndarray], gmin: float,
+               tran: bool, dt: Optional[float],
+               seed_qprev: bool) -> np.ndarray:
+    """Exact rhs at the current bias around frozen matrix ``values``
+    (the chord branch of the bank stamp)."""
+    from repro.pwl.device import _log1pexp_many
+
+    sel = slice(None) if idx is None else idx
+    vsc = bank.solver.solve(vgs, vds, bank.hint, idx=idx,
+                            stats=bank.stats, table=bank.table)
+    tab = bank.table[sel]
+    kt = bank.kt[tab]
+    eta_s = (bank.ef[tab] - vsc) / kt
+    eta_d = eta_s - vds / kt
+    ids = bank.pref[tab] * (_log1pexp_many(eta_s)
+                            - _log1pexp_many(eta_d))
+    sign = bank.sign[sel]
+    gm = values[0]
+    gds = values[2] - gmin
+    residual = sign * ids - gm * sign * vgs - gds * sign * vds
+    rhs_values = np.empty((5 if tran else 2, vgs.size))
+    rhs_values[0] = -residual
+    rhs_values[1] = residual
+    if tran:
+        q0 = _charges(bank, vgs, vds, idx, vsc)
+        if seed_qprev:
+            bank.q_prev[:, sel] = q0
+        for t_idx in range(3):
+            geq_gs = values[8 + 3 * t_idx]
+            geq_ds = values[9 + 3 * t_idx]
+            i_now = (q0[t_idx] - bank.q_prev[t_idx, sel]) / dt
+            rhs_values[2 + t_idx] = -(
+                sign * i_now - geq_gs * sign * vgs
+                - geq_ds * sign * vds
+            )
+    return rhs_values

@@ -14,6 +14,7 @@ from repro.circuit import (
     dc_sweep,
     operating_point,
 )
+from repro.circuit.elements.base import StampContext
 from repro.circuit.mna import NewtonOptions, assemble
 from repro.errors import AnalysisError, NetlistError, ParameterError
 
@@ -68,6 +69,32 @@ class TestElements:
     def test_capacitor_validation(self):
         with pytest.raises(ParameterError):
             Capacitor("c", "a", "b", -1e-12)
+
+    @pytest.mark.parametrize("method", ["trap", "be"])
+    def test_capacitor_accept_group_matches_accept_step(self, method):
+        # The scalar transient commits every capacitor in one vector
+        # update; each element must end with the state its own
+        # accept_step leaves, grounded terminals included.
+        def caps():
+            return [Capacitor("c0", "a", "0", 1e-12),
+                    Capacitor("c1", "a", "b", 2e-15),
+                    Capacitor("c2", "0", "b", 3e-13)]
+
+        node_index = {"a": 0, "b": 1}
+        rng = np.random.default_rng(3)
+        # one auxiliary unknown past the node voltages
+        x, x_prev = rng.normal(size=3), rng.normal(size=3)
+        one, grouped = caps(), caps()
+        for el, i_prev in zip(one + grouped, [1e-6, -2e-6, 3e-6] * 2):
+            el._i_prev = i_prev
+        ctx = StampContext(np.zeros((0, 0)), np.zeros(0), node_index, x,
+                           analysis="tran", dt=1e-12, x_prev=x_prev,
+                           method=method)
+        for el in one:
+            el.accept_step(ctx)
+        Capacitor.accept_group(grouped, node_index)(ctx)
+        assert [el._i_prev for el in grouped] == \
+            [el._i_prev for el in one]
 
     def test_inductor_validation(self):
         with pytest.raises(ParameterError):

@@ -14,7 +14,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.circuit.logic import LogicFamily, build_ring_oscillator
+from repro.circuit.elements.cnfet import CNFETBank, CNFETElement
+from repro.circuit.logic import (
+    LogicFamily,
+    build_ripple_carry_adder,
+    build_ring_oscillator,
+)
 from repro.circuit.mna import NewtonOptions, robust_dc_solve
 from repro.circuit.transient import initial_conditions_from_op, transient
 from repro.errors import ParameterError
@@ -30,6 +35,7 @@ from repro.pwl.kernels import (
 )
 
 KERNEL_PARITY_TOL_V = 1e-12     # stacked-VSC solve, numpy vs compiled
+BANK_PARITY_RTOL = 1e-12        # bank_stamp values / rhs / q_prev
 WAVEFORM_PARITY_TOL_V = 1e-9    # engine level: Newton-convergence noise
 
 TIGHT = NewtonOptions(vtol=1e-12, reltol=1e-10)
@@ -68,6 +74,85 @@ def tier(request):
 @pytest.fixture(scope="module")
 def family():
     return LogicFamily.default(vdd=0.6)
+
+
+@pytest.fixture(scope="module")
+def adder4(family):
+    """4-bit adder CNFETs with a DC solution and a perturbed iterate."""
+    circuit, _info = build_ripple_carry_adder(family, 4, a_value=0b1011,
+                                              b_value=0b0110)
+    n = circuit.dimension()
+    x_prev = robust_dc_solve(circuit, None, TIGHT)
+    x = x_prev + np.random.default_rng(5).uniform(-0.05, 0.05, n)
+    elements = [el for el in circuit.elements
+                if isinstance(el, CNFETElement)]
+    return elements, circuit.node_index, n, x_prev, x
+
+
+def _bank_calls(spec, adder4, *, tran, chord, seed, select,
+                fallback=False):
+    """Three ``bank_stamp`` rounds under tier ``spec``: prime (memo and,
+    in transient, ``q_prev``), a column call that hits or misses the
+    chord, and the same call scattered into a flat target."""
+    elements, node_index, n, x_prev, x = adder4
+    if fallback:
+        # device 1 on a model of its own, whose closed-form tables are
+        # then poisoned: every call takes the exact scalar fallback for
+        # that one lane
+        el = elements[1]
+        own = CNFET(el.backend.device.params, model="model2",
+                    polarity=el.backend.device.polarity)
+        elements = list(elements)
+        elements[1] = CNFETElement(el.name, *el.nodes, device=own,
+                                   length_nm=el.length_m * 1e9,
+                                   polarity=el.polarity)
+    lanes = 2 if select == "lanes" else 1
+    p = len(elements) * lanes
+    lane_of = np.repeat(np.arange(lanes), len(elements)) \
+        if lanes > 1 else None
+    xs, xs_prev = x, x_prev
+    if lanes > 1:
+        xs = np.stack([x, x[::-1] * 0.5])
+        xs_prev = np.stack([x_prev, x_prev[::-1] * 0.5])
+    idx = None if select == "all" else np.arange(1, p, 3)
+    stats = {}
+    with using_kernels(spec):
+        bank = CNFETBank(elements * lanes, node_index, n,
+                         lane_of=lane_of, stats=stats)
+        if fallback:
+            bank.solver.polys[bank.table[1]] = np.nan
+        kw = dict(gmin=1e-12, tran=tran, dt=1e-12 if tran else None,
+                  reuse_tol=1e-6 if chord != "off" else 0.0)
+        if tran:
+            bank.refresh_charges(xs_prev, idx)
+        first = bank.companion(xs, idx, **kw)
+        step = 2e-5 if chord == "hit" else 1e-2
+        x1 = xs + step
+        values, rhs = bank.companion(x1, idx, seed_qprev=seed, **kw)
+        if chord == "hit":
+            assert np.array_equal(values, first[0])
+        elif chord == "miss":
+            assert not np.array_equal(values, first[0])
+        pad = n + 1
+        m_map = (0 if lane_of is None else lane_of * pad * pad) \
+            + bank.rows * pad + bank.cols
+        r_map = (0 if lane_of is None else lane_of * pad) + bank.rhs_rows
+        m_out = np.zeros(lanes * pad * pad)
+        r_out = np.zeros(lanes * pad)
+        assert bank.companion(x1, idx, target=(m_out, m_map, r_out, r_map),
+                              **kw) is None
+    return dict(values=values, rhs=rhs, m_out=m_out, r_out=r_out,
+                q_prev=bank.q_prev.copy(), hint=bank.hint.copy(),
+                memo_valid=bank.memo_valid.copy(), stats=stats)
+
+
+def _assert_rows_close(got, ref, what):
+    """Agreement within ``BANK_PARITY_RTOL`` of each row's scale (a
+    residual that cancels to ~0 is compared against its row's scale,
+    not its own)."""
+    got, ref = np.atleast_2d(got), np.atleast_2d(ref)
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= BANK_PARITY_RTOL * scale), what
 
 
 def _ring_waveforms(family, options=TIGHT):
@@ -153,6 +238,50 @@ class TestKernelParity:
         dv = np.max(np.abs(sweep("numpy") - sweep("compiled")))
         assert dv <= KERNEL_PARITY_TOL_V
 
+    @pytest.mark.parametrize("select", ["all", "subset", "lanes"])
+    @pytest.mark.parametrize("chord", ["off", "miss", "hit"])
+    # q_prev seeding is a transient-only option
+    @pytest.mark.parametrize("tran,seed", [(False, False), (True, False),
+                                           (True, True)])
+    def test_bank_stamp(self, adder4, tran, seed, chord, select):
+        """The fused bank stamp, compiled against numpy: DC and
+        transient, chord off / missed / hit, ``q_prev`` seeding on and
+        off, every device, an ``idx`` subset and a lane-offset gather."""
+        _require_compiled()
+        ref = _bank_calls("numpy", adder4, tran=tran, chord=chord,
+                          seed=seed, select=select)
+        got = _bank_calls("compiled", adder4, tran=tran, chord=chord,
+                          seed=seed, select=select)
+        for key in ("values", "rhs", "q_prev", "m_out", "r_out"):
+            _assert_rows_close(got[key], ref[key], key)
+        assert np.max(np.abs(got["hint"] - ref["hint"])) \
+            <= KERNEL_PARITY_TOL_V
+        assert np.array_equal(got["memo_valid"], ref["memo_valid"])
+        # one solve per selected lane per call in both tiers (the
+        # compiled tier's extra refinement rounds only save fallbacks)
+        assert got["stats"]["stacked_lanes"] == \
+            ref["stats"]["stacked_lanes"]
+
+    @pytest.mark.parametrize("tran", [False, True])
+    def test_bank_stamp_scalar_fallback(self, adder4, tran):
+        """A lane whose closed form cannot validate goes through the
+        exact scalar solve in both tiers (the compiled tier's second
+        pass), with the same stamp."""
+        _require_compiled()
+        ref = _bank_calls("numpy", adder4, tran=tran, chord="miss",
+                          seed=tran, select="subset", fallback=True)
+        got = _bank_calls("compiled", adder4, tran=tran, chord="miss",
+                          seed=tran, select="subset", fallback=True)
+        calls = 4 if tran else 3
+        assert got["stats"]["stacked_fallbacks"] >= calls
+        assert ref["stats"]["stacked_fallbacks"] >= calls
+        assert got["stats"]["stacked_lanes"] == \
+            ref["stats"]["stacked_lanes"]
+        for key in ("values", "rhs", "q_prev", "m_out", "r_out"):
+            _assert_rows_close(got[key], ref[key], key)
+        assert np.max(np.abs(got["hint"] - ref["hint"])) \
+            <= KERNEL_PARITY_TOL_V
+
     def test_triplet_append_bitwise(self):
         _require_compiled()
         rng = np.random.default_rng(3)
@@ -202,8 +331,8 @@ class TestEngineParity:
         with using_kernels("numpy"):
             ref = _ring_waveforms(family)
         if tier == "numpy":
-            # The numpy tier is the historical code verbatim:
-            # byte-identical waveforms, not merely close.
+            # Both runs are on the numpy tier (the parity reference):
+            # a determinism check, so the waveforms must be identical.
             assert np.array_equal(waves, ref)
         else:
             assert np.max(np.abs(waves - ref)) <= WAVEFORM_PARITY_TOL_V

@@ -12,6 +12,7 @@ from repro.circuit.logic import (
 )
 from repro.circuit.transient import initial_conditions_from_op, transient
 from repro.errors import ParameterError
+from repro.reference.fettoy import FETToyModel, FETToyParameters
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,21 @@ class TestInverter:
         crossings = ds.crossings(f"v({out})", 0.3)
         assert len(crossings) == 1
         assert 0.15 < crossings[0] < 0.45
+
+
+    def test_reference_device_family_rails(self):
+        """A family of polarity-less FETToy reference devices still
+        builds a complementary inverter: the builders mark the
+        pull-up ``polarity="p"`` themselves."""
+        device = FETToyModel(FETToyParameters())
+        ref = LogicFamily(n_device=device, p_device=device, vdd=0.6)
+        circuit, _in, out = build_inverter(ref)
+        assert circuit.element("inv_p").polarity == "p"
+        assert circuit.element("inv_n").polarity == "n"
+        ds = dc_sweep(circuit, "vin_src", [0.0, 0.6])
+        v = ds.voltage(out)
+        assert v[0] > 0.8 * 0.6
+        assert v[1] < 0.2 * 0.6
 
 
 class TestNand:

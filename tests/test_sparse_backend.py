@@ -238,6 +238,48 @@ class TestSlab:
                                            err_msg=step["analysis"])
 
 
+    def test_fixed_step_seeds_qprev_in_first_stamp(self, adder):
+        """On a fixed step the first Newton iterate *is* x_prev, so
+        ``begin_step`` only arms the q_prev refresh and the first stamp
+        seeds it from its own evaluation: exactly one VSC solve per
+        device per Newton iteration, none in ``begin_step``."""
+        circuit, _ = adder
+        x0 = robust_dc_solve(circuit, None, TIGHT)
+        n_fets = sum(isinstance(el, CNFETElement)
+                     for el in circuit.elements)
+        stats = {}
+        transient(circuit, 1e-11, dt=5e-13, x0=x0, record_currents=False,
+                  stats=stats)
+        assert stats["steps"] == 20
+        assert stats["stacked_lanes"] == stats["iterations"] * n_fets
+
+    def test_predictor_start_refreshes_qprev(self, adder):
+        """An adaptive step starts Newton from the predictor, not from
+        x_prev: the slab refreshes q_prev at x_prev first (one extra
+        solve per device and step) and the stacked-solver counters,
+        fallbacks included, are still reported."""
+        circuit, _ = adder
+        n_fets = sum(isinstance(el, CNFETElement)
+                     for el in circuit.elements)
+        stats = {}
+        transient(circuit, 1e-11, record_currents=False, stats=stats)
+        assert stats["stacked_lanes"] > stats["iterations"] * n_fets
+        assert stats["stacked_fallbacks"] >= 0
+
+    @pytest.mark.slow
+    def test_adder32_hold_solve_count(self):
+        """The benchmark's 32-bit adder hold transient (1152 FETs,
+        fixed-step trap, one Newton iteration per step): 1200
+        iterations cost exactly 1200 x 1152 stacked VSC solves."""
+        circuit, _ = build_ripple_carry_adder(
+            LogicFamily.default(vdd=0.6), 32, a_value=3, b_value=5)
+        stats = {}
+        transient(circuit, 6e-10, dt=5e-13, x0=robust_dc_solve(circuit),
+                  record_currents="sources", stats=stats)
+        assert stats["iterations"] == 1200
+        assert stats["stacked_lanes"] == 1_382_400
+
+
 class TestSparseInternals:
     def test_pattern_reused_across_iterations(self, adder):
         circuit, _ = adder
