@@ -26,7 +26,8 @@ test-slow:
 ## not only as the other side of the compiled-tier comparisons
 NUMPY_KERNEL_SUITES := tests/test_kernels.py tests/test_sparse_backend.py \
 	tests/test_batch_parity.py tests/test_partition.py \
-	tests/test_mna_twophase.py tests/test_newton_reuse.py
+	tests/test_mna_twophase.py tests/test_newton_reuse.py \
+	tests/test_batch_sim.py tests/test_logic.py
 test-numpy-kernels:
 	REPRO_KERNELS=numpy $(PYTHON) -m pytest -x -q $(NUMPY_KERNEL_SUITES)
 

@@ -303,7 +303,11 @@ def bench_ring_transient() -> dict:
     finally:
         for _cell, restore in instrumented:
             restore()
-    solves = sum(cell[0] for cell, _restore in instrumented)
+    # the instrumented scalar solver sees the current traces and the
+    # bank's region-drift fallbacks; the bank's stacked solves are
+    # counted by the run itself
+    solves = sum(cell[0] for cell, _restore in instrumented) \
+        + stats["stacked_lanes"]
     steps = stats["steps"]
     iterations = stats["iterations"]
     n_cnfets = sum(1 for el in ring.elements if hasattr(el, "backend"))

@@ -21,6 +21,11 @@ implicit-function solve — one closed-form solve per Newton iteration
 covers current, small-signal and charge stamps (the previous-step
 charges are memoised per accepted step, since ``x_prev`` is frozen
 while a step iterates).
+
+The engines stamp every fast-backend device, whatever the circuit
+size, through one :class:`CNFETBank` (one fused kernel call per Newton
+iteration).  :meth:`CNFETElement.stamp` serves only the FETToy backend,
+AC and the one-phase :func:`repro.circuit.mna.assemble`.
 """
 
 from __future__ import annotations
@@ -173,13 +178,6 @@ class _Backend:
         ])
 
 
-#: Fast-backend CNFET count at which the monolithic and partitioned
-#: assemblers switch from the per-element scalar stamp loop to one
-#: :class:`CNFETBank` (see :func:`split_bank_devices`).  Below this the
-#: stacked pass's fixed costs are not worth it and the historical
-#: scalar path is kept bit-for-bit.
-CNFET_SLAB_MIN_DEVICES = 16
-
 # Terminal rows of the bank's node table.
 _G, _D, _S = 0, 1, 2
 #: (row, col) terminals of the 17 matrix entry kinds (see
@@ -196,21 +194,12 @@ def _is_bankable(el: Element) -> bool:
 
 
 def split_bank_devices(groups):
-    """Split element lists into :class:`CNFETBank` devices and the rest.
-
-    Returns ``(banked, rest)`` with one list per input group, order
-    kept.  When the groups hold :data:`CNFET_SLAB_MIN_DEVICES` or more
-    fast-backend CNFETs in total, ``banked`` holds them and ``rest``
-    every other element; below the threshold nothing is banked.
-    """
-    banked, rest = [], []
-    for group in groups:
-        flags = [_is_bankable(el) for el in group]
-        banked.append([el for el, f in zip(group, flags) if f])
-        rest.append([el for el, f in zip(group, flags) if not f])
-    if sum(map(len, banked)) < CNFET_SLAB_MIN_DEVICES:
-        return [[] for _ in groups], [list(group) for group in groups]
-    return banked, rest
+    """Split element lists into :class:`CNFETBank` devices (every
+    fast-backend CNFET) and the rest: ``(banked, rest)``, one list per
+    group, order kept."""
+    return ([[el for el in group if _is_bankable(el)] for group in groups],
+            [[el for el in group if not _is_bankable(el)]
+             for group in groups])
 
 
 class CNFETBank:
@@ -407,8 +396,10 @@ class CNFETSlab:
     previous-step charges; the first :meth:`stamp` of the step seeds
     ``q_prev`` from its own evaluation when its iterate *is*
     ``x_prev`` (every fixed step), and refreshes from ``x_prev`` first
-    otherwise (an adaptive predictor start).  :meth:`stamp` passes
-    ``ctx.reuse_tol`` on to the bank's exact-rhs chord.  The
+    otherwise (an adaptive predictor start).  In transient,
+    :meth:`stamp` passes ``ctx.reuse_tol`` on to the bank's exact-rhs
+    chord; DC solves (operating points, sweeps) run without it, so a DC
+    solve takes the lane-batched engine's exact Newton iterates.  The
     benchmark's traced mode (``perfbench/tracing.py``) times its
     ``elements.slab`` layer through these two methods."""
 
@@ -441,10 +432,10 @@ class CNFETSlab:
         if target is None:
             target = (ctx.matrix.reshape(-1), self.m_idx, ctx.rhs,
                       self.r_idx)
+        tran = ctx.analysis == "tran" and ctx.dt is not None
         self.bank.companion(
-            ctx.x, gmin=ctx.gmin,
-            tran=ctx.analysis == "tran" and ctx.dt is not None,
-            dt=ctx.dt, reuse_tol=ctx.reuse_tol, seed_qprev=seed,
+            ctx.x, gmin=ctx.gmin, tran=tran, dt=ctx.dt,
+            reuse_tol=ctx.reuse_tol if tran else 0.0, seed_qprev=seed,
             target=target)
 
 
@@ -527,10 +518,11 @@ class CNFETElement(Element):
     drain, gate, source:
         Node names.
     device:
-        A :class:`repro.pwl.CNFET` (fast, the normal case) or a
+        A :class:`repro.pwl.CNFET` (fast, the normal case; the engines
+        stamp it through a :class:`CNFETBank`) or a
         :class:`repro.reference.FETToyModel` (baseline; hundreds of
         times slower per Newton iteration — used by the speed-comparison
-        benchmarks).
+        benchmarks; stamped by :meth:`stamp`).
     length_nm:
         Effective channel length for charge scaling (transient only;
         the ballistic current is length-independent).

@@ -27,16 +27,16 @@ same two-phase split:
   the pattern self-heals if a mode switch changes them), and
   factorises with SuperLU per Newton iteration.
 * **The CNFET bank** (:class:`~repro.circuit.elements.cnfet.CNFETBank`,
-  stamped by :class:`~repro.circuit.elements.cnfet.CNFETSlab`): at
-  :data:`CNFET_SLAB_MIN_DEVICES` fast-backend CNFETs and above, all of
-  them evaluate as one fused ``bank_stamp`` kernel call per iteration
-  instead of a Python loop of scalar solves, scatter-adding straight
+  stamped by :class:`~repro.circuit.elements.cnfet.CNFETSlab`): every
+  fast-backend CNFET, in a circuit of any size, evaluates in one fused
+  ``bank_stamp`` kernel call per iteration, scatter-adding straight
   into the dense matrix or the CSC ``data`` (through the bank's entry
   table composed with the pattern once per analysis mode — banked
   devices record no triplets).  ``begin_step`` only arms the bank's
   previous-step charge refresh: the first iteration of a fixed step
   starts at ``x_prev`` and seeds the charges from its own evaluation.
-  Circuits below the threshold keep the scalar element path.
+  Reference-backend (FETToy) CNFETs stamp one by one with the other
+  nonlinear elements.
 
 Robustness aids, in escalation order:
 
@@ -55,8 +55,7 @@ import numpy as np
 from repro import faults
 from repro.cancel import CancelToken
 from repro.circuit.elements.base import StampContext, TripletStampContext
-from repro.circuit.elements.cnfet import (  # noqa: F401 (re-export)
-    CNFET_SLAB_MIN_DEVICES,
+from repro.circuit.elements.cnfet import (
     CNFETBank,
     CNFETSlab,
     split_bank_devices,
@@ -154,8 +153,8 @@ class TwoPhaseAssembler:
         :data:`~repro.circuit.solvers.SPARSE_AUTO_MIN_DIM` unknowns.
     device_stats : dict, optional
         Receives the stacked CNFET solver counters (``stacked_lanes``,
-        ``stacked_fallbacks``) when the circuit's CNFETs run as one
-        bank (at :data:`CNFET_SLAB_MIN_DEVICES` fast-backend devices).
+        ``stacked_fallbacks``) of the circuit's fast-backend CNFET
+        bank.
     """
 
     def __init__(self, circuit: Circuit,

@@ -30,6 +30,8 @@ fast-SPICE answer:
   ``max_bypass_steps`` accepted steps so slow drift cannot accumulate
   unobserved.  See ``docs/partitioning.md`` for the tolerance
   semantics.
+* **One pooled CNFET bank** holds every fast-backend CNFET of the
+  blocks and the interface, whatever the circuit size.
 
 The assembler duck-types the three-method contract of
 :class:`repro.circuit.mna.TwoPhaseAssembler` (``begin_step`` /
@@ -790,12 +792,11 @@ class PartitionedAssembler:
         Receives the stacked CNFET solver counters, as in the
         monolithic assembler.
 
-    At :data:`~repro.circuit.elements.cnfet.CNFET_SLAB_MIN_DEVICES`
-    fast CNFETs and above, the devices of every block and of the
-    interface share one :class:`~repro.circuit.elements.cnfet.CNFETBank`
-    (one stacked evaluation per Newton iteration covers every active
-    block's devices and the interface's), as in the monolithic
-    assembler.
+    The fast-backend CNFETs of every block and of the interface share
+    one :class:`~repro.circuit.elements.cnfet.CNFETBank` (one stacked
+    evaluation per Newton iteration covers every active block's devices
+    and the interface's), as in the monolithic assembler, with the
+    bank's exact-rhs chord on in transient steps only.
     """
 
     def __init__(self, circuit: Circuit,
@@ -1162,7 +1163,7 @@ class PartitionedAssembler:
                     self._bank.refresh_charges(step["x_prev"], pending)
             values, rhs_values = self._bank.companion(
                 x, idx, gmin=step["gmin"], tran=tran, dt=step["dt"],
-                reuse_tol=reuse_tol, seed_qprev=seed)
+                reuse_tol=reuse_tol if tran else 0.0, seed_qprev=seed)
             nv, nr = values.shape[0], rhs_values.shape[0]
             pos = 0
             for part, ctx in parts:

@@ -388,7 +388,7 @@ class TestEvaluatorParity:
                     assert np.isnan(rb[metric])
                 else:
                     assert rb[metric] == pytest.approx(rs[metric],
-                                                       abs=1e-9)
+                                                       abs=1e-12)
 
     def test_characterize_batch_metrics_sane(self, family):
         from repro.characterize import characterize_gate

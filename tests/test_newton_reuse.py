@@ -10,11 +10,20 @@ from repro.circuit.elements import Capacitor, Resistor, VoltageSource
 from repro.circuit.transient import transient
 from repro.circuit.waveforms import Pulse
 from repro.errors import AnalysisError
+from repro.reference.fettoy import FETToyModel, FETToyParameters
 
 
 @pytest.fixture(scope="module")
 def family():
     return LogicFamily.default(vdd=0.6)
+
+
+@pytest.fixture(scope="module")
+def reference_family():
+    """FETToy reference devices: the engines stamp these through the
+    scalar element (and its Jacobian-reuse memo), not the bank."""
+    device = FETToyModel(FETToyParameters())
+    return LogicFamily(n_device=device, p_device=device, vdd=0.6)
 
 
 def _inverter_pulse(family):
@@ -41,20 +50,23 @@ def _count_evals(circuit):
 
 
 class TestJacobianReuse:
-    def test_reuse_skips_evaluations_and_stays_accurate(self, family):
+    def test_reuse_skips_evaluations_and_stays_accurate(
+            self, reference_family):
         # Reuse is the tuned default now; the exact/baseline runs
-        # request the legacy every-iteration assembly explicitly.
+        # request the legacy every-iteration assembly explicitly.  The
+        # counter instruments the scalar ``evaluate_full``, which only
+        # reference-backend devices take.
         legacy = NewtonOptions(jacobian_reuse_tol=0.0)
-        exact_circuit = _inverter_pulse(family)
+        exact_circuit = _inverter_pulse(reference_family)
         exact = transient(exact_circuit, tstop=3e-11, dt=2e-13,
                           method="trap", options=legacy)
 
-        baseline_circuit = _inverter_pulse(family)
+        baseline_circuit = _inverter_pulse(reference_family)
         baseline_count = _count_evals(baseline_circuit)
         transient(baseline_circuit, tstop=3e-11, dt=2e-13,
                   method="trap", options=legacy)
 
-        reuse_circuit = _inverter_pulse(family)
+        reuse_circuit = _inverter_pulse(reference_family)
         reuse_count = _count_evals(reuse_circuit)
         reused = transient(
             reuse_circuit, tstop=3e-11, dt=2e-13, method="trap",

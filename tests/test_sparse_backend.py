@@ -20,17 +20,17 @@ from repro.circuit import (
 )
 from repro.circuit.logic import (
     LogicFamily,
+    build_inverter,
     build_inverter_chain,
+    build_nand2,
+    build_ring_oscillator,
     build_ripple_carry_adder,
 )
-from repro.circuit.mna import (
-    CNFET_SLAB_MIN_DEVICES,
-    TwoPhaseAssembler,
-    robust_dc_solve,
-)
+from repro.circuit.mna import TwoPhaseAssembler, robust_dc_solve
 from repro.circuit.solvers import SPARSE_AUTO_MIN_DIM
 from repro.circuit.waveforms import Pulse
 from repro.errors import AnalysisError, ParameterError
+from repro.reference.fettoy import FETToyModel, FETToyParameters
 
 TIGHT = NewtonOptions(vtol=1e-12, reltol=1e-10)
 
@@ -193,31 +193,49 @@ class TestCnfetCircuitParity:
         assert deviation <= 1e-9
 
 
+#: circuits of every size, from one inverter to the 4-bit adder
+SLAB_CIRCUITS = ("inverter", "nand2", "ring3", "adder")
+
+
+@pytest.fixture
+def slab_circuit(request, family, adder):
+    """The circuit named by the test's ``SLAB_CIRCUITS`` parameter."""
+    name = request.param
+    if name == "inverter":
+        return build_inverter(family)[0]
+    if name == "nand2":
+        return build_nand2(family, 0.6, 0.0)[0]
+    if name == "ring3":
+        return build_ring_oscillator(family, 3)[0]
+    return adder[0]
+
+
 class TestSlab:
-    def test_slab_activation_threshold(self, family, adder):
-        circuit, _ = adder
-        assembler = TwoPhaseAssembler(circuit, backend="dense")
-        n_fast = sum(1 for el in circuit.elements
-                     if isinstance(el, CNFETElement))
-        assert n_fast >= CNFET_SLAB_MIN_DEVICES
+    @pytest.mark.parametrize("slab_circuit", SLAB_CIRCUITS,
+                             indirect=True)
+    def test_every_fast_cnfet_is_banked(self, slab_circuit):
+        assembler = TwoPhaseAssembler(slab_circuit, backend="dense")
+        fets = [el for el in slab_circuit.elements
+                if isinstance(el, CNFETElement)]
         assert assembler.slab is not None
-        assert len(assembler.slab.elements) == n_fast
+        assert assembler.slab.elements == fets
 
-    def test_small_circuits_keep_scalar_path(self, family):
-        from repro.circuit.logic import build_inverter
+    def test_reference_devices_are_not_banked(self):
+        device = FETToyModel(FETToyParameters())
+        circuit, _, _ = build_inverter(
+            LogicFamily(n_device=device, p_device=device, vdd=0.6))
+        assert TwoPhaseAssembler(circuit).slab is None
 
-        circuit, _, _ = build_inverter(family)
-        assembler = TwoPhaseAssembler(circuit)
-        assert assembler.slab is None
-
-    def test_slab_vs_scalar_stamping_parity(self, adder):
+    @pytest.mark.parametrize("slab_circuit", SLAB_CIRCUITS,
+                             indirect=True)
+    def test_slab_vs_scalar_stamping_parity(self, slab_circuit):
         """The bank-assembled system equals the one-phase
         ``assemble()`` (every CNFET through its scalar ``stamp``) at
         the same iterate, in DC and in a transient step, to
         closed-form solver noise."""
         from repro.circuit.mna import assemble
 
-        circuit, _ = adder
+        circuit = slab_circuit
         x_prev = robust_dc_solve(circuit, None, TIGHT, backend="dense")
         x = x_prev + np.random.default_rng(7).uniform(
             -0.05, 0.05, x_prev.size)
@@ -236,7 +254,6 @@ class TestSlab:
                 np.testing.assert_allclose(got, ref, rtol=1e-10,
                                            atol=1e-20,
                                            err_msg=step["analysis"])
-
 
     def test_fixed_step_seeds_qprev_in_first_stamp(self, adder):
         """On a fixed step the first Newton iterate *is* x_prev, so
