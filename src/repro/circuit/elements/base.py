@@ -191,24 +191,6 @@ class TripletStampContext(StampContext):
             self.m_val[count] = value
             self.count = count + 1
 
-    def add_flat(self, m_idx: np.ndarray, m_val: np.ndarray,
-                 r_idx: np.ndarray, r_val: np.ndarray) -> None:
-        """Bulk-append precomputed stamp entries: ``m_idx`` holds flat
-        matrix positions ``row * dim + col`` with ``dim * dim`` as a
-        discard pad for grounded entries (dropped), ``r_idx`` rhs rows
-        with ``dim`` as the pad (the partitioned assembler's bank
-        columns land this way)."""
-        from repro.pwl.kernels import active_kernel_backend
-        backend = active_kernel_backend()
-        count = self.count
-        if count + m_idx.size > self._cap:
-            self._grow(count + m_idx.size)
-        kept = backend.triplet_append(
-            m_idx, m_val, self.dim * self.dim,
-            self.m_idx, self.m_val, count)
-        self.count = count + kept
-        backend.scatter_add_pad(self.rhs, r_idx, r_val)
-
 
 class LaneContext:
     """Stacked assembly context of the lane-batched engine.

@@ -244,11 +244,12 @@ class CNFETBank:
     ======== ======================  ========================
 
     DC uses the first 8 matrix and 2 rhs kinds.  Each consumer maps the
-    table onto its own flat layout and hands :meth:`companion` a
+    table onto its own flat layout once and hands :meth:`companion` a
     ``target``: the monolithic assembler's :class:`CNFETSlab` composes
     :meth:`flat_entries` with its CSC pattern (sparse) or uses it as is
-    (dense), the lane-batched engine's group offsets it per lane.  The
-    partitioned assembler takes value columns instead.
+    (dense), the lane-batched engine's group offsets it per lane, and
+    the partitioned assembler composes it with its pooled block and
+    interface buffer.
 
     ``lane_of`` (one lane per device) makes the bank read its biases
     from a lane-stacked ``(B, dim)`` iterate instead of a ``(dim,)``
@@ -336,25 +337,22 @@ class CNFETBank:
                                            charges_only=True)
 
     def companion(self, x: np.ndarray,
-                  idx: Optional[np.ndarray] = None, *, gmin: float,
-                  tran: bool, dt: Optional[float],
-                  reuse_tol: float = 0.0, seed_qprev: bool = False,
-                  target=None) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+                  idx: Optional[np.ndarray] = None, *, target,
+                  gmin: float, tran: bool, dt: Optional[float],
+                  reuse_tol: float = 0.0, seed_qprev: bool = False) -> None:
         """Companion stamp of the selected devices (default: all) around
-        iterate ``x``: one row per entry kind, 8 / 2 in DC and 17 / 5
-        in transient (charge companions around ``q_prev``).
-
-        With ``target = (m_out, m_map, r_out, r_map)`` the stamp is
-        scatter-added straight into the flat buffers ``m_out`` / ``r_out``
-        through the ``(17, P)`` / ``(5, P)`` index maps (entries at or
-        past a buffer's size are discarded) and ``None`` is returned;
-        without one, the ``(values, rhs_values)`` columns.
+        iterate ``x``: one value per entry kind, 8 / 2 in DC and 17 / 5
+        in transient (charge companions around ``q_prev``),
+        scatter-added straight into ``target = (m_out, m_map, r_out,
+        r_map)``: the flat buffers ``m_out`` / ``r_out`` (they may be
+        one buffer) through the ``(17, P)`` / ``(5, P)`` index maps,
+        entries at or past a buffer's size discarded.
 
         ``reuse_tol`` > 0 enables the exact-rhs chord
         (``NewtonOptions.jacobian_reuse_tol``): while every selected
         device's bias stays within :data:`_SLAB_CHORD_RADIUS_V` (or
         ``reuse_tol``, if larger) of its memoised linearisation for the
-        same ``(tran, dt, gmin)``, the matrix rows are returned frozen
+        same ``(tran, dt, gmin)``, the matrix values are stamped frozen
         while the rhs is rebuilt from a fresh closed-form solve at the
         current bias with the frozen gm/gds/geq coefficients.  That is
         the classic modified-Newton split: the fixed point satisfies
@@ -363,8 +361,8 @@ class CNFETBank:
         against factorisation count, never accuracy — which is why it
         can be far looser than the scalar elements' O(tol^2)
         frozen-rhs tolerance.  The frozen values keep the assembled
-        data bit-identical, so the sparse assemblers reuse their LU
-        factorisation across iterations and plateau steps.  Devices
+        data bit-identical, so the assemblers reuse their LU
+        factorisations across iterations and plateau steps.  Devices
         outside ``idx`` keep their memo untouched.
 
         With ``seed_qprev=True`` (valid only when ``x`` *is* the
@@ -378,7 +376,7 @@ class CNFETBank:
             self._memo_key = key
         radius = max(reuse_tol, _SLAB_CHORD_RADIUS_V) \
             if reuse_tol > 0.0 else 0.0
-        return active_kernel_backend().bank_stamp(
+        active_kernel_backend().bank_stamp(
             self, x, idx, gmin=gmin, tran=tran, dt=dt, radius=radius,
             seed_qprev=seed_qprev, target=target)
 

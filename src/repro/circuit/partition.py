@@ -26,12 +26,14 @@ fast-SPICE answer:
   device re-evaluation, stamping and refactorisation entirely — its
   frozen Schur contribution is reused.  The bypass is re-checked every
   Newton iteration (a block whose terminals get driven mid-step is
-  promoted back to active) and refreshed every
-  ``max_bypass_steps`` accepted steps so slow drift cannot accumulate
+  promoted back to active) and refreshed after
+  :data:`MAX_BYPASS_STEPS` steps so slow drift cannot accumulate
   unobserved.  See ``docs/partitioning.md`` for the tolerance
   semantics.
-* **One pooled CNFET bank** holds every fast-backend CNFET of the
-  blocks and the interface, whatever the circuit size.
+* **One pooled dense buffer** holds every block's bordered system and
+  the interface's, back to back, and **one pooled CNFET bank** holds
+  every fast-backend CNFET of the blocks and the interface, stamping
+  them into that buffer in place.
 
 The assembler duck-types the three-method contract of
 :class:`repro.circuit.mna.TwoPhaseAssembler` (``begin_step`` /
@@ -53,7 +55,7 @@ from repro.circuit.elements.base import (
 )
 from repro.circuit.elements.cnfet import CNFETBank, split_bank_devices
 from repro.circuit.netlist import HIER_SEP, Circuit
-from repro.circuit.solvers import HAVE_SCIPY, SparseBackend, csc_pattern
+from repro.circuit.solvers import HAVE_SCIPY
 from repro.circuit.waveforms import DC
 from repro.errors import AnalysisError, ParameterError
 
@@ -70,19 +72,19 @@ except ImportError:  # pragma: no cover - no-scipy guard
 #: connectivity clusters larger than this are split further.
 DEFAULT_MAX_BLOCK = 64
 
-#: Internal-unknown count at which a block's ``A_bb`` factorisation
-#: switches from dense LAPACK to the sparse backend (SuperLU or the
-#: compiled frozen-pivot refactor lane,
-#: :class:`repro.circuit.solvers._RefactorLU`).
-SPARSE_BLOCK_MIN_DIM = 192
+#: Connectivity clustering of a flat netlist never joins elements
+#: through a net touching more than ``max(CUT_DEGREE_MIN, 2 x the
+#: average net degree)`` elements (supply rails and similar).
+CUT_DEGREE_MIN = 8
 
-#: Accepted steps a block may stay bypassed before it is force-refreshed.
+#: Steps (``begin_step`` calls, retried attempts included) a block may
+#: stay bypassed before it is force-refreshed.
 #: Drift itself is bounded per step by the bypass-tolerance check (it
 #: compares the live iterate against the *frozen* solution, so slow
 #: drift accumulates towards the tolerance and triggers a refresh on
 #: its own); the age cap is a belt-and-braces bound on how long a
 #: frozen linearisation may be reused, not the drift guard.
-DEFAULT_MAX_BYPASS_STEPS = 1000
+MAX_BYPASS_STEPS = 1000
 
 
 def _non_ground_nodes(element: Element) -> List[str]:
@@ -157,29 +159,23 @@ def _hier_groups(elements: Sequence[Element], max_block: int
     return groups
 
 
-def _connectivity_groups(elements: Sequence[Element], max_block: int,
-                         cut_degree: Optional[int],
-                         cut_nets: Optional[set] = None
+def _connectivity_groups(elements: Sequence[Element], max_block: int
                          ) -> Dict[Tuple[str, ...], List[Element]]:
     """Cluster a flat netlist by shared nets.
 
-    High-degree nets (supply rails and similar) are excluded as *cut
-    nets* so they do not glue the whole circuit into one cluster;
-    clusters larger than ``max_block`` are split into contiguous
-    chunks of a breadth-first element ordering.
+    High-degree nets (supply rails and similar, see
+    :data:`CUT_DEGREE_MIN`) are excluded as *cut nets* so they do not
+    glue the whole circuit into one cluster; clusters larger than
+    ``max_block`` are split into contiguous chunks of a breadth-first
+    element ordering.
     """
     degree: Dict[str, int] = {}
     for el in elements:
         for node in _non_ground_nodes(el):
             degree[node] = degree.get(node, 0) + 1
-    if cut_degree is None:
-        if degree:
-            avg = sum(degree.values()) / len(degree)
-        else:
-            avg = 0.0
-        cut_degree = max(8, int(2 * avg))
-    cut_nets = set(cut_nets or ()) | {
-        node for node, deg in degree.items() if deg > cut_degree}
+    avg = sum(degree.values()) / len(degree) if degree else 0.0
+    max_degree = max(CUT_DEGREE_MIN, int(2 * avg))
+    excluded = {node for node, deg in degree.items() if deg > max_degree}
 
     # union-find over elements joined by shared (non-cut) nets
     parent = list(range(len(elements)))
@@ -200,7 +196,7 @@ def _connectivity_groups(elements: Sequence[Element], max_block: int,
     for k, el in enumerate(elements):
         for node in _non_ground_nodes(el):
             adjacency.setdefault(node, []).append(k)
-            if node in cut_nets:
+            if node in excluded:
                 continue
             if node in first_touch:
                 union(first_touch[node], k)
@@ -233,7 +229,7 @@ def _connectivity_groups(elements: Sequence[Element], max_block: int,
             seen.add(k)
             order.append(k)
             for node in _non_ground_nodes(elements[k]):
-                if node in cut_nets:
+                if node in excluded:
                     continue
                 for peer in adjacency[node]:
                     if peer in member_set and peer not in seen:
@@ -373,9 +369,7 @@ class Partition:
 
 
 def partition_circuit(circuit: Circuit, *,
-                      max_block: int = DEFAULT_MAX_BLOCK,
-                      cut_degree: Optional[int] = None,
-                      cut_nets: Optional[set] = None) -> Partition:
+                      max_block: int = DEFAULT_MAX_BLOCK) -> Partition:
     """Partition a flattened circuit into coupled blocks.
 
     Elements are grouped along subcircuit-instance boundaries (the
@@ -394,13 +388,6 @@ def partition_circuit(circuit: Circuit, *,
         which :meth:`Circuit.add`-built and parsed circuits are).
     max_block : int
         Maximum elements per block before a group is split further.
-    cut_degree : int, optional
-        Connectivity-fallback knob: nets touching more than this many
-        elements are never used to cluster (default: automatic from
-        the average net degree).
-    cut_nets : set of str, optional
-        Explicit net names to exclude from clustering (supply rails
-        the degree heuristic cannot see on small circuits).
 
     Returns
     -------
@@ -415,8 +402,7 @@ def partition_circuit(circuit: Circuit, *,
     nodes_of = {id(el): _non_ground_nodes(el) for el in elements}
     groups = _hier_groups(elements, max_block)
     if groups is None or len(groups) < 2:
-        groups = _connectivity_groups(elements, max_block, cut_degree,
-                                      cut_nets)
+        groups = _connectivity_groups(elements, max_block)
 
     # node -> {group key: number of the group's elements touching it};
     # nodes touched by >= 2 groups are boundary
@@ -512,91 +498,144 @@ def partition_circuit(circuit: Circuit, *,
 
 
 # ---------------------------------------------------------------------------
-# per-block assembly plumbing
+# per-part assembly plumbing
 
 
-class _ScatterMaps:
-    """Destination maps from one TripletStampContext's flat positions
-    into a block's bordered dense/sparse storage (self-healing: rebuilt
-    whenever the recorded positions change, exactly like the sparse
-    assembler's pattern)."""
-
-    __slots__ = ("flat", "a_sel", "a_map", "efc_sel", "efc_map")
-
-    def __init__(self) -> None:
-        self.flat: Optional[np.ndarray] = None
-        self.a_sel: Optional[np.ndarray] = None
-        self.a_map: Optional[np.ndarray] = None
-        self.efc_sel: Optional[np.ndarray] = None
-        self.efc_map: Optional[np.ndarray] = None
-
-    def stale(self, flat: np.ndarray) -> bool:
-        return (self.flat is None or self.flat.size != flat.size
-                or not np.array_equal(self.flat, flat))
+def _stamp(ctx: TripletStampContext, elements, step: dict,
+           x: Optional[np.ndarray] = None, reuse_tol: float = 0.0) -> None:
+    """Record one stamping pass of ``elements`` into ``ctx`` (the static
+    phase without ``x``, the dynamic phase around iterate ``x``)."""
+    ctx.clear()
+    for name, value in step.items():
+        setattr(ctx, name, value)
+    if x is not None:
+        ctx.x = x
+        ctx.reuse_tol = reuse_tol
+    for el in elements:
+        el.stamp(ctx)
 
 
-@dataclass(frozen=True)
-class _BankSlice:
-    """One stamping context's devices in the pooled CNFET bank: bank
-    positions plus their scatter columns in the global layout."""
+class _Part:
+    """One part of the pooled system: a block's bordered ``m x m``
+    system over (internal unknowns, local boundary nodes), or the
+    interface's over ``gamma``.
 
-    idx: np.ndarray
-    m_idx: np.ndarray
-    r_idx: np.ndarray
+    The system and its rhs sit back to back in the assembler's pooled
+    buffer (:attr:`slot`, viewed as :attr:`sys` / :attr:`rhs`).  Each
+    Newton iteration resets the slot to the assembled static phase and
+    adds the one-by-one dynamic stamps; the pooled CNFET bank then adds
+    its devices in place.  Each phase's triplets scatter through one
+    local map, rebuilt whenever the recorded positions change (exactly
+    like the sparse assembler's pattern)."""
+
+    def __init__(self, name: str, scope: np.ndarray, n: int, node_index,
+                 elements) -> None:
+        self.name = name
+        self.scope = scope
+        self.n = n
+        self.m = m = int(scope.size)
+        #: local index of each global index (-1: outside the scope; the
+        #: extra last entry is the bank's ground row ``n``)
+        self.loc = np.full(n + 1, -1, dtype=np.intp)
+        self.loc[scope] = np.arange(m)
+        self.static_els = [el for el in elements if not el.nonlinear]
+        #: nonlinear elements stamped one by one (the assembler moves
+        #: the part's share of its pooled CNFET bank out of this list)
+        self.dynamic_els = [el for el in elements if el.nonlinear]
+        #: this part's devices in the assembler's bank (set by it)
+        self.bank_idx = np.empty(0, dtype=np.intp)
+        self.static_ctx = TripletStampContext(n, node_index)
+        self.dyn_ctx = TripletStampContext(n, node_index)
+        self._maps: List[Optional[tuple]] = [None, None]
+        # the assembled static phase, in the slot's layout
+        self._static = np.zeros(m * m + m)
+        self._static_dirty = True
+        self.offset = 0
+        self.slot = self.sys = self.rhs = None
+
+    def bind(self, buf: np.ndarray, offset: int) -> None:
+        """Place the part's slot at ``offset`` of the pooled buffer."""
+        m = self.m
+        self.offset = offset
+        self.slot = buf[offset:offset + m * m + m]
+        self.sys = self.slot[:m * m].reshape(m, m)
+        self.rhs = self.slot[m * m:]
+
+    def _outside(self) -> AnalysisError:
+        return AnalysisError(
+            f"{self.name} stamped outside its scope; partition is "
+            "inconsistent with the netlist")
+
+    def _map(self, phase: int, flat: np.ndarray) -> np.ndarray:
+        """Local ``row * m + col`` positions of one phase's recorded
+        global flat positions."""
+        cached = self._maps[phase]
+        if cached is None or not np.array_equal(cached[0], flat):
+            rows, cols = np.divmod(flat, self.n)
+            rows, cols = self.loc[rows], self.loc[cols]
+            if flat.size and min(rows.min(), cols.min()) < 0:
+                raise self._outside()
+            cached = self._maps[phase] = (flat.copy(), rows * self.m + cols)
+        return cached[1]
+
+    def bank_maps(self, bank: CNFETBank, pad: int
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """The bank's entry table for this part's devices composed with
+        the slot: positions in the pooled buffer, grounded entries on
+        ``pad``."""
+        idx, n, m = self.bank_idx, self.n, self.m
+        rows, cols = bank.rows[:, idx], bank.cols[:, idx]
+        rhs_rows = bank.rhs_rows[:, idx]
+        lr, lc, lh = self.loc[rows], self.loc[cols], self.loc[rhs_rows]
+        grounded = (rows == n) | (cols == n)
+        if np.any(((lr < 0) | (lc < 0)) & ~grounded) \
+                or np.any((lh < 0) & (rhs_rows != n)):
+            raise self._outside()
+        return (np.where(grounded, pad, self.offset + lr * m + lc),
+                np.where(rhs_rows == n, pad, self.offset + m * m + lh))
+
+    def stamp_static(self, step: dict) -> None:
+        """Record the static phase for ``step``."""
+        _stamp(self.static_ctx, self.static_els, step)
+        self._static_dirty = True
+
+    def assemble(self, step: dict, x: np.ndarray, reuse_tol: float) -> None:
+        """Reset the slot to the static phase and add the one-by-one
+        dynamic stamps around iterate ``x``."""
+        m2 = self.m * self.m
+        if self._static_dirty:
+            flat, val = self.static_ctx.triplets()
+            self._static[:m2] = np.bincount(self._map(0, flat), weights=val,
+                                            minlength=m2)
+            self._static[m2:] = self.static_ctx.rhs[self.scope]
+            self._static_dirty = False
+        self.slot[:] = self._static
+        if self.dynamic_els:
+            ctx = self.dyn_ctx
+            _stamp(ctx, self.dynamic_els, step, x, reuse_tol)
+            flat, val = ctx.triplets()
+            np.add.at(self.slot, self._map(1, flat), val)
+            self.rhs += ctx.rhs[self.scope]
 
 
-class _BlockState:
+class _BlockState(_Part):
     """Runtime assembly/bypass state of one :class:`PartitionBlock`."""
 
     def __init__(self, block: PartitionBlock, n: int,
                  node_index) -> None:
+        super().__init__(f"block {block.name!r}",
+                         np.concatenate([block.internal, block.boundary]),
+                         n, node_index, block.elements)
         self.block = block
-        self.n = n
         self.ni = block.n_internal
         self.nb = block.n_boundary
-        m = self.ni + self.nb
-        self.m = m
-        # local index of each global index (internal first, boundary after)
-        loc = np.full(n, -1, dtype=np.intp)
-        loc[block.internal] = np.arange(self.ni)
-        loc[block.boundary] = self.ni + np.arange(self.nb)
-        self.loc = loc
-        self.scope = np.concatenate([block.internal, block.boundary])
-        self.static_els = [el for el in block.elements if not el.nonlinear]
-        #: nonlinear elements stamped one by one (the assembler moves
-        #: the block's share of its pooled CNFET bank out of this list)
-        self.dynamic_els = [el for el in block.elements if el.nonlinear]
-        #: this block's devices in the assembler's bank (set by it)
-        self.bank: Optional[_BankSlice] = None
-        self.static_ctx = TripletStampContext(n, node_index)
-        self.dyn_ctx = TripletStampContext(n, node_index)
-        self.smaps = _ScatterMaps()
-        self.dmaps = _ScatterMaps()
-        # bordered storage: A (ni x ni), EFC = [[., E], [F, C]] (m x m)
-        # with the A quadrant unused (kept zero)
-        self.efc_static = np.zeros((m, m))
-        self.a_static = np.zeros((self.ni, self.ni))
-        self.static_dirty = True
-        # sparse A path (large blocks only)
-        self.use_sparse = HAVE_SCIPY and self.ni >= SPARSE_BLOCK_MIN_DIM
-        self.sparse_backend = SparseBackend() if self.use_sparse else None
-        self.a_pattern: Optional[np.ndarray] = None
-        self.a_indices: Optional[np.ndarray] = None
-        self.a_indptr: Optional[np.ndarray] = None
-        self.a_static_data: Optional[np.ndarray] = None
-        self.lu_data: Optional[np.ndarray] = None
-        self.lu = None
-        # value-identical system reuse: a chord-frozen block restamps
-        # bitwise-identical triplet values every iteration, so the
-        # assembled quadrants, the factorisation, and the Schur pieces
-        # built from them (X, s_add) can all be carried over; only the
-        # right-hand side moves.  ``sys_serial`` ties a frozen dict to
-        # the matrix it was computed from.
-        self._sys_sval: Optional[np.ndarray] = None
-        self._sys_dval: Optional[np.ndarray] = None
-        self._efc_sum: Optional[np.ndarray] = None
-        self._a_fac = None
-        self._a_dense: Optional[np.ndarray] = None
+        # Factorisation reuse: a chord-frozen block restamps a
+        # bit-identical system every iteration, so the factorisation
+        # of A and the Schur pieces built from it (X, s_add) carry
+        # over; only the right-hand side moves.  ``sys_serial`` ties a
+        # frozen dict to the matrix it was computed from.
+        self._fac = None
+        self._fac_key: Optional[bytes] = None
         self.sys_serial = 0
         #: frozen Schur contribution (bypass state lives in the
         #: assembler's per-block arrays)
@@ -610,148 +649,30 @@ class _BlockState:
         self.iseg: Optional[slice] = None       # slice into internal_all
         self.dseg: Optional[slice] = None       # slice into bsub data
 
-    # -- pattern / scatter --------------------------------------------------
+    def factor(self) -> bool:
+        """Factorise ``A`` of the assembled system, unless the system
+        is bit-identical to the last factorised one; returns whether it
+        was (Schur pieces tagged with :attr:`sys_serial` still hold)."""
+        key = self.sys.tobytes()
+        if self._fac is not None and key == self._fac_key:
+            return True
+        a = self.sys[:self.ni, :self.ni]
+        if _getrf is not None:
+            lu, piv, info = _getrf(a)
+            if info != 0:
+                raise np.linalg.LinAlgError("singular block system")
+            self._fac = (lu, piv)
+        else:  # pragma: no cover - no-scipy guard
+            self._fac = a.copy()
+        self._fac_key = key
+        self.sys_serial += 1
+        return False
 
-    def _rebuild(self, maps: _ScatterMaps, flat: np.ndarray) -> None:
-        ni, m = self.ni, self.m
-        rows, cols = np.divmod(flat, self.n)
-        rows, cols = self.loc[rows], self.loc[cols]
-        if flat.size and min(rows.min(), cols.min()) < 0:
-            raise AnalysisError(
-                f"block {self.block.name!r} stamped outside its scope; "
-                "partition is inconsistent with the netlist")
-        in_a = (rows < ni) & (cols < ni)
-        maps.flat = flat.copy()
-        maps.a_sel = in_a.nonzero()[0]
-        maps.efc_sel = (~in_a).nonzero()[0]
-        maps.efc_map = (rows[maps.efc_sel] * m + cols[maps.efc_sel])
-        maps.a_map = rows[maps.a_sel] * ni + cols[maps.a_sel]
-        self.static_dirty = True
-        self.a_pattern = None  # sparse CSC pattern rebuilt lazily
-        self.lu_data = None
-        self.lu = None
-        self._sys_sval = None
-        self._sys_dval = None
-        self._efc_sum = None
-        self._a_fac = None
-        self._a_dense = None
-
-    def _rebuild_sparse_pattern(self) -> None:
-        """CSC pattern of the A quadrant from both phases' maps."""
-        self.a_pattern, self.a_indices, self.a_indptr, \
-            (self._a_static_csc, self._a_dyn_csc) = csc_pattern(
-                self.ni, self.smaps.a_map, self.dmaps.a_map)
-
-    def system(self) -> Tuple:
-        """Bordered block system from the recorded triplets.
-
-        Returns ``(solve_stacked, E, F, C, r_int, r_bd, unchanged)``
-        where ``solve_stacked(B)`` solves ``A_bb X = B`` for a stacked
-        right-hand side ``B`` of shape ``(ni, k)``.  ``unchanged`` is
-        ``True`` when every recorded triplet value is bit-identical to
-        the previous call (a chord-frozen block restamps the same
-        linearisation): the matrix quadrants and the factorisation are
-        carried over, and the caller may reuse any Schur pieces tagged
-        with the current :attr:`sys_serial`.
-        """
-        s_flat, s_val = self.static_ctx.triplets()
-        d_flat, d_val = self.dyn_ctx.triplets()
-        if self.smaps.stale(s_flat):
-            self._rebuild(self.smaps, s_flat)
-        if self.dmaps.stale(d_flat):
-            self._rebuild(self.dmaps, d_flat)
-        ni, m = self.ni, self.m
-        s_same = self._sys_sval is not None \
-            and np.array_equal(s_val, self._sys_sval)
-        d_same = self._sys_dval is not None \
-            and np.array_equal(d_val, self._sys_dval)
-        unchanged = s_same and d_same
-        if not unchanged:
-            self.sys_serial += 1
-        if not s_same:
-            self._sys_sval = s_val.copy()
-        if not d_same:
-            self._sys_dval = d_val.copy()
-        static_changed = self.static_dirty and not s_same
-        self.static_dirty = False
-        if static_changed:
-            efc = self.efc_static
-            efc[:] = 0.0
-            np.add.at(efc.ravel(), self.smaps.efc_map,
-                      s_val[self.smaps.efc_sel])
-            if not self.use_sparse:
-                a = self.a_static
-                a[:] = 0.0
-                np.add.at(a.ravel(), self.smaps.a_map,
-                          s_val[self.smaps.a_sel])
-        if unchanged and self._efc_sum is not None:
-            efc = self._efc_sum
-        else:
-            efc = self.efc_static.copy()
-            np.add.at(efc.ravel(), self.dmaps.efc_map,
-                      d_val[self.dmaps.efc_sel])
-            self._efc_sum = efc
-        E = efc[:ni, ni:]
-        F = efc[ni:, :ni]
-        C = efc[ni:, ni:]
-        rhs = self.static_ctx.rhs + self.dyn_ctx.rhs
-        r_int = rhs[self.block.internal]
-        r_bd = rhs[self.block.boundary]
-        if self.use_sparse:
-            if self.a_pattern is None:
-                self._rebuild_sparse_pattern()
-                static_changed = True
-            nnz = self.a_pattern.size
-            if static_changed or self.a_static_data is None:
-                self.a_static_data = np.bincount(
-                    self._a_static_csc, weights=s_val[self.smaps.a_sel],
-                    minlength=nnz)
-            data = self.a_static_data.copy()
-            np.add.at(data, self._a_dyn_csc, d_val[self.dmaps.a_sel])
-
-            def solve_stacked(b_stack: np.ndarray) -> np.ndarray:
-                if self.lu is not None and self.lu_data is not None \
-                        and np.array_equal(data, self.lu_data):
-                    lu = self.lu
-                else:
-                    lu = self.sparse_backend.factorize_csc(
-                        ni, data, self.a_indices, self.a_indptr)
-                    if lu is None:  # pragma: no cover - no-scipy guard
-                        raise np.linalg.LinAlgError(
-                            "sparse block factorisation unavailable")
-                    self.lu = lu
-                    self.lu_data = data
-                out = np.empty_like(b_stack)
-                for col in range(b_stack.shape[1]):
-                    out[:, col] = lu.solve(
-                        np.ascontiguousarray(b_stack[:, col]))
-                return out
-
-            return solve_stacked, E, F, C, r_int, r_bd, unchanged
-        have_fac = self._a_fac is not None or self._a_dense is not None
-        if not (unchanged and have_fac):
-            a = self.a_static.copy()
-            np.add.at(a.ravel(), self.dmaps.a_map,
-                      d_val[self.dmaps.a_sel])
-            if _getrf is not None:
-                lu, piv, info = _getrf(a)
-                if info != 0:
-                    raise np.linalg.LinAlgError(
-                        "singular block system")
-                self._a_fac = (lu, piv)
-                self._a_dense = None
-            else:
-                self._a_dense = a
-                self._a_fac = None
-        fac = self._a_fac
-        dense = self._a_dense
-
-        def solve_stacked(b_stack: np.ndarray) -> np.ndarray:
-            if fac is not None:
-                return _getrs(*fac, b_stack)[0]
-            return np.linalg.solve(dense, b_stack)
-
-        return solve_stacked, E, F, C, r_int, r_bd, unchanged
+    def solve_a(self, b_stack: np.ndarray) -> np.ndarray:
+        """Solve ``A X = B`` for a stacked ``(ni, k)`` right-hand side."""
+        if _getrf is not None:
+            return _getrs(*self._fac, b_stack)[0]
+        return np.linalg.solve(self._fac, b_stack)  # pragma: no cover
 
 
 class PartitionedAssembler:
@@ -772,7 +693,7 @@ class PartitionedAssembler:
     its frozen Schur contribution is added directly.  Bypassed blocks
     are re-checked against the live iterate every Newton iteration and
     promoted back to active the moment their terminals move; a forced
-    refresh every ``max_bypass_steps`` steps bounds slow drift.  The
+    refresh after :data:`MAX_BYPASS_STEPS` bounds slow drift.  The
     approximation error is the chord-iteration error of
     ``NewtonOptions.jacobian_reuse_tol``, at block granularity.
 
@@ -785,24 +706,23 @@ class PartitionedAssembler:
         ``partition_circuit(circuit)``.
     bypass_tol : float
         Latency-bypass tolerance in volts; ``0`` disables bypass.
-    max_bypass_steps : int
-        Consecutive accepted steps a block may stay bypassed.
-
     device_stats : dict, optional
         Receives the stacked CNFET solver counters, as in the
         monolithic assembler.
 
-    The fast-backend CNFETs of every block and of the interface share
-    one :class:`~repro.circuit.elements.cnfet.CNFETBank` (one stacked
-    evaluation per Newton iteration covers every active block's devices
-    and the interface's), as in the monolithic assembler, with the
-    bank's exact-rhs chord on in transient steps only.
+    Every block's system and the interface's live back to back in one
+    pooled dense buffer.  The fast-backend CNFETs of every block and
+    of the interface share one
+    :class:`~repro.circuit.elements.cnfet.CNFETBank` whose entry table
+    is composed with that layout once, so one stacked evaluation per
+    Newton iteration stamps every active block's devices and the
+    interface's in place, with the bank's exact-rhs chord on in
+    transient steps only.
     """
 
     def __init__(self, circuit: Circuit,
                  partition: Optional[Partition] = None, *,
                  bypass_tol: float = 0.0,
-                 max_bypass_steps: int = DEFAULT_MAX_BYPASS_STEPS,
                  device_stats: Optional[dict] = None) -> None:
         self.circuit = circuit
         self.partition = partition if partition is not None \
@@ -812,56 +732,47 @@ class PartitionedAssembler:
                 "partition was built for a different circuit")
         self.n = circuit.dimension()
         self.bypass_tol = float(bypass_tol)
-        self.max_bypass_steps = int(max_bypass_steps)
         node_index = circuit.node_index
         self._blocks = [
             _BlockState(blk, self.n, node_index)
             for blk in self.partition.blocks]
-        iface = self.partition.interface_elements
-        self._if_static = [el for el in iface if not el.nonlinear]
-        # One CNFET bank pooled across every block and the interface:
-        # per Newton iteration the assembler runs a single stacked
-        # evaluation over the active blocks' and the interface's
-        # devices and scatters each one's columns into its own triplet
-        # context (a bank per block would pay the kernel's fixed call
-        # cost once per block per iteration).
-        banked, rest = split_bank_devices(
-            [st.dynamic_els for st in self._blocks]
-            + [[el for el in iface if el.nonlinear]])
-        self._if_dynamic = rest.pop()
-        for st, els in zip(self._blocks, rest):
-            st.dynamic_els = els
-        pool = [el for els in banked for el in els]
-        self._bank: Optional[CNFETBank] = None
-        self._if_bank: Optional[_BankSlice] = None
-        if pool:
-            self._bank = CNFETBank(pool, node_index, self.n,
-                                   stats=device_stats)
-            m_idx, r_idx = self._bank.flat_entries(self.n)
-            ends = np.cumsum([len(els) for els in banked])
-            slices = [_BankSlice(idx, m_idx[:, idx], r_idx[:, idx])
-                      for idx in np.split(np.arange(len(pool)), ends[:-1])]
-            self._if_bank = slices.pop()
-            for st, bank_slice in zip(self._blocks, slices):
-                st.bank = bank_slice
         gamma = self.partition.gamma
         self.gamma = gamma
         self.ng = int(gamma.size)
-        gloc = np.full(self.n, -1, dtype=np.intp)
-        gloc[gamma] = np.arange(self.ng)
+        self._iface = _Part("interface element", gamma, self.n, node_index,
+                            self.partition.interface_elements)
+        parts = self._blocks + [self._iface]
+        sizes = [part.m * part.m + part.m for part in parts]
+        self._buf = np.zeros(sum(sizes))
+        for part, offset in zip(parts, np.cumsum([0] + sizes[:-1])):
+            part.bind(self._buf, int(offset))
+        # One CNFET bank pooled across every block and the interface:
+        # per Newton iteration the assembler runs a single stacked
+        # evaluation over the active blocks' and the interface's
+        # devices, scattered straight into their slots (a bank per
+        # block would pay the kernel's fixed call cost once per block
+        # per iteration).
+        banked, rest = split_bank_devices([part.dynamic_els
+                                           for part in parts])
+        pool = [el for els in banked for el in els]
+        self._bank: Optional[CNFETBank] = None
+        if pool:
+            self._bank = CNFETBank(pool, node_index, self.n,
+                                   stats=device_stats)
+            m_map = np.empty((17, len(pool)), dtype=np.int64)
+            r_map = np.empty((5, len(pool)), dtype=np.int64)
+            ends = np.cumsum([len(els) for els in banked])
+            for part, els, idx in zip(
+                    parts, rest,
+                    np.split(np.arange(len(pool)), ends[:-1])):
+                part.dynamic_els = els
+                part.bank_idx = idx
+                m_map[:, idx], r_map[:, idx] = part.bank_maps(
+                    self._bank, self._buf.size)
+            self._bank_target = (self._buf, m_map, self._buf, r_map)
         for st in self._blocks:
-            st.gpos = gloc[st.block.boundary]
-        # interface assembly (same two-phase split as a block, but
-        # scattered into the dense gamma system)
-        self._if_static_ctx = TripletStampContext(self.n, node_index)
-        self._if_dyn_ctx = TripletStampContext(self.n, node_index)
-        self._gloc = gloc
-        self._if_smap: Optional[np.ndarray] = None
-        self._if_sflat: Optional[np.ndarray] = None
-        self._if_dmap: Optional[np.ndarray] = None
-        self._if_dflat: Optional[np.ndarray] = None
-        self._if_static_dense: Optional[np.ndarray] = None
-        self._if_static_dirty = True
+            # boundary nodes' positions in the interface system
+            st.gpos = self._iface.loc[st.block.boundary]
         self._step: Optional[dict] = None
         self._x: Optional[np.ndarray] = None
         self._first_reuse_tol: Optional[float] = None
@@ -871,12 +782,11 @@ class PartitionedAssembler:
         self._frozen_r: Optional[np.ndarray] = None
         # Fully-bypassed solve cache: when every block is bypassed the
         # global system is determined by the frozen contributions plus
-        # the interface triplets alone, so if those are bit-identical
-        # to the previous fully-bypassed solve the returned iterate is
-        # too — a quiescent step skips the interface assembly, the
-        # Schur solve, and the back-substitution entirely.  The
-        # signature holds the bytes of the frozen versions and of the
-        # interface triplets and rhs.
+        # the interface system alone, so if those are bit-identical to
+        # the previous fully-bypassed solve the returned iterate is
+        # too — a quiescent step skips the Schur solve and the
+        # back-substitution entirely.  The signature holds the bytes
+        # of the frozen versions and of the interface's slot.
         self._cache_sig: Optional[tuple] = None
         self._cache_x: Optional[np.ndarray] = None
         # Concatenated per-block scopes: drift checks for all blocks
@@ -982,8 +892,7 @@ class PartitionedAssembler:
         self._step = step
         self._first_reuse_tol = None
         self.stats["steps"] += 1
-        self._stamp_static(self._if_static_ctx, self._if_static, step)
-        self._if_static_dirty = True
+        self._iface.stamp_static(step)
         tol = self.bypass_tol
         bypassed = np.zeros(len(self._blocks), dtype=bool)
         key = self._keys.get((analysis, method, gmin, source_scale))
@@ -995,7 +904,7 @@ class PartitionedAssembler:
                                & _dt_matches(self._fz_dt, dt))
                 self._match_sig = sig
             bypassed = (self._match
-                        & (self._fz_age < self.max_bypass_steps)
+                        & (self._fz_age < MAX_BYPASS_STEPS)
                         & self._within_tol(x_prev, self._frozen_xp_all))
             for i in self._wave_blocks:
                 # A time-varying block stays bypassable while its
@@ -1012,8 +921,7 @@ class PartitionedAssembler:
         self.stats["block_steps_active"] += bypassed.size - n_bypassed
         for i in (~bypassed).nonzero()[0]:
             st = self._blocks[i]
-            self._stamp_static(st.static_ctx, st.static_els, step)
-            st.static_dirty = True
+            st.stamp_static(step)
             st.static_step = self.stats["steps"]
         self._qprev_pending = None
         if (self._bank is not None and analysis == "tran"
@@ -1023,7 +931,8 @@ class PartitionedAssembler:
             # iteration, whose iterate is x_prev itself: the companion
             # evaluation there computes the very charges q_prev needs,
             # saving a kernel call per step
-            self._qprev_pending = self._bank_parts()[1]
+            idx = self._bank_idx(self._active_parts())
+            self._qprev_pending = idx if idx.size else None
 
     def _within_tol(self, x: np.ndarray, frozen: np.ndarray) -> np.ndarray:
         """Per block: whether ``x`` stays within the bypass tolerance of
@@ -1042,49 +951,16 @@ class PartitionedAssembler:
         self._drift_memo[id(frozen)] = (key, within)
         return within
 
-    def _bank_parts(self) -> Tuple[list, Optional[np.ndarray]]:
-        """``(parts, idx)``: the bank slices evaluated this iteration
-        with the contexts they land in (the active blocks', then the
-        interface's), and their concatenated bank positions (``None``
-        when there are none)."""
-        blocks = self._blocks
-        parts = [(blocks[i].bank, blocks[i].dyn_ctx)
-                 for i in (~self._bypassed).nonzero()[0]
-                 if blocks[i].bank.idx.size]
-        if self._if_bank.idx.size:
-            parts.append((self._if_bank, self._if_dyn_ctx))
-        idx = np.concatenate([part.idx for part, _ctx in parts]) \
-            if parts else None
-        return parts, idx
+    def _active_parts(self) -> List[_Part]:
+        """The parts assembled this iteration: the active blocks, then
+        the interface."""
+        return [self._blocks[i] for i in (~self._bypassed).nonzero()[0]] \
+            + [self._iface]
 
-    def _stamp_static(self, ctx: TripletStampContext, elements,
-                      step: dict) -> None:
-        ctx.clear()
-        ctx.analysis = step["analysis"]
-        ctx.time = step["time"]
-        ctx.dt = step["dt"]
-        ctx.x_prev = step["x_prev"]
-        ctx.method = step["method"]
-        ctx.gmin = step["gmin"]
-        ctx.source_scale = step["source_scale"]
-        for el in elements:
-            el.stamp(ctx)
-
-    def _stamp_dynamic(self, ctx: TripletStampContext, elements,
-                       x: np.ndarray, reuse_tol: float) -> None:
-        step = self._step
-        ctx.clear()
-        ctx.x = x
-        ctx.analysis = step["analysis"]
-        ctx.time = step["time"]
-        ctx.dt = step["dt"]
-        ctx.x_prev = step["x_prev"]
-        ctx.method = step["method"]
-        ctx.gmin = step["gmin"]
-        ctx.source_scale = step["source_scale"]
-        ctx.reuse_tol = reuse_tol
-        for el in elements:
-            el.stamp(ctx)
+    @staticmethod
+    def _bank_idx(parts: List[_Part]) -> np.ndarray:
+        """Concatenated bank positions of ``parts``' devices."""
+        return np.concatenate([part.bank_idx for part in parts])
 
     def iterate(self, x: np.ndarray, reuse_tol: float = 0.0) -> None:
         """Stamp the dynamic phase around iterate ``x``; bypassed
@@ -1123,34 +999,27 @@ class PartitionedAssembler:
                 # skipped and move it to the active column (an
                 # intra-step re-frozen block keeps its fresh static
                 # phase and was already counted)
-                self._stamp_static(st.static_ctx, st.static_els,
-                                   self._step)
-                st.static_dirty = True
+                st.stamp_static(self._step)
                 st.static_step = step_id
                 self.stats["bypass_promotions"] += 1
                 self.stats["block_steps_bypassed"] -= 1
                 self.stats["block_steps_active"] += 1
                 step = self._step
-                if (self._bank is not None and st.bank.idx.size
-                        and step["analysis"] == "tran"
+                if (st.bank_idx.size and step["analysis"] == "tran"
                         and step["dt"] is not None
                         and step["x_prev"] is not None):
                     self._bank.refresh_charges(step["x_prev"],
-                                               st.bank.idx)
+                                               st.bank_idx)
         bypassed = (bypassed & still) | refreeze
         self._bypassed = bypassed
-        for i in (~bypassed).nonzero()[0]:
-            st = self._blocks[i]
-            self._stamp_dynamic(st.dyn_ctx, st.dynamic_els, x,
-                                reuse_tol)
-        self._stamp_dynamic(self._if_dyn_ctx, self._if_dynamic, x,
-                            reuse_tol)
-        parts, idx = self._bank_parts() if self._bank is not None \
-            else ([], None)
-        if parts:
+        step = self._step
+        parts = self._active_parts()
+        for part in parts:
+            part.assemble(step, x, reuse_tol)
+        idx = self._bank_idx(parts)
+        if idx.size:
             # one stacked companion evaluation for every active
-            # block's and the interface's devices, scattered per part
-            step = self._step
+            # block's and the interface's devices, stamped in place
             tran = step["analysis"] == "tran" and step["dt"] is not None
             seed = False
             pending = self._qprev_pending
@@ -1161,53 +1030,11 @@ class PartitionedAssembler:
                     seed = True  # charges at x double as q_prev
                 else:  # pragma: no cover - first iterate moved
                     self._bank.refresh_charges(step["x_prev"], pending)
-            values, rhs_values = self._bank.companion(
-                x, idx, gmin=step["gmin"], tran=tran, dt=step["dt"],
+            self._bank.companion(
+                x, idx, target=self._bank_target, gmin=step["gmin"],
+                tran=tran, dt=step["dt"],
                 reuse_tol=reuse_tol if tran else 0.0, seed_qprev=seed)
-            nv, nr = values.shape[0], rhs_values.shape[0]
-            pos = 0
-            for part, ctx in parts:
-                k = part.idx.size
-                ctx.add_flat(part.m_idx[:nv].ravel(),
-                             values[:, pos:pos + k].ravel(),
-                             part.r_idx[:nr].ravel(),
-                             rhs_values[:, pos:pos + k].ravel())
-                pos += k
         self._x = x
-
-    # -- interface system -----------------------------------------------------
-
-    def _if_maps(self, flat: np.ndarray) -> np.ndarray:
-        rows = self._gloc[flat // self.n]
-        cols = self._gloc[flat % self.n]
-        if flat.size and (rows.min() < 0 or cols.min() < 0):
-            raise AnalysisError(
-                "interface element stamped outside the boundary scope; "
-                "partition is inconsistent with the netlist")
-        return rows * self.ng + cols
-
-    def _interface_system(self) -> Tuple[np.ndarray, np.ndarray]:
-        s_flat, s_val = self._if_static_ctx.triplets()
-        d_flat, d_val = self._if_dyn_ctx.triplets()
-        ng = self.ng
-        if self._if_sflat is None or self._if_sflat.size != s_flat.size \
-                or not np.array_equal(self._if_sflat, s_flat):
-            self._if_smap = self._if_maps(s_flat)
-            self._if_sflat = s_flat.copy()
-            self._if_static_dirty = True
-        if self._if_dflat is None or self._if_dflat.size != d_flat.size \
-                or not np.array_equal(self._if_dflat, d_flat):
-            self._if_dmap = self._if_maps(d_flat)
-            self._if_dflat = d_flat.copy()
-        if self._if_static_dirty or self._if_static_dense is None:
-            dense = np.zeros((ng, ng))
-            np.add.at(dense.ravel(), self._if_smap, s_val)
-            self._if_static_dense = dense
-            self._if_static_dirty = False
-        S = self._if_static_dense.copy()
-        np.add.at(S.ravel(), self._if_dmap, d_val)
-        rhs = self._if_static_ctx.rhs + self._if_dyn_ctx.rhs
-        return S, rhs[self.gamma]
 
     # -- solve ----------------------------------------------------------------
 
@@ -1225,15 +1052,10 @@ class PartitionedAssembler:
                    and np.count_nonzero(bypassed) == bypassed.size)
         sig = None
         if all_byp:
-            r_g = (self._if_static_ctx.rhs
-                   + self._if_dyn_ctx.rhs)[self.gamma]
-            sig = (self._fz_version.tobytes(), r_g.tobytes()) + tuple(
-                a.tobytes() for a in self._if_static_ctx.triplets()
-                + self._if_dyn_ctx.triplets())
+            sig = (self._fz_version.tobytes(), self._iface.slot.tobytes())
             if self._cache_x is not None and sig == self._cache_sig:
                 self.stats["interface_solve_reuses"] += 1
                 return self._cache_x.copy()
-        S_base, r_base = self._interface_system()
         step = self._step
         x_prev = step["x_prev"]
         key = (-1 if x_prev is None else self._keys.setdefault(
@@ -1242,7 +1064,10 @@ class PartitionedAssembler:
         active = []
         for i in (~bypassed).nonzero()[0]:
             st = blocks[i]
-            solve_stacked, E, F, C, r_int, r_bd, reusable = st.system()
+            reusable = st.factor()
+            ni = st.ni
+            E, F, C = st.sys[:ni, ni:], st.sys[ni:, :ni], st.sys[ni:, ni:]
+            r_int, r_bd = st.rhs[:ni], st.rhs[ni:]
             fz0 = st.frozen
             if (reusable and fz0 is not None
                     and fz0["sys_serial"] == st.sys_serial):
@@ -1250,14 +1075,14 @@ class PartitionedAssembler:
                 # built from: only the rhs moved, so the coupling
                 # columns X and the Schur term survive — one single-rhs
                 # back-solve replaces the stacked solve and the GEMM
-                y = solve_stacked(r_int.reshape(-1, 1))[:, 0]
+                y = st.solve_a(r_int.reshape(-1, 1))[:, 0]
                 X = fz0["X"]
                 s_add = fz0["s_add"]
             else:
-                stack = np.empty((st.ni, 1 + st.nb))
+                stack = np.empty((ni, 1 + st.nb))
                 stack[:, 0] = r_int
                 stack[:, 1:] = E
-                sol = solve_stacked(stack)
+                sol = st.solve_a(stack)
                 y = sol[:, 0]
                 X = sol[:, 1:]
                 s_add = C - F @ X
@@ -1288,7 +1113,7 @@ class PartitionedAssembler:
             for st in blocks:
                 x_new[st.block.internal] = st.frozen["y"]
             return x_new
-        x_g = self._solve_interface(S_base, r_base, active)
+        x_g = self._solve_interface(active)
         x_new[self.gamma] = x_g
         if self._bsub is not None:
             x_new[self._internal_all] = self._y_all - self._bsub @ x_g
@@ -1326,11 +1151,10 @@ class PartitionedAssembler:
             self._frozen_r = r
         return self._frozen_S, self._frozen_r
 
-    def _solve_interface(self, S_base: np.ndarray, r_base: np.ndarray,
-                         active: List[_BlockState]) -> np.ndarray:
+    def _solve_interface(self, active: List[_BlockState]) -> np.ndarray:
         S_fz, r_fz = self._frozen_sums()
-        S = S_base + S_fz
-        r = r_base + r_fz
+        S = self._iface.sys + S_fz
+        r = self._iface.rhs + r_fz
         for st in active:
             if st.nb:
                 fz = st.frozen

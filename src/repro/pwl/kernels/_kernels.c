@@ -12,8 +12,8 @@
  *      analytic partials, companion and exact rhs, q_prev seeding,
  *      and the scatter-add into the caller's matrix / rhs buffers
  *      through flat index maps — one call per Newton iteration;
- *   3. scatter_add_pad / triplet_append / scatter_accum — the dense
- *      bincount and sparse-triplet scatter-add stamping primitives;
+ *   3. scatter_accum — the sparse assembler's dynamic-value
+ *      scatter-add into its CSC data;
  *   4. lu_refactor / lu_solve_factored / csc_residual_inf — frozen-
  *      pivot numeric LU refactorization.  SuperLU re-runs its full
  *      symbolic analysis (ordering, pivoting, supernode detection,
@@ -326,10 +326,10 @@ typedef struct {
  * pass 0 gathers the biases, takes the chord decision (stored in
  * `chord`) and solves every lane; pass 1 revisits only the n_sub
  * selection positions `sub`, whose vsc the caller filled in after the
- * scalar fallback.  Destinations are optional: a flat matrix buffer
- * and an rhs buffer with (N_KINDS, p) / (N_RHS, p) index maps (entries
- * >= the buffer size are discarded), and/or (nk, n) / (nr, n) value
- * columns. */
+ * scalar fallback.  The destination is a flat matrix buffer and an
+ * rhs buffer (possibly the same one) with (N_KINDS, p) / (N_RHS, p)
+ * index maps, entries >= the buffer size discarded; a charges_only
+ * call has none. */
 typedef struct {
     idx_t n;
     const idx_t *idx;
@@ -345,7 +345,6 @@ typedef struct {
     double *r_out;
     const idx_t *r_map;
     idx_t r_size;
-    double *values, *rhs;
 } stamp_call_t;
 
 /* terminal charges (G, D, S) at an n-frame bias and its vsc */
@@ -506,24 +505,15 @@ static void finish_lane(const bank_t *b, const stamp_call_t *c, idx_t k,
             b->memo_valid[r] = 0;
         }
     }
-    if (c->m_out)
-        for (int j = 0; j < nk; j++) {
-            idx_t pos = c->m_map[j * p + r];
-            if (pos < c->m_size)
-                c->m_out[pos] += val[j];
-        }
-    if (c->r_out)
-        for (int j = 0; j < nr; j++) {
-            idx_t pos = c->r_map[j * p + r];
-            if (pos < c->r_size)
-                c->r_out[pos] += rhs[j];
-        }
-    if (c->values) {
-        idx_t n = c->n;
-        for (int j = 0; j < nk; j++)
-            c->values[j * n + k] = val[j];
-        for (int j = 0; j < nr; j++)
-            c->rhs[j * n + k] = rhs[j];
+    for (int j = 0; j < nk; j++) {
+        idx_t pos = c->m_map[j * p + r];
+        if (pos < c->m_size)
+            c->m_out[pos] += val[j];
+    }
+    for (int j = 0; j < nr; j++) {
+        idx_t pos = c->r_map[j * p + r];
+        if (pos < c->r_size)
+            c->r_out[pos] += rhs[j];
     }
 }
 
@@ -577,37 +567,8 @@ idx_t bank_stamp(const bank_t *b, stamp_call_t *c)
 }
 
 /* ------------------------------------------------------------------ */
-/* kernel 3: scatter-add stamping primitives                           */
+/* kernel 3: sparse value scatter                                      */
 /* ------------------------------------------------------------------ */
-
-/* out[idx[i]] += val[i], entries with idx >= out_size discarded (the
- * ground pad of the flat stamp index tables). */
-void scatter_add_pad(double *out, idx_t out_size,
-                     const idx_t *idx, const double *val, idx_t n)
-{
-    for (idx_t i = 0; i < n; i++) {
-        idx_t j = idx[i];
-        if (j < out_size)
-            out[j] += val[i];
-    }
-}
-
-/* Copy triplets with idx < dim2 (pad entries dropped); returns the
- * number kept.  Bit-identical to the boolean-mask numpy path. */
-idx_t triplet_append(const idx_t *idx, const double *val, idx_t n,
-                     idx_t dim2, idx_t *out_idx, double *out_val)
-{
-    idx_t kept = 0;
-    for (idx_t i = 0; i < n; i++) {
-        idx_t j = idx[i];
-        if (j < dim2) {
-            out_idx[kept] = j;
-            out_val[kept] = val[i];
-            kept++;
-        }
-    }
-    return kept;
-}
 
 /* data[map[i]] += val[i] — the dynamic-value scatter of the sparse
  * assembler (data preloaded with the static part by the caller). */

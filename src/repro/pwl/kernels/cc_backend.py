@@ -124,10 +124,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.bank_stamp.restype = i
     lib.bank_stamp.argtypes = [ctypes.POINTER(_Bank),
                                ctypes.POINTER(_StampCall)]
-    lib.scatter_add_pad.restype = None
-    lib.scatter_add_pad.argtypes = [p, i, p, p, i]
-    lib.triplet_append.restype = i
-    lib.triplet_append.argtypes = [p, p, i, i, p, p]
     lib.scatter_accum.restype = None
     lib.scatter_accum.argtypes = [p, p, p, i]
     lib.lu_refactor.restype = i
@@ -191,7 +187,6 @@ class _StampCall(ctypes.Structure):
         ("n_sub", ctypes.c_int64), ("sub", _VP),
         ("m_out", _VP), ("m_map", _VP), ("m_size", ctypes.c_int64),
         ("r_out", _VP), ("r_map", _VP), ("r_size", ctypes.c_int64),
-        ("values", _VP), ("rhs", _VP),
     ]
 
 
@@ -294,7 +289,7 @@ class CcKernelBackend:
                    *, gmin: float = 0.0, tran: bool = False,
                    dt: Optional[float] = None, radius: float = 0.0,
                    seed_qprev: bool = False, target=None,
-                   charges_only: bool = False):
+                   charges_only: bool = False) -> None:
         """The numpy tier's :meth:`bank_stamp` as one C call (two when
         a lane needs the exact scalar VSC fallback)."""
         binding = bank.kernel_state.get(self.name)
@@ -322,8 +317,9 @@ class CcKernelBackend:
         call.seed = seed_qprev
         call.charges_only = charges_only
         call.pass_ = 0
-        out = None
-        if target is not None:
+        if charges_only:
+            call.m_out = call.r_out = None
+        else:
             m_out, m_map, r_out, r_map = target
             if m_out.dtype != np.float64 or r_out.dtype != np.float64:
                 raise ValueError("bank stamp targets must be float64")
@@ -333,16 +329,6 @@ class CcKernelBackend:
             call.m_size = m_out.size
             call.r_out = _address(r_out)
             call.r_size = r_out.size
-            call.values = call.rhs = None
-        else:
-            call.m_out = call.r_out = None
-            if charges_only:
-                call.values = call.rhs = None
-            else:
-                out = (np.empty((17 if tran else 8, n)),
-                       np.empty((5 if tran else 2, n)))
-                call.values = _address(out[0])
-                call.rhs = _address(out[1])
         n_bad = self._lib.bank_stamp(binding.bank_ref, binding.call_ref)
         if n_bad:
             # exact scalar fallback for the lanes whose region drifted,
@@ -362,28 +348,8 @@ class CcKernelBackend:
             stats["stacked_lanes"] = stats.get("stacked_lanes", 0) + n
             stats["stacked_fallbacks"] = \
                 stats.get("stacked_fallbacks", 0) + n_bad
-        return out
 
-    # -- kernel 3: scatter-add stamping --------------------------------
-
-    def scatter_add_pad(self, out: np.ndarray, m_idx: np.ndarray,
-                        m_val: np.ndarray) -> None:
-        m_idx = _as_i64(m_idx)
-        m_val = _as_f64(m_val)
-        self._lib.scatter_add_pad(_address(out), out.size,
-                                  _address(m_idx), _address(m_val),
-                                  m_idx.size)
-
-    def triplet_append(self, m_idx: np.ndarray, m_val: np.ndarray,
-                       dim2: int, out_idx: np.ndarray,
-                       out_val: np.ndarray, offset: int) -> int:
-        m_idx = _as_i64(m_idx)
-        m_val = _as_f64(m_val)
-        kept = self._lib.triplet_append(
-            _address(m_idx), _address(m_val), m_idx.size, dim2,
-            _address(out_idx[offset:]), _address(out_val[offset:]),
-        )
-        return int(kept)
+    # -- kernel 3: sparse value scatter --------------------------------
 
     def scatter_accum(self, base: np.ndarray, map_idx: np.ndarray,
                       values: np.ndarray) -> np.ndarray:

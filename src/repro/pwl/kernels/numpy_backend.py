@@ -1,8 +1,9 @@
 """Pure-numpy kernel tier — the parity reference.
 
 The vectorized implementations of the ``StackedVscSolver.solve``
-region solve, the ``CNFETBank`` companion / chord evaluation and the
-``add_flat`` stamping primitives.  The compiled tier
+region solve, the fused ``CNFETBank`` stamp (companion / chord
+evaluation scattered into the caller's buffers) and the sparse
+assembler's value scatter.  The compiled tier
 (:mod:`repro.pwl.kernels.cc_backend`) mirrors this arithmetic lane by
 lane; see :doc:`/kernels` for the parity contract.
 """
@@ -100,7 +101,7 @@ class NumpyKernelBackend:
                    *, gmin: float = 0.0, tran: bool = False,
                    dt: Optional[float] = None, radius: float = 0.0,
                    seed_qprev: bool = False, target=None,
-                   charges_only: bool = False):
+                   charges_only: bool = False) -> None:
         """One per-iteration stamp of the bank devices ``idx`` (``None``:
         all of them) around iterate ``x``.
 
@@ -111,17 +112,17 @@ class NumpyKernelBackend:
         hit, the exact rhs around the memoised matrix values, seeds
         ``q_prev`` from the charges at ``x`` when ``seed_qprev``, and
         scatter-adds into ``target = (m_out, m_map, r_out, r_map)`` —
-        flat buffers and ``(17, P)`` / ``(5, P)`` index maps whose
-        entries at or past the buffer size are discarded.  Without a
-        target it returns the ``(values, rhs_values)`` columns instead.
-        With ``charges_only`` it only sets ``q_prev`` from the charges
-        at ``x`` (the refresh from a previous step's solution).
+        flat buffers (possibly one buffer) and ``(17, P)`` / ``(5, P)``
+        index maps whose entries at or past the buffer size are
+        discarded.  With ``charges_only`` it only sets ``q_prev`` from
+        the charges at ``x`` (the refresh from a previous step's
+        solution) and takes no target.
         """
         sel = slice(None) if idx is None else idx
         vgs, vds = _biases(bank, x, idx)
         if charges_only:
             bank.q_prev[:, sel] = _charges(bank, vgs, vds, idx)
-            return None
+            return
         if (radius > 0.0 and bank.memo_valid[sel].all()
                 and float(np.max(np.abs(vgs - bank.memo_vgs[sel])))
                 <= radius
@@ -142,36 +143,13 @@ class NumpyKernelBackend:
                 bank.memo_valid[sel] = True
             else:
                 bank.memo_valid[sel] = False
-        if target is None:
-            return values, rhs_values
         m_out, m_map, r_out, r_map = target
-        self.scatter_add_pad(m_out, m_map[:values.shape[0], sel].ravel(),
-                             values.ravel())
-        self.scatter_add_pad(r_out,
-                             r_map[:rhs_values.shape[0], sel].ravel(),
-                             rhs_values.ravel())
-        return None
+        _scatter_add_pad(m_out, m_map[:values.shape[0], sel].ravel(),
+                         values.ravel())
+        _scatter_add_pad(r_out, r_map[:rhs_values.shape[0], sel].ravel(),
+                         rhs_values.ravel())
 
-    # -- kernel 3: scatter-add stamping --------------------------------
-
-    def scatter_add_pad(self, out: np.ndarray, m_idx: np.ndarray,
-                        m_val: np.ndarray) -> None:
-        """``out[m_idx] += m_val`` with index ``out.size`` (and above)
-        as a discard pad — the historical two-bincount scatter."""
-        size = out.size
-        out += np.bincount(m_idx, weights=m_val,
-                           minlength=size + 1)[:size]
-
-    def triplet_append(self, m_idx: np.ndarray, m_val: np.ndarray,
-                       dim2: int, out_idx: np.ndarray,
-                       out_val: np.ndarray, offset: int) -> int:
-        """Append triplets below the ``dim2`` pad at ``offset``;
-        returns the count kept.  Caller guarantees capacity."""
-        keep = m_idx < dim2
-        idx, val = m_idx[keep], m_val[keep]
-        out_idx[offset:offset + idx.size] = idx
-        out_val[offset:offset + idx.size] = val
-        return int(idx.size)
+    # -- kernel 3: sparse value scatter --------------------------------
 
     def scatter_accum(self, base: np.ndarray, map_idx: np.ndarray,
                       values: np.ndarray) -> np.ndarray:
@@ -182,6 +160,14 @@ class NumpyKernelBackend:
 
 
 # -- the bank-stamp arithmetic (vectorized scalar element stamps) -------
+
+def _scatter_add_pad(out: np.ndarray, m_idx: np.ndarray,
+                     m_val: np.ndarray) -> None:
+    """``out[m_idx] += m_val`` with index ``out.size`` (and above) as
+    a discard pad."""
+    size = out.size
+    out += np.bincount(m_idx, weights=m_val, minlength=size + 1)[:size]
+
 
 def _logistic_many(x: np.ndarray) -> np.ndarray:
     """Vectorized ``1 / (1 + exp(-x))`` (same branch at 0 as the scalar

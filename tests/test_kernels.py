@@ -92,8 +92,9 @@ def adder4(family):
 def _bank_calls(spec, adder4, *, tran, chord, seed, select,
                 fallback=False):
     """Three ``bank_stamp`` rounds under tier ``spec``: prime (memo and,
-    in transient, ``q_prev``), a column call that hits or misses the
-    chord, and the same call scattered into a flat target."""
+    in transient, ``q_prev``), a call that hits or misses the chord,
+    read back as ``(kinds, P)`` columns through an identity target, and
+    the same call scattered into a padded flat system."""
     elements, node_index, n, x_prev, x = adder4
     if fallback:
         # device 1 on a model of its own, whose closed-form tables are
@@ -123,12 +124,24 @@ def _bank_calls(spec, adder4, *, tran, chord, seed, select,
             bank.solver.polys[bank.table[1]] = np.nan
         kw = dict(gmin=1e-12, tran=tran, dt=1e-12 if tran else None,
                   reuse_tol=1e-6 if chord != "off" else 0.0)
+        sel = slice(None) if idx is None else idx
+        nv, nr = (17, 5) if tran else (8, 2)
+
+        def columns(x_at, **extra):
+            # identity target: kind j of bank device r lands at j * p + r
+            m_col, r_col = np.zeros(17 * p), np.zeros(5 * p)
+            bank.companion(x_at, idx, target=(
+                m_col, np.arange(17 * p).reshape(17, p),
+                r_col, np.arange(5 * p).reshape(5, p)), **extra, **kw)
+            return (m_col.reshape(17, p)[:nv, sel],
+                    r_col.reshape(5, p)[:nr, sel])
+
         if tran:
             bank.refresh_charges(xs_prev, idx)
-        first = bank.companion(xs, idx, **kw)
+        first = columns(xs)
         step = 2e-5 if chord == "hit" else 1e-2
         x1 = xs + step
-        values, rhs = bank.companion(x1, idx, seed_qprev=seed, **kw)
+        values, rhs = columns(x1, seed_qprev=seed)
         if chord == "hit":
             assert np.array_equal(values, first[0])
         elif chord == "miss":
@@ -281,22 +294,6 @@ class TestKernelParity:
             _assert_rows_close(got[key], ref[key], key)
         assert np.max(np.abs(got["hint"] - ref["hint"])) \
             <= KERNEL_PARITY_TOL_V
-
-    def test_triplet_append_bitwise(self):
-        _require_compiled()
-        rng = np.random.default_rng(3)
-        m_idx = rng.integers(0, 120, size=200)
-        m_val = rng.standard_normal(200)
-        results = []
-        for spec in ("numpy", "compiled"):
-            out_idx = np.zeros(256, dtype=m_idx.dtype)
-            out_val = np.zeros(256)
-            kept = resolve_kernel_backend(spec).triplet_append(
-                m_idx, m_val, 100, out_idx, out_val, 7)
-            results.append((kept, out_idx.copy(), out_val.copy()))
-        assert results[0][0] == results[1][0]
-        assert np.array_equal(results[0][1], results[1][1])
-        assert np.array_equal(results[0][2], results[1][2])
 
     def test_scatter_accum_close(self):
         _require_compiled()

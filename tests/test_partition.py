@@ -26,12 +26,16 @@ from repro.circuit.logic import (
     build_ring_oscillator,
     build_ripple_carry_adder,
 )
-from repro.circuit.mna import newton_solve, robust_dc_solve
+from repro.circuit.mna import TwoPhaseAssembler, newton_solve, robust_dc_solve
 from repro.circuit.partition import PartitionedAssembler, partition_circuit
 from repro.circuit.waveforms import Pulse
 from repro.errors import ParameterError
+from repro.reference.fettoy import FETToyModel, FETToyParameters
 
 FAM = LogicFamily.default()
+_FETTOY = FETToyModel(FETToyParameters())
+#: polarity-less FETToy reference devices: never banked
+REF_FAM = LogicFamily(n_device=_FETTOY, p_device=_FETTOY, vdd=FAM.vdd)
 
 
 def _rca8(pulse: bool = True) -> Circuit:
@@ -45,16 +49,18 @@ def _rca8(pulse: bool = True) -> Circuit:
     return c
 
 
-def _flat_chain(stages: int = 10) -> Circuit:
+def _flat_chain(stages: int = 10, reference=()) -> Circuit:
     """Flat (hierarchy-free) inverter chain with a pulse at its input
-    and a load capacitor per stage."""
+    and a load capacitor per stage; the stages in ``reference`` use
+    FETToy reference devices."""
     c = Circuit("flat chain")
     c.add(VoltageSource("vdd_src", "vdd", "0", FAM.vdd))
     c.add(VoltageSource("vin_src", "n0", "0",
                         Pulse(v1=0.0, v2=FAM.vdd, delay=2e-12, rise=1e-12,
                               fall=1e-12, width=6e-12, period=1.0)))
     for i in range(stages):
-        add_inverter(c, FAM, f"inv{i}", f"n{i}", f"n{i + 1}")
+        add_inverter(c, REF_FAM if i in reference else FAM, f"inv{i}",
+                     f"n{i}", f"n{i + 1}")
         c.add(Capacitor(f"cl{i}", f"n{i + 1}", "0", FAM.load_f))
     return c
 
@@ -234,6 +240,35 @@ class TestTransientParity:
             assert stats["stacked_lanes"] > 0
             assert _max_trace_err(ds_mono, ds_part) < bound
 
+    def test_reference_devices_stamp_one_by_one(self):
+        # FETToy devices stay out of the pooled bank and take each
+        # part's one-by-one dynamic-triplet path: at max_block=5 the
+        # chain puts reference stage 4 in a block and stages 1 and 7
+        # on the interface.
+        reference = (1, 4, 7)
+        c = _flat_chain(reference=reference)
+        part = partition_circuit(c, max_block=5)
+
+        def stages(elements):
+            return {int(el.name[3]) for el in elements
+                    if isinstance(el, CNFETElement)
+                    and el.backend.device is _FETTOY}
+
+        in_blocks = stages(el for blk in part.blocks for el in blk.elements)
+        assert in_blocks == {4}
+        assert stages(part.interface_elements) == {1, 7}
+        x0 = robust_dc_solve(c)
+        ds_mono = transient(c, tstop=2e-11, dt=5e-13, x0=x0,
+                            record_currents=False)
+        c2 = _flat_chain(reference=reference)
+        stats = {}
+        ds_part = transient(
+            c2, tstop=2e-11, dt=5e-13, x0=x0, record_currents=False,
+            partition=partition_circuit(c2, max_block=5), bypass_tol=0.0,
+            stats=stats)
+        assert stats["partition_steps"] > 0
+        assert _max_trace_err(ds_mono, ds_part) < 1e-9
+
     def test_partition_for_wrong_circuit_rejected(self):
         part = partition_circuit(_rca8())
         with pytest.raises(ParameterError):
@@ -280,6 +315,32 @@ class TestCouplingModes:
         x = newton_solve(c, x_ref + 5e-3, NewtonOptions(),
                          assembler=asm)
         assert float(np.max(np.abs(x - x_ref))) < 1e-6
+
+
+    def test_one_assembler_across_a_mode_switch(self):
+        """One assembler serves a DC solve, then BE steps while va0
+        pulses: the bank's entry kinds go from 8 to 17 and every part's
+        phase maps are rebuilt."""
+        x_op = robust_dc_solve(_rca8())
+
+        def run(assembler_cls):
+            c = _rca8()
+            asm = assembler_cls(c)
+            x = newton_solve(c, x_op + 5e-3, NewtonOptions(),
+                             assembler=asm)
+            trajectory = [x]
+            for k in range(1, 5):
+                x = newton_solve(c, x, NewtonOptions(), analysis="tran",
+                                 time=k * 1e-12, dt=1e-12, x_prev=x,
+                                 method="be", assembler=asm)
+                trajectory.append(x)
+            return np.stack(trajectory)
+
+        ref = run(TwoPhaseAssembler)
+        got = run(PartitionedAssembler)
+        # the pulse moved the circuit, so the steps are real work
+        assert np.max(np.abs(ref[-1] - ref[0])) > 0.1
+        assert np.max(np.abs(got - ref)) < 1e-9
 
 
 class TestBypassSemantics:

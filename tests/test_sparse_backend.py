@@ -325,42 +325,28 @@ class TestSparseInternals:
         assert assembler._pattern_flat is not dc_pattern
         assert assembler._pattern_flat.size > dc_pattern.size
 
-    def test_csc_pattern_bitwise_stable_on_rca8(self, family,
-                                                monkeypatch):
-        """The monolithic assembler and the sparse partition blocks
-        share one CSC builder.  On rca8 its arrays must hash to the
-        pinned digest (the layout SuperLU inputs were built with), and
-        the structure is scipy's canonical CSC."""
+    def test_csc_pattern_bitwise_stable_on_rca8(self, family):
+        """On rca8 the monolithic sparse assembler's CSC arrays must
+        hash to the pinned digest (the layout SuperLU inputs were built
+        with), and the structure is scipy's canonical CSC."""
         import hashlib
 
         import scipy.sparse as sp
 
-        import repro.circuit.partition as partition
         from repro.circuit.mna import newton_solve
 
-        def rca8():
-            return build_ripple_carry_adder(LogicFamily.default(), 8,
-                                            a_value=3, b_value=5)[0]
-
-        circuit = rca8()
+        circuit = build_ripple_carry_adder(LogicFamily.default(), 8,
+                                           a_value=3, b_value=5)[0]
         x = robust_dc_solve(circuit) + 1e-3
         mono = TwoPhaseAssembler(circuit, backend="sparse")
         newton_solve(circuit, x, NewtonOptions(), assembler=mono)
         digest = hashlib.sha256()
         arrays = [mono._pattern_flat, mono._indices, mono._indptr,
                   mono._static_map, mono._dyn_map]
-        monkeypatch.setattr(partition, "SPARSE_BLOCK_MIN_DIM", 1)
-        blocked_circuit = rca8()
-        blocked = partition.PartitionedAssembler(blocked_circuit)
-        newton_solve(blocked_circuit, x, NewtonOptions(),
-                     assembler=blocked)
-        for st in blocked._blocks:
-            arrays += [st.a_pattern, st.a_indices, st.a_indptr,
-                       st._a_static_csc, st._a_dyn_csc]
         for array in arrays:
             digest.update(np.ascontiguousarray(array, np.int64).tobytes())
-        assert digest.hexdigest() == ("5e852fb1572dcb01ba9345f3f63f8760"
-                                      "1495be6f5910458b277f6ec59aa362c7")
+        assert digest.hexdigest() == ("dc64a7076502c643f7994996229a7b3d"
+                                      "914802115f23f0f0b0dc844272b55838")
 
         n = mono.n
         rows, cols = np.divmod(mono._pattern_flat, n)
