@@ -52,9 +52,10 @@ docs-check:
 ## a seeded device-metric MC with TT/FF/SS corners, the same run again
 ## against the run directory to exercise resume, a small circuit-level
 ## (inverter VTC) campaign, a gate-characterization run, the
-## hierarchical 4-bit adder deck through both solver backends and as a
-## partitioned transient, and the transient/characterization/netlist
-## example scripts.
+## hierarchical 4-bit adder deck through both solver backends (its own
+## BE .tran directive, then a trap transient, each) and as a
+## partitioned transient, and the transient/characterization/netlist example
+## scripts.
 smoke:
 	rm -rf .smoke-mc
 	$(PYTHON) -m repro mc --samples 64 --seed 7 --chunk-size 32 \
@@ -68,6 +69,10 @@ smoke:
 		--backend sparse --nodes s0,s3,cout
 	$(PYTHON) -m repro netlist examples/decks/adder4.cir \
 		--backend dense --json > /dev/null
+	$(PYTHON) -m repro transient examples/decks/adder4.cir \
+		--backend dense --json > /dev/null
+	$(PYTHON) -m repro transient examples/decks/adder4.cir \
+		--backend sparse --json > /dev/null
 	$(PYTHON) -m repro transient examples/decks/adder4.cir \
 		--partition auto --json > /dev/null
 	$(PYTHON) examples/ring_oscillator.py

@@ -20,7 +20,7 @@ Sign conventions
 from __future__ import annotations
 
 import copy
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -369,6 +369,154 @@ class GenericLaneGroup(LaneGroup):
             el.reset_state()
 
 
+_EMPTY = np.zeros(0)
+_NO_INDEX = np.zeros(0, dtype=np.intp)
+
+
+def transient_step(ctx) -> bool:
+    """Whether ``ctx`` is a transient step (companion models stamp)."""
+    return ctx.analysis == "tran" and ctx.dt is not None
+
+
+def conductance_entries(ia: np.ndarray, ib: np.ndarray):
+    """``(rows, cols)`` of the conductance four-pattern between
+    terminal rows ``ia`` and ``ib``; its values are ``g, g, -g, -g``."""
+    return np.array((ia, ib, ia, ib)), np.array((ia, ib, ib, ia))
+
+
+#: the values of :func:`branch_entries`, per kind
+BRANCH_VALUES = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def branch_entries(ia: np.ndarray, ib: np.ndarray, k: np.ndarray):
+    """``(rows, cols)`` of a branch current ``k`` from ``a`` to ``b``:
+    the KCL column and the branch-equation row, values
+    :data:`BRANCH_VALUES`."""
+    return np.array((ia, ib, k, k)), np.array((k, k, ia, ib))
+
+
+def no_entries(count: int) -> np.ndarray:
+    """An empty ``(0, count)`` index table (a mode without entries)."""
+    return np.empty((0, count), dtype=np.intp)
+
+
+class StaticGroup:
+    """Array-stamped static phase of one linear element class.
+
+    The scalar assemblers (the monolithic
+    :class:`~repro.circuit.mna.TwoPhaseAssembler` and every part of
+    :class:`~repro.circuit.partition.PartitionedAssembler`) ask each
+    linear element class once for a group over its elements
+    (:meth:`Element.static_group`).  Per analysis mode — ``tran`` (a
+    transient step, see :func:`transient_step`) or DC — the group
+    fixes where the class stamps: :meth:`layout` gives ``(kinds, E)``
+    tables of matrix rows, matrix columns and rhs rows over the ``E``
+    elements, with ground as row ``n``.  :meth:`matrix` and
+    :meth:`rhs` return the entries'
+    values for one step context in a few array operations (the matrix
+    values depend on the value key ``(analysis, dt, method)`` alone),
+    and :meth:`accept` is the vector form of
+    :meth:`Element.accept_step`.
+
+    Per-step state (a trapezoidal capacitor's branch current, an
+    inductor's previous voltage) stays on the elements, so the
+    one-phase :func:`~repro.circuit.mna.assemble` and the AC
+    linearisation read the same state.  Source waveforms are read
+    from the elements at every :meth:`rhs`: sweeps replace them
+    mid-run.
+    """
+
+    def __init__(self, elements: Sequence["Element"],
+                 node_index: Dict[str, int], n: int) -> None:
+        self.elements = list(elements)
+        self.n = n
+
+    def terminals(self, node_index: Dict[str, int]) -> List[np.ndarray]:
+        """System row of each terminal of every element (``n`` for
+        ground), one array per terminal."""
+        n = self.n
+        return [np.array([n if el.nodes[t] in GROUND_NAMES
+                          else node_index[el.nodes[t]]
+                          for el in self.elements], dtype=np.intp)
+                for t in range(len(self.elements[0].nodes))]
+
+    def padded(self, x: Optional[np.ndarray]) -> np.ndarray:
+        """``x`` followed by one ground zero (all zeros for ``None``)."""
+        out = np.zeros(self.n + 1)
+        if x is not None:
+            out[:self.n] = x[:self.n]
+        return out
+
+    def layout(self, tran: bool
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, rhs_rows)``: ``(kinds, E)`` index tables of
+        the mode's entries, kind-major like the values (the assemblers
+        compose them with their own layout once per mode)."""
+        raise NotImplementedError
+
+    def matrix(self, ctx: StampContext) -> np.ndarray:
+        """Values of the mode's matrix entries, parallel to
+        :meth:`layout`.  They may depend only on the value key
+        ``(analysis, dt, method)`` of ``ctx``: the assemblers scatter
+        them again only when that key changes."""
+        raise NotImplementedError
+
+    def rhs(self, ctx: StampContext) -> np.ndarray:
+        """Values of the mode's rhs entries for the step context."""
+        raise NotImplementedError
+
+    def accept(self, ctx: StampContext) -> None:
+        """Commit a converged transient step for every element."""
+
+
+class StaticPhase:
+    """The static phase of one scalar system: a :class:`StaticGroup`
+    per linear element class that has one, in first-appearance order,
+    and the *fallback* elements (user-defined linear classes) whose
+    ``stamp`` the assembler calls one by one."""
+
+    def __init__(self, elements: Sequence["Element"],
+                 node_index: Dict[str, int], n: int) -> None:
+        by_class: Dict[type, List["Element"]] = {}
+        for el in elements:
+            by_class.setdefault(type(el), []).append(el)
+        self.groups: List[StaticGroup] = []
+        for cls, members in list(by_class.items()):
+            group = cls.static_group(members, node_index, n)
+            if group is not None:
+                self.groups.append(group)
+                del by_class[cls]
+        self.fallback = [el for el in elements if type(el) in by_class]
+        self._positions: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def positions(self, tran: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Every group's entries of the mode, concatenated: flat matrix
+        positions ``row * n + col`` (every grounded entry on the pad
+        ``n * n``) and rhs rows (pad ``n``)."""
+        cached = self._positions.get(tran)
+        if cached is None:
+            flat, rhs_rows = [_NO_INDEX], [_NO_INDEX]
+            for group in self.groups:
+                rows, cols, rhs = group.layout(tran)
+                n = group.n
+                flat.append(np.where((rows == n) | (cols == n), n * n,
+                                     rows * n + cols).ravel())
+                rhs_rows.append(rhs.ravel())
+            cached = self._positions[tran] = (
+                np.concatenate(flat).astype(np.intp),
+                np.concatenate(rhs_rows).astype(np.intp))
+        return cached
+
+    def matrix(self, ctx: StampContext) -> np.ndarray:
+        """Every group's :meth:`StaticGroup.matrix`, concatenated."""
+        return np.concatenate([g.matrix(ctx) for g in self.groups]
+                              + [_EMPTY])
+
+    def rhs(self, ctx: StampContext) -> np.ndarray:
+        """Every group's :meth:`StaticGroup.rhs`, concatenated."""
+        return np.concatenate([g.rhs(ctx) for g in self.groups] + [_EMPTY])
+
+
 class Element:
     """Base class of all circuit elements.
 
@@ -445,11 +593,16 @@ class Element:
         memory (trapezoidal capacitors, inductors) update their state."""
 
     @classmethod
-    def accept_group(cls, elements: Sequence["Element"],
-                     node_index: Dict[str, int]):
-        """One callable doing :meth:`accept_step` for all ``elements``
-        (of this class, in one scalar transient) from a context, or
-        ``None`` to call each element's.  Override to vectorize."""
+    def static_group(cls, elements: Sequence["Element"],
+                     node_index: Dict[str, int], n: int
+                     ) -> Optional[StaticGroup]:
+        """Array-stamped static phase (and step commit) of this class's
+        ``elements`` in one scalar system of dimension ``n``, or
+        ``None`` to stamp (and commit) each element on its own.
+
+        Every built-in linear class returns a group for exactly its own
+        class; a subclass (which may override :meth:`stamp`) and every
+        user-defined linear element take the per-element fallback."""
         return None
 
     def reset_state(self) -> None:

@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.elements.base import (
-    GROUND_NAMES,
+    _EMPTY,
     Element,
     LaneContext,
     LaneGroup,
     StampContext,
+    StaticGroup,
+    conductance_entries,
+    no_entries,
+    transient_step,
 )
 from repro.errors import ParameterError
 
@@ -127,40 +131,78 @@ class Capacitor(Element):
         return _CapacitorLaneGroup(elements)
 
     @classmethod
-    def accept_group(cls, elements, node_index):
-        return _CapacitorAcceptGroup(elements, node_index)
+    def static_group(cls, elements, node_index, n):
+        return _CapacitorGroup(elements, node_index, n) \
+            if cls is Capacitor else None
 
 
-class _CapacitorAcceptGroup:
-    """:meth:`Capacitor.accept_step` of many capacitors as one vector
-    update: the same arithmetic per element, the branch-current state
-    read from and written back to the elements."""
+_CONDUCTANCE_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+_CURRENT_SIGNS = np.array([[1.0], [-1.0]])
 
-    def __init__(self, elements, node_index) -> None:
-        self.elements = list(elements)
+
+class _CapacitorGroup(StaticGroup):
+    """Every capacitor's BE/trapezoidal companion, and its step commit,
+    from one table of ``c``, ``ia`` and ``ib`` (the same arithmetic per
+    element as :meth:`Capacitor.stamp` / :meth:`Capacitor.accept_step`;
+    the branch-current state is read from and written back to the
+    elements).  Nothing stamps in DC."""
+
+    def __init__(self, elements, node_index, n) -> None:
+        super().__init__(elements, node_index, n)
         self.c = np.array([el.capacitance for el in self.elements])
-        dim = len(node_index)
-        # terminal positions in an iterate padded with one ground zero
-        self.ia, self.ib = (np.array([
-            dim if el.nodes[t] in GROUND_NAMES else node_index[el.nodes[t]]
-            for el in self.elements], dtype=np.intp) for t in (0, 1))
+        self._c2 = 2.0 * self.c
+        self.ia, self.ib = self.terminals(node_index)
+        #: every capacitor runs from a node to ground (load capacitors):
+        #: its voltage is one gather, no padded copy
+        self._to_ground = bool((self.ia < n).all() and (self.ib == n).all())
 
-    def __call__(self, ctx: StampContext) -> None:
+    def layout(self, tran):
+        if not tran:
+            none = no_entries(self.c.size)
+            return none, none, none
+        return conductance_entries(self.ia, self.ib) \
+            + (np.array((self.ia, self.ib)),)
+
+    def _v(self, x) -> np.ndarray:
+        """Branch voltages in ``x`` (zeros for ``None``)."""
+        if x is None:
+            return np.zeros(self.c.size)
+        if self._to_ground:
+            return x[self.ia]
+        x = self.padded(x)
+        return x[self.ia] - x[self.ib]
+
+    def _i_prev(self) -> np.ndarray:
+        return np.array([el._i_prev for el in self.elements])
+
+    def _geq(self, ctx) -> np.ndarray:
+        """Companion conductances (``2C/dt`` trap, ``C/dt`` BE)."""
+        if ctx.method == "trap":
+            return self._c2 / ctx.dt
+        return self.c / ctx.dt
+
+    def matrix(self, ctx):
+        if not transient_step(ctx):
+            return _EMPTY
+        return (_CONDUCTANCE_SIGNS * self._geq(ctx)).ravel()
+
+    def rhs(self, ctx):
+        # the history current ieq from a to b: -ieq into a, ieq into b,
+        # with ieq = -(geq v_prev + i_prev) (trap), -geq v_prev (BE)
+        if not transient_step(ctx):
+            return _EMPTY
+        history = self._geq(ctx) * self._v(ctx.x_prev)
+        if ctx.method == "trap":
+            history += self._i_prev()
+        return (_CURRENT_SIGNS * history).ravel()
+
+    def accept(self, ctx: StampContext) -> None:
         if ctx.dt is None:
             return
-        dim = len(ctx.node_index)
-        x = np.zeros(dim + 1)
-        x[:dim] = ctx.x[:dim]
-        v_now = x[self.ia] - x[self.ib]
-        if ctx.x_prev is not None:
-            x[:dim] = ctx.x_prev[:dim]
-        else:
-            x[:dim] = 0.0
-        v_prev = x[self.ia] - x[self.ib]
+        dv = self._v(ctx.x) - self._v(ctx.x_prev)
         if ctx.method == "trap":
-            i_prev = np.array([el._i_prev for el in self.elements])
-            i_new = (2.0 * self.c / ctx.dt) * (v_now - v_prev) - i_prev
+            i_new = (self._c2 / ctx.dt) * dv - self._i_prev()
         else:
-            i_new = self.c * (v_now - v_prev) / ctx.dt
+            i_new = self.c * dv / ctx.dt
         for el, value in zip(self.elements, i_new.tolist()):
             el._i_prev = value

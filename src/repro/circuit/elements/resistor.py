@@ -5,10 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.elements.base import (
+    _EMPTY,
     Element,
     LaneContext,
     LaneGroup,
     StampContext,
+    StaticGroup,
+    conductance_entries,
+    no_entries,
 )
 from repro.errors import ParameterError
 
@@ -30,6 +34,27 @@ class _ResistorLaneGroup(LaneGroup):
         matrix[lanes, ib, ib] += g
         matrix[lanes, ia, ib] -= g
         matrix[lanes, ib, ia] -= g
+
+
+class _ResistorGroup(StaticGroup):
+    """Conductance four-patterns of every resistor: fixed values, no
+    rhs, the same in DC and transient."""
+
+    def __init__(self, elements, node_index, n) -> None:
+        super().__init__(elements, node_index, n)
+        self.ia, self.ib = self.terminals(node_index)
+        g = np.array([el.conductance for el in self.elements])
+        self._values = np.concatenate((g, g, -g, -g))
+
+    def layout(self, tran):
+        return conductance_entries(self.ia, self.ib) \
+            + (no_entries(self.ia.size),)
+
+    def matrix(self, ctx):
+        return self._values
+
+    def rhs(self, ctx):
+        return _EMPTY
 
 
 class Resistor(Element):
@@ -65,6 +90,11 @@ class Resistor(Element):
     @classmethod
     def lane_group(cls, elements):
         return _ResistorLaneGroup(elements)
+
+    @classmethod
+    def static_group(cls, elements, node_index, n):
+        return _ResistorGroup(elements, node_index, n) \
+            if cls is Resistor else None
 
     def current(self, va: float, vb: float) -> float:
         """Branch current a -> b for reporting."""

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.circuit.elements.base import (
+    _EMPTY,
     Element,
     LaneContext,
     LaneGroup,
     StampContext,
+    StaticGroup,
+    BRANCH_VALUES,
+    branch_entries,
+    no_entries,
 )
 from repro.circuit.waveforms import DC, Waveform
 
@@ -76,6 +81,95 @@ class _CurrentSourceLaneGroup(_SourceLaneGroup):
         ctx.rhs[lanes, ib] += i
 
 
+class _SourceGroup(StaticGroup):
+    """Shared plumbing: every source's value at the step context.
+
+    The waveform objects are read from the elements at every call
+    (sweeps replace them mid-run).  Plain :class:`DC` levels are kept
+    while the objects read are the last call's; only the other
+    waveforms are evaluated per step.  While every source is a kept
+    level and the scale is unchanged, the same (read-only) array is
+    returned, which lets a caller skip re-scattering it."""
+
+    def __init__(self, elements, node_index, n) -> None:
+        super().__init__(elements, node_index, n)
+        #: the waveform objects of the last call (held, so that their
+        #: ids stay theirs) and their ids
+        self._waves: list = []
+        self._ids: Optional[list] = None
+        self._levels = _EMPTY
+        #: positions of the waveforms that are not plain DC levels
+        self._varying: List[int] = []
+        #: the scaled levels of the last call and their scale
+        self._scaled: Optional[tuple] = None
+
+    def values(self, ctx: StampContext) -> np.ndarray:
+        """Source values scaled by ``ctx.source_scale``."""
+        waves = [el.waveform for el in self.elements]
+        ids = list(map(id, waves))
+        if ids != self._ids:
+            self._waves, self._ids = waves, ids
+            self._varying = [i for i, w in enumerate(waves)
+                             if type(w) is not DC]
+            self._levels = np.array([w.level if type(w) is DC else 0.0
+                                     for w in waves], dtype=float)
+            self._scaled = None
+        if self._varying:
+            values = self._levels.copy()
+            if ctx.analysis == "tran" and ctx.time is not None:
+                time = ctx.time
+                values[self._varying] = [waves[i].value(time)
+                                         for i in self._varying]
+            else:
+                values[self._varying] = [waves[i].dc_value()
+                                         for i in self._varying]
+            return values * ctx.source_scale
+        if self._scaled is None or self._scaled[0] != ctx.source_scale:
+            self._scaled = (ctx.source_scale,
+                            self._levels * ctx.source_scale)
+        return self._scaled[1]
+
+
+class _VoltageSourceGroup(_SourceGroup):
+    """Every voltage source's branch rows (fixed values) and its value
+    on the branch row of the rhs."""
+
+    def __init__(self, elements, node_index, n) -> None:
+        super().__init__(elements, node_index, n)
+        self.ia, self.ib = self.terminals(node_index)
+        self.k = np.array([el.aux_index for el in self.elements],
+                          dtype=np.intp)
+
+    def layout(self, tran):
+        return branch_entries(self.ia, self.ib, self.k) + (self.k[None],)
+
+    def matrix(self, ctx):
+        return np.repeat(BRANCH_VALUES, self.k.size)
+
+    def rhs(self, ctx):
+        return self.values(ctx)
+
+
+class _CurrentSourceGroup(_SourceGroup):
+    """Every current source's injection: rhs only, out of ``a`` into
+    ``b``."""
+
+    def __init__(self, elements, node_index, n) -> None:
+        super().__init__(elements, node_index, n)
+        self.ia, self.ib = self.terminals(node_index)
+
+    def layout(self, tran):
+        none = no_entries(self.ia.size)
+        return none, none, np.array((self.ia, self.ib))
+
+    def matrix(self, ctx):
+        return _EMPTY
+
+    def rhs(self, ctx):
+        i = self.values(ctx)
+        return np.concatenate((-i, i))
+
+
 class VoltageSource(Element):
     """Independent voltage source ``V(a) - V(b) = value(t)``.
 
@@ -112,6 +206,11 @@ class VoltageSource(Element):
     def lane_group(cls, elements):
         return _VoltageSourceLaneGroup(elements)
 
+    @classmethod
+    def static_group(cls, elements, node_index, n):
+        return _VoltageSourceGroup(elements, node_index, n) \
+            if cls is VoltageSource else None
+
 
 class CurrentSource(Element):
     """Independent current source pushing ``value(t)`` from a to b
@@ -136,3 +235,8 @@ class CurrentSource(Element):
     @classmethod
     def lane_group(cls, elements):
         return _CurrentSourceLaneGroup(elements)
+
+    @classmethod
+    def static_group(cls, elements, node_index, n):
+        return _CurrentSourceGroup(elements, node_index, n) \
+            if cls is CurrentSource else None

@@ -7,7 +7,18 @@ Assembly is split into two phases per Newton solve:
   per step context into a preallocated static matrix/rhs pair.  These
   stamps depend on ``(time, dt, x_prev, method, source_scale)`` but not
   on the Newton iterate, so re-stamping them every iteration — as the
-  one-phase assembler did — is pure waste.
+  one-phase assembler did — is pure waste.  The built-in linear
+  classes stamp as *static groups*
+  (:meth:`~repro.circuit.elements.base.Element.static_group`): each
+  group fixes its flat matrix positions and rhs rows per analysis mode
+  (ground on a pad) and produces the whole class's values in a few
+  array operations.  The matrix values depend only on the value key
+  ``(analysis, dt, method)``, so the static matrix (dense) or CSC data
+  (sparse) is re-scattered only when that key changes and a fixed-step
+  run updates only the rhs per step.  Linear elements without a group
+  (user-defined classes) are the *fallback*: they stamp one by one
+  through their ``stamp``, every step, and only their triplets are
+  pattern-checked.
 * **dynamic phase** — each Newton iteration copies the static system
   into preallocated work buffers and stamps only the nonlinear elements
   (CNFETs, diodes) around the current iterate.
@@ -19,7 +30,8 @@ same two-phase split:
 
 * **Linear-solver backends** (:mod:`repro.circuit.solvers`): the dense
   path stamps/solves exactly as the engine always has; the sparse
-  path has the elements emit COO triplets through a
+  path scatters the static groups through fixed maps and has the
+  other elements emit COO triplets through a
   :class:`~repro.circuit.elements.base.TripletStampContext`, builds
   the symbolic sparsity pattern (CSC layout) and the static/dynamic
   scatter index maps
@@ -54,7 +66,12 @@ import numpy as np
 
 from repro import faults
 from repro.cancel import CancelToken
-from repro.circuit.elements.base import StampContext, TripletStampContext
+from repro.circuit.elements.base import (
+    StampContext,
+    StaticPhase,
+    TripletStampContext,
+    transient_step,
+)
 from repro.circuit.elements.cnfet import (
     CNFETBank,
     CNFETSlab,
@@ -164,7 +181,13 @@ class TwoPhaseAssembler:
         n = circuit.dimension()
         self.n = n
         self.backend = resolve_backend(backend, n)
-        self._static = [el for el in circuit.elements if not el.nonlinear]
+        #: the linear elements' array-stamped groups plus the fallback
+        self._phase = StaticPhase(
+            [el for el in circuit.elements if not el.nonlinear],
+            circuit.node_index, n)
+        #: value key ``(analysis, dt, method)`` of the scattered static
+        #: matrix (``None``: scatter at the next step)
+        self._static_key: Optional[tuple] = None
         (banked,), (self._dynamic,) = split_bank_devices(
             [[el for el in circuit.elements if el.nonlinear]])
         #: the CNFET bank, stamped after the other nonlinear elements
@@ -173,6 +196,7 @@ class TwoPhaseAssembler:
             self.slab = CNFETSlab(CNFETBank(
                 banked, circuit.node_index, n, stats=device_stats), n)
         if self.backend.is_sparse:
+            #: the step context; records the fallback's static triplets
             self._static_ctx = TripletStampContext(n, circuit.node_index)
             self._dyn_ctx = TripletStampContext(n, circuit.node_index)
             #: sorted unique flat matrix positions (the pattern key;
@@ -180,10 +204,19 @@ class TwoPhaseAssembler:
             self._pattern_flat: Optional[np.ndarray] = None
             self._indices: Optional[np.ndarray] = None
             self._indptr: Optional[np.ndarray] = None
+            #: analysis mode (transient step or not) of the pattern
+            self._pattern_tran: Optional[bool] = None
+            #: CSC slots of the static entries: the groups' non-ground
+            #: ones, then the fallback triplets (flat positions in
+            #: _static_flat)
             self._static_flat: Optional[np.ndarray] = None
             self._static_map: Optional[np.ndarray] = None
+            #: CSC slot of every group entry of the mode (nnz: ground)
+            self._group_map: Optional[np.ndarray] = None
             self._static_data: Optional[np.ndarray] = None
             self._static_dirty = True
+            #: the static rhs of the step
+            self._static_rhs: Optional[np.ndarray] = None
             #: flat positions of the non-bank dynamic triplets, and the
             #: CSC slots of those followed by the bank's kept entries
             self._dyn_flat: Optional[np.ndarray] = None
@@ -213,7 +246,12 @@ class TwoPhaseAssembler:
                    x_prev: Optional[np.ndarray] = None, method: str = "be",
                    gmin: float = 1e-12,
                    source_scale: float = 1.0) -> None:
-        """Stamp the static (iterate-independent) part of the system."""
+        """Stamp the static (iterate-independent) part of the system:
+        the groups' values for this step, the fallback elements one by
+        one.  The static matrix is re-scattered only when its value key
+        ``(analysis, dt, method)`` changes (or the fallback stamps
+        matrix entries); the rhs every step."""
+        n = self.n
         if self.backend.is_sparse:
             ctx = self._static_ctx
             ctx.clear()
@@ -240,11 +278,24 @@ class TwoPhaseAssembler:
                 gmin=gmin,
                 source_scale=source_scale,
             )
-            self._static_matrix[:] = 0.0
-            self._static_rhs[:] = 0.0
             self._ctx = ctx
-        for el in self._static:
+        phase = self._phase
+        flat, rows = phase.positions(transient_step(ctx))
+        rhs = np.bincount(rows, weights=phase.rhs(ctx), minlength=n + 1)[:n]
+        if not self.backend.is_sparse:
+            key = (analysis, dt, method)
+            if key != self._static_key or phase.fallback:
+                self._static_matrix.reshape(-1)[:] = np.bincount(
+                    flat, weights=phase.matrix(ctx),
+                    minlength=n * n + 1)[:n * n]
+                self._static_key = key
+            self._static_rhs[:] = rhs
+        for el in phase.fallback:
             el.stamp(ctx)
+        if self.backend.is_sparse:
+            # the matrix is scattered with the dynamic phase, once the
+            # pattern is known
+            self._static_rhs = rhs + ctx.rhs if phase.fallback else rhs
         if self.slab is not None:
             self.slab.begin_step(ctx)
 
@@ -296,23 +347,28 @@ class TwoPhaseAssembler:
 
     # -- sparse pattern bookkeeping -------------------------------------
 
-    def _rebuild_pattern(self, s_flat: np.ndarray, d_flat: np.ndarray,
-                         kinds: int) -> None:
+    def _rebuild_pattern(self, tran: bool, s_flat: np.ndarray,
+                         d_flat: np.ndarray, kinds: int) -> None:
         """Symbolic CSC pattern + static/dynamic scatter maps.
 
         Positions depend only on the topology and the analysis mode
-        (each element emits a fixed entry sequence per mode, and the
-        bank ``kinds`` entries per device), so this runs once per run
-        and mode in steady state; a mode switch (dc -> tran adds
-        capacitor and charge-companion entries) is detected by
-        :meth:`_sparse_system` and rebuilds automatically.  The pattern
-        is stored directly in the CSC layout SuperLU consumes and the
-        scatter maps compose the row-major -> column-major permutation,
-        so per-iteration work is value scatters — no matrix
-        construction or format conversion.  The bank's entry table is
-        composed through the same maps into :attr:`_bank_map`, which
-        its fused stamp scatters through straight into the CSC data.
+        (the static groups' positions are fixed per mode, each other
+        element emits a fixed entry sequence per mode, and the bank
+        ``kinds`` entries per device), so this runs once per run and
+        mode in steady state; a mode switch (dc -> tran adds capacitor
+        and charge-companion entries) or a fallback element changing
+        its entries is detected by :meth:`_sparse_system` and rebuilds
+        automatically.  The pattern is stored directly in the CSC
+        layout SuperLU consumes and the scatter maps compose the
+        row-major -> column-major permutation, so per-iteration work is
+        value scatters — no matrix construction or format conversion.
+        The bank's entry table is composed through the same maps into
+        :attr:`_bank_map`, which its fused stamp scatters through
+        straight into the CSC data.
         """
+        g_flat, _ = self._phase.positions(tran)
+        kept = g_flat < self.n * self.n
+        static_flat = np.concatenate((g_flat[kept], s_flat))
         bank_flat = np.zeros(0, dtype=np.intp)
         if kinds:
             m_idx = self.slab.m_idx[:kinds]
@@ -320,41 +376,57 @@ class TwoPhaseAssembler:
             bank_flat = m_idx[keep]
         self._pattern_flat, self._indices, self._indptr, \
             (self._static_map, self._dyn_map) = csc_pattern(
-                self.n, s_flat, np.concatenate((d_flat, bank_flat)))
+                self.n, static_flat, np.concatenate((d_flat, bank_flat)))
+        nnz = self._pattern_flat.size
+        self._group_map = np.full(g_flat.size, nnz, dtype=np.intp)
+        self._group_map[kept] = self._static_map[:static_flat.size
+                                                 - s_flat.size]
         if kinds:
-            self._bank_map = np.full(self.slab.m_idx.shape,
-                                     self._pattern_flat.size,
+            self._bank_map = np.full(self.slab.m_idx.shape, nnz,
                                      dtype=np.int64)
             self._bank_map[:kinds][keep] = self._dyn_map[d_flat.size:]
         self._bank_kinds = kinds
+        self._pattern_tran = tran
         self._static_flat = s_flat.copy()
         self._dyn_flat = d_flat.copy()
         self._static_dirty = True
+        self._static_key = None
         self._lu_data = None
         self._lu = None
 
     def _sparse_system(self, ctx: TripletStampContext) -> None:
-        """Scatter the recorded triplets and the bank's fused stamp
-        into CSC data + rhs (kept for :meth:`solve`)."""
+        """Scatter the static phase, the recorded dynamic triplets and
+        the bank's fused stamp into CSC data + rhs (kept for
+        :meth:`solve`)."""
         s_flat, s_val = self._static_ctx.triplets()
         d_flat, d_val = ctx.triplets()
+        tran = transient_step(ctx)
         kinds = 0
         if self.slab is not None:
-            kinds = 17 if ctx.analysis == "tran" and ctx.dt is not None \
-                else 8
+            kinds = 17 if tran else 8
         if (self._pattern_flat is None or kinds != self._bank_kinds
+                or tran != self._pattern_tran
                 or (self._static_dirty
                     and not np.array_equal(s_flat, self._static_flat))
                 or not np.array_equal(d_flat, self._dyn_flat)):
-            self._rebuild_pattern(s_flat, d_flat, kinds)
+            self._rebuild_pattern(tran, s_flat, d_flat, kinds)
         if self._static_dirty:
-            self._static_data = np.bincount(
-                self._static_map, weights=s_val,
-                minlength=self._pattern_flat.size)
+            key = (ctx.analysis, ctx.dt, ctx.method)
+            if key != self._static_key or s_flat.size:
+                nnz = self._pattern_flat.size
+                self._static_data = np.bincount(
+                    self._group_map,
+                    weights=self._phase.matrix(self._static_ctx),
+                    minlength=nnz + 1)[:nnz]
+                if s_flat.size:
+                    self._static_data += np.bincount(
+                        self._static_map[-s_flat.size:], weights=s_val,
+                        minlength=nnz)
+                self._static_key = key
             self._static_dirty = False
         data = active_kernel_backend().scatter_accum(
             self._static_data, self._dyn_map[:d_flat.size], d_val)
-        rhs = self._static_ctx.rhs + ctx.rhs
+        rhs = self._static_rhs + ctx.rhs
         if kinds:
             self.slab.stamp(ctx, target=(data, self._bank_map, rhs,
                                          self.slab.r_idx))

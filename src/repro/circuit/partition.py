@@ -33,7 +33,10 @@ fast-SPICE answer:
 * **One pooled dense buffer** holds every block's bordered system and
   the interface's, back to back, and **one pooled CNFET bank** holds
   every fast-backend CNFET of the blocks and the interface, stamping
-  them into that buffer in place.
+  them into that buffer in place.  The linear elements stamp through
+  pooled static groups (:meth:`Element.static_group
+  <repro.circuit.elements.base.Element.static_group>`) into a buffer of
+  the same layout that holds every part's static phase.
 
 The assembler duck-types the three-method contract of
 :class:`repro.circuit.mna.TwoPhaseAssembler` (``begin_step`` /
@@ -43,6 +46,7 @@ and both transient loops drive it unchanged.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,7 +55,10 @@ import numpy as np
 from repro.circuit.elements.base import (
     GROUND_NAMES,
     Element,
+    StampContext,
+    StaticPhase,
     TripletStampContext,
+    transient_step,
 )
 from repro.circuit.elements.cnfet import CNFETBank, split_bank_devices
 from repro.circuit.netlist import HIER_SEP, Circuit
@@ -85,6 +92,10 @@ CUT_DEGREE_MIN = 8
 #: its own); the age cap is a belt-and-braces bound on how long a
 #: frozen linearisation may be reused, not the drift guard.
 MAX_BYPASS_STEPS = 1000
+
+_NO_FLAT = np.zeros(0, dtype=np.intp)
+_EMPTY = np.zeros(0)
+_NO_MATRIX = np.zeros((0, 0))
 
 
 def _non_ground_nodes(element: Element) -> List[str]:
@@ -396,22 +407,62 @@ def partition_circuit(circuit: Circuit, *,
     """
     if max_block < 1:
         raise ParameterError(f"max_block must be >= 1, got {max_block!r}")
-    circuit.dimension()  # assign node/aux indices
+    dim = circuit.dimension()  # assign node/aux indices
     elements = list(circuit.elements)
-    # every pass below walks each element's non-ground nodes
-    nodes_of = {id(el): _non_ground_nodes(el) for el in elements}
     groups = _hier_groups(elements, max_block)
     if groups is None or len(groups) < 2:
         groups = _connectivity_groups(elements, max_block)
+    keys = sorted(groups)
+    node_index = circuit.node_index
+    n_nodes = len(node_index)
 
-    # node -> {group key: number of the group's elements touching it};
-    # nodes touched by >= 2 groups are boundary
-    touch: Dict[str, Dict[Tuple[str, ...], int]] = {}
-    for key in sorted(groups):
-        for el in groups[key]:
-            for node in nodes_of[id(el)]:
-                counts = touch.setdefault(node, {})
-                counts[key] = counts.get(key, 0) + 1
+    # Every pass below works on one table: the elements in group-key
+    # order, each with its non-ground nodes as node indices (its
+    # terminals, term_* arrays) and its aux unknowns (aux_* arrays).
+    flat = [el for key in keys for el in groups[key]]
+    terminals = [[node_index[node] for node in el.nodes
+                  if node not in GROUND_NAMES] for el in flat]
+    n_terms = np.fromiter(map(len, terminals), np.intp, len(flat))
+    term_node = np.fromiter(itertools.chain.from_iterable(terminals),
+                            np.intp, int(n_terms.sum()))
+    term_el = np.repeat(np.arange(len(flat)), n_terms)
+    begin = np.cumsum(n_terms) - n_terms
+    wired = (n_terms > 0).nonzero()[0]
+    n_aux = np.fromiter((el.n_aux for el in flat), np.intp, len(flat))
+    aux_el = np.repeat(np.arange(len(flat)), n_aux)
+    aux = np.repeat(np.fromiter((el.aux_index for el in flat), np.intp,
+                                len(flat)), n_aux) \
+        + np.arange(aux_el.size) - np.repeat(np.cumsum(n_aux) - n_aux, n_aux)
+    group_of = np.repeat(np.arange(len(keys)),
+                         [len(groups[key]) for key in keys])
+
+    def node_groups(group_of: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Per node: how many groups touch it, and the lowest and the
+        highest of them."""
+        pairs = np.unique(term_node * len(keys) + group_of[term_el])
+        node, group = np.divmod(pairs, len(keys))
+        count = np.bincount(node, minlength=n_nodes)
+        if not pairs.size:
+            return count, count, count
+        last = np.maximum(np.cumsum(count) - 1, 0)
+        return count, group[np.maximum(last - count + 1, 0)], group[last]
+
+    def every_terminal(flags: np.ndarray) -> np.ndarray:
+        """Per element: whether ``flags`` holds at each of its terminals
+        (vacuously true without terminals)."""
+        out = np.ones(len(flat), dtype=bool)
+        if wired.size:
+            out[wired] = np.logical_and.reduceat(flags, begin[wired])
+        return out
+
+    def by_group(rows: np.ndarray, owner: np.ndarray,
+                 values: np.ndarray) -> List[np.ndarray]:
+        """Per group: the sorted distinct ``values`` of the selected
+        ``rows``, each owned by element ``owner``."""
+        keyed = np.unique(group_of[owner[rows]] * dim + values[rows])
+        group, value = np.divmod(keyed, dim)
+        bounds = np.searchsorted(group, np.arange(len(keys) + 1))
+        return [value[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # Absorb single-block-affine elements: an element every one of
     # whose non-ground nodes is also touched by exactly one *other*
@@ -421,93 +472,86 @@ def partition_circuit(circuit: Circuit, *,
     # that inflates the interface from ~35 unknowns (carry chain +
     # supply) to ~200 (every source aux and terminal).  Its own group
     # touches each of its nodes, so every node's groups must be the
-    # same pair {own, target}.
-    moves: List[Tuple[Element, Tuple[str, ...], Tuple[str, ...]]] = []
-    for key in sorted(groups):
-        for el in groups[key]:
-            nodes = nodes_of[id(el)]
-            if not nodes:
-                continue
-            pair = touch[nodes[0]].keys()
-            if len(pair) == 2 and all(touch[node].keys() == pair
-                                      for node in nodes[1:]):
-                target = next(k for k in pair if k != key)
-                moves.append((el, key, target))
-    for el, src, dst in moves:
-        groups[src].remove(el)
-        groups[dst].append(el)
-        for node in nodes_of[id(el)]:
-            counts = touch[node]
-            counts[src] -= 1
-            if not counts[src]:
-                del counts[src]
-            counts[dst] += 1
-    groups = {key: els for key, els in groups.items() if els}
+    # same pair {own, target}; every move is decided on the groups
+    # before any is made.
+    count, low, high = node_groups(group_of)
+    pair = (low * len(keys) + high)[term_node]
+    moved = every_terminal(count[term_node] == 2) & (n_terms > 0)
+    if wired.size:
+        moved[wired] &= (np.maximum.reduceat(pair, begin[wired])
+                         == np.minimum.reduceat(pair, begin[wired]))
+    if moved.any():
+        first = term_node[begin[moved]]
+        group_of = group_of.copy()
+        group_of[moved] = low[first] + high[first] - group_of[moved]
+    # nodes touched by >= 2 groups are boundary; an element coupling
+    # only boundary nodes (or only ground) is a pure interface element,
+    # its aux unknowns follow it
+    is_boundary = node_groups(group_of)[0] > 1
+    to_interface = every_terminal(is_boundary[term_node])
+    touched_of = by_group(~to_interface[term_el], term_el, term_node)
+    aux_of = by_group(~to_interface[aux_el], aux_el, aux)
 
-    boundary = {node for node, counts in touch.items() if len(counts) > 1}
-
-    node_index = circuit.node_index
+    # each group's members: the elements that stayed, then the ones
+    # that moved in, each in table order
+    order = np.lexsort((moved, group_of))
+    bounds = np.searchsorted(group_of[order], np.arange(len(keys) + 1))
+    in_interface = to_interface.copy()
+    in_block = np.zeros(n_nodes, dtype=bool)
     blocks: List[PartitionBlock] = []
     interface: List[Element] = []
-    for key in sorted(groups):
-        members = groups[key]
-        kept: List[Element] = []
-        touched: set = set()
-        for el in members:
-            nodes = nodes_of[id(el)]
-            if boundary.issuperset(nodes):
-                # couples only boundary nodes (or only ground): pure
-                # interface element; its aux unknowns follow it
-                interface.append(el)
-            else:
-                kept.append(el)
-                touched.update(nodes)
-        if not kept:
+    for g, key in enumerate(keys):
+        members = order[bounds[g]:bounds[g + 1]]
+        interface.extend(flat[i] for i in
+                         members[to_interface[members]].tolist())
+        kept_idx = members[~to_interface[members]]
+        if not kept_idx.size:
             continue
-        internal_nodes = [node_index[node]
-                          for node in touched - boundary]
-        aux: List[int] = []
-        for el in kept:
-            aux.extend(range(el.aux_index, el.aux_index + el.n_aux))
+        kept = [flat[i] for i in kept_idx.tolist()]
+        touched = touched_of[g]
         block = PartitionBlock(
             name=HIER_SEP.join(s for s in key if s) or "top",
             elements=kept,
-            internal=np.array(sorted(internal_nodes + aux), dtype=np.intp),
-            boundary=np.array(
-                sorted(node_index[node] for node in touched & boundary),
-                dtype=np.intp),
+            internal=np.sort(np.concatenate(
+                (touched[~is_boundary[touched]], aux_of[g]))),
+            boundary=touched[is_boundary[touched]],
             time_varying=any(_is_time_varying(el) for el in kept),
         )
         if block.n_internal == 0:
             # nothing private to solve for: fold into the interface
             interface.extend(kept)
+            in_interface[kept_idx] = True
             continue
         blocks.append(block)
+        in_block[touched] = True
 
     # an interface element may touch a node no remaining block touches
     # (a folded-away block's private node): promote it to boundary so
     # the interface solve owns it.
-    boundary_names = set(boundary)
-    block_nodes = {name for blk in blocks for el in blk.elements
-                   for name in nodes_of[id(el)]}
-    for el in interface:
-        for node in nodes_of[id(el)]:
-            if node not in block_nodes:
-                boundary_names.add(node)
-    return Partition(circuit, blocks, interface, sorted(boundary_names))
+    nodes = term_node[in_interface[term_el]]
+    is_boundary[nodes[~in_block[nodes]]] = True
+    name_of = {index: node for node, index in node_index.items()}
+    return Partition(circuit, blocks, interface,
+                     sorted(name_of[i] for i in is_boundary.nonzero()[0]))
 
 
 # ---------------------------------------------------------------------------
 # per-part assembly plumbing
 
 
-def _stamp(ctx: TripletStampContext, elements, step: dict,
+#: the step-context fields a part's recording contexts copy
+_STEP_FIELDS = ("analysis", "time", "dt", "x_prev", "method", "gmin",
+                "source_scale")
+
+
+def _stamp(ctx: TripletStampContext, elements, step: StampContext,
            x: Optional[np.ndarray] = None, reuse_tol: float = 0.0) -> None:
     """Record one stamping pass of ``elements`` into ``ctx`` (the static
-    phase without ``x``, the dynamic phase around iterate ``x``)."""
+    phase without ``x``, the dynamic phase around iterate ``x``) in the
+    step context ``step``."""
     ctx.clear()
-    for name, value in step.items():
-        setattr(ctx, name, value)
+    for name in _STEP_FIELDS:
+        setattr(ctx, name, getattr(step, name))
     if x is not None:
         ctx.x = x
         ctx.reuse_tol = reuse_tol
@@ -522,11 +566,14 @@ class _Part:
 
     The system and its rhs sit back to back in the assembler's pooled
     buffer (:attr:`slot`, viewed as :attr:`sys` / :attr:`rhs`).  Each
-    Newton iteration resets the slot to the assembled static phase and
-    adds the one-by-one dynamic stamps; the pooled CNFET bank then adds
-    its devices in place.  Each phase's triplets scatter through one
-    local map, rebuilt whenever the recorded positions change (exactly
-    like the sparse assembler's pattern)."""
+    Newton iteration resets the slot to the part's assembled static
+    phase — its share of the assembler's pooled static groups
+    (:attr:`static`, a view of :attr:`_PooledStatic.buf`) plus the
+    triplets of its fallback linear elements, recorded once per step —
+    and adds the one-by-one dynamic stamps; the pooled CNFET bank then
+    adds its devices in place.  Each phase's triplets scatter through
+    one local map, rebuilt whenever the recorded positions change
+    (exactly like the sparse assembler's pattern)."""
 
     def __init__(self, name: str, scope: np.ndarray, n: int, node_index,
                  elements) -> None:
@@ -538,7 +585,11 @@ class _Part:
         #: extra last entry is the bank's ground row ``n``)
         self.loc = np.full(n + 1, -1, dtype=np.intp)
         self.loc[scope] = np.arange(m)
-        self.static_els = [el for el in elements if not el.nonlinear]
+        #: linear elements (the assembler pools their static groups)
+        self.linear_els = [el for el in elements if not el.nonlinear]
+        #: linear elements without a static group, stamped one by one
+        #: (set by the assembler)
+        self.fallback: List[Element] = []
         #: nonlinear elements stamped one by one (the assembler moves
         #: the part's share of its pooled CNFET bank out of this list)
         self.dynamic_els = [el for el in elements if el.nonlinear]
@@ -547,17 +598,18 @@ class _Part:
         self.static_ctx = TripletStampContext(n, node_index)
         self.dyn_ctx = TripletStampContext(n, node_index)
         self._maps: List[Optional[tuple]] = [None, None]
-        # the assembled static phase, in the slot's layout
-        self._static = np.zeros(m * m + m)
-        self._static_dirty = True
+        # the fallback's static stamps, in the slot's layout
+        self._fallback_static = np.zeros(m * m + m)
         self.offset = 0
-        self.slot = self.sys = self.rhs = None
+        self.slot = self.sys = self.rhs = self.static = None
 
-    def bind(self, buf: np.ndarray, offset: int) -> None:
-        """Place the part's slot at ``offset`` of the pooled buffer."""
+    def bind(self, buf: np.ndarray, static: np.ndarray, offset: int) -> None:
+        """Place the part's slot at ``offset`` of the pooled buffer and
+        of the pooled static phase ``static``."""
         m = self.m
         self.offset = offset
         self.slot = buf[offset:offset + m * m + m]
+        self.static = static[offset:offset + m * m + m]
         self.sys = self.slot[:m * m].reshape(m, m)
         self.rhs = self.slot[m * m:]
 
@@ -578,44 +630,152 @@ class _Part:
             cached = self._maps[phase] = (flat.copy(), rows * self.m + cols)
         return cached[1]
 
-    def bank_maps(self, bank: CNFETBank, pad: int
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """The bank's entry table for this part's devices composed with
-        the slot: positions in the pooled buffer, grounded entries on
-        ``pad``."""
-        idx, n, m = self.bank_idx, self.n, self.m
-        rows, cols = bank.rows[:, idx], bank.cols[:, idx]
-        rhs_rows = bank.rhs_rows[:, idx]
-        lr, lc, lh = self.loc[rows], self.loc[cols], self.loc[rhs_rows]
-        grounded = (rows == n) | (cols == n)
-        if np.any(((lr < 0) | (lc < 0)) & ~grounded) \
-                or np.any((lh < 0) & (rhs_rows != n)):
-            raise self._outside()
-        return (np.where(grounded, pad, self.offset + lr * m + lc),
-                np.where(rhs_rows == n, pad, self.offset + m * m + lh))
+    def stamp_static(self, step: StampContext) -> None:
+        """Record the fallback linear elements' static stamps in the
+        step context ``step`` (the static groups are pooled)."""
+        if not self.fallback:
+            return
+        ctx = self.static_ctx
+        _stamp(ctx, self.fallback, step)
+        flat, val = ctx.triplets()
+        m2 = self.m * self.m
+        self._fallback_static[:m2] = np.bincount(
+            self._map(0, flat), weights=val, minlength=m2)
+        self._fallback_static[m2:] = ctx.rhs[self.scope]
 
-    def stamp_static(self, step: dict) -> None:
-        """Record the static phase for ``step``."""
-        _stamp(self.static_ctx, self.static_els, step)
-        self._static_dirty = True
-
-    def assemble(self, step: dict, x: np.ndarray, reuse_tol: float) -> None:
+    def assemble(self, step: StampContext, x: np.ndarray,
+                 reuse_tol: float) -> None:
         """Reset the slot to the static phase and add the one-by-one
         dynamic stamps around iterate ``x``."""
-        m2 = self.m * self.m
-        if self._static_dirty:
-            flat, val = self.static_ctx.triplets()
-            self._static[:m2] = np.bincount(self._map(0, flat), weights=val,
-                                            minlength=m2)
-            self._static[m2:] = self.static_ctx.rhs[self.scope]
-            self._static_dirty = False
-        self.slot[:] = self._static
+        self.slot[:] = self.static
+        if self.fallback:
+            self.slot += self._fallback_static
         if self.dynamic_els:
             ctx = self.dyn_ctx
             _stamp(ctx, self.dynamic_els, step, x, reuse_tol)
             flat, val = ctx.triplets()
             np.add.at(self.slot, self._map(1, flat), val)
             self.rhs += ctx.rhs[self.scope]
+
+
+def _compose(parts: Sequence[_Part], owner: np.ndarray, rows: np.ndarray,
+             cols: np.ndarray, rhs_rows: np.ndarray, pad: int
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions in the pooled buffer of ``(kinds, E)`` entry tables
+    (global rows and columns, ground as row ``n``) whose column ``e``
+    is stamped by ``parts[owner[e]]``: matrix entries at ``offset + row
+    * m + col`` and rhs rows at ``offset + m * m + row`` of the owner's
+    slot, every grounded entry on ``pad``."""
+    n = parts[0].n
+    loc = np.stack([part.loc for part in parts])
+    lr, lc, lh = loc[owner, rows], loc[owner, cols], loc[owner, rhs_rows]
+    grounded = (rows == n) | (cols == n)
+    bad = (((lr < 0) | (lc < 0)) & ~grounded).any(axis=0) \
+        | ((lh < 0) & (rhs_rows != n)).any(axis=0)
+    if bad.any():
+        raise parts[owner[bad.argmax()]]._outside()
+    offset = np.array([part.offset for part in parts])[owner]
+    m = np.array([part.m for part in parts])[owner]
+    return (np.where(grounded, pad, offset + lr * m + lc),
+            np.where(rhs_rows == n, pad, offset + m * m + lh))
+
+
+class _PooledStatic:
+    """The static phase of every part, pooled like the CNFET bank.
+
+    One :class:`~repro.circuit.elements.base.StaticPhase` spans the
+    linear elements of every block, another the interface's: one static
+    group per built-in class, its positions composed with the pooled
+    buffer's layout once per analysis mode (grounded entries on a pad
+    past the end).  :attr:`buf` holds every part's assembled static
+    phase in that layout.  Its matrix is re-scattered only
+    when the value key ``(analysis, dt, method)`` changes.  Per step a
+    group is evaluated only once one of its parts is active, so a
+    quiescent step with every block bypassed evaluates only the
+    interface's classes; the rhs values of the other groups stay as
+    they were (their parts read them only after re-evaluation)."""
+
+    def __init__(self, parts: Sequence[_Part], node_index, n: int,
+                 size: int) -> None:
+        self.parts = parts
+        self.size = size
+        # the blocks' groups apart from the interface's (the last part,
+        # active every step), so a step with every block bypassed
+        # evaluates only the interface's few elements
+        phases = [StaticPhase([el for part in tier for el in part.linear_els],
+                              node_index, n)
+                  for tier in (parts[:-1], parts[-1:])]
+        self.groups = groups = [g for phase in phases for g in phase.groups]
+        owner_of = {id(el): p for p, part in enumerate(parts)
+                    for el in part.linear_els}
+        in_fallback = {id(el) for phase in phases for el in phase.fallback}
+        for part in parts:
+            part.fallback = [el for el in part.linear_els
+                             if id(el) in in_fallback]
+        #: part index of every element of every group
+        self._owners = [np.array([owner_of[id(el)] for el in g.elements],
+                                 dtype=np.intp) for g in groups]
+        #: the parts each group stamps into
+        self._owner_sets = [set(owners.tolist())
+                            for owners in self._owners]
+        #: every part's static phase, laid out like the pooled buffer,
+        #: and one last entry: the pad grounded entries land on
+        self.buf = np.zeros(size + 1)
+        self._layouts: Dict[bool, tuple] = {}
+        self._key: Optional[tuple] = None
+        #: every group's rhs values and the step they were taken at
+        self._rhs: List[np.ndarray] = []
+        self._serial = [-1] * len(groups)
+
+    def _layout(self, tran: bool) -> tuple:
+        """Pooled matrix positions of every group entry, and the rhs
+        positions as ``(unique positions, inverse)`` of the mode."""
+        cached = self._layouts.get(tran)
+        if cached is None:
+            m_pos, r_pos = [], []
+            for group, owners in zip(self.groups, self._owners):
+                rows, cols, rhs_rows = group.layout(tran)
+                m, r = _compose(self.parts, owners, rows, cols, rhs_rows,
+                                self.size)
+                m_pos.append(m.ravel())
+                r_pos.append(r.ravel())
+            r_pos = np.concatenate(r_pos + [_NO_FLAT])
+            cached = self._layouts[tran] = (
+                np.concatenate(m_pos + [_NO_FLAT]),
+                *np.unique(r_pos, return_inverse=True))
+        return cached
+
+    def stamp(self, step: StampContext, serial: int,
+              active: Sequence[int]) -> None:
+        """Bring the static phase of the ``active`` parts (indices into
+        :attr:`parts`) up to the step context ``step``, whose id is
+        ``serial``."""
+        m_pos, r_uniq, r_inv = self._layout(transient_step(step))
+        groups = self.groups
+        key = (step.analysis, step.dt, step.method)
+        if key != self._key:
+            self._key = key
+            matrix = np.concatenate([g.matrix(step) for g in groups]
+                                    + [_EMPTY])
+            self.buf[:] = np.bincount(m_pos, weights=matrix,
+                                      minlength=self.size + 1)
+            self._rhs = [g.rhs(step) for g in groups]
+            self._serial = [serial] * len(groups)
+        else:
+            changed = False
+            for i, owners in enumerate(self._owner_sets):
+                if self._serial[i] != serial \
+                        and not owners.isdisjoint(active):
+                    rhs = groups[i].rhs(step)
+                    # a group hands back the same array for unchanged
+                    # values (the DC sources of a hold)
+                    changed |= rhs is not self._rhs[i]
+                    self._rhs[i] = rhs
+                    self._serial[i] = serial
+            if not changed:
+                return
+        self.buf[r_uniq] = np.bincount(r_inv, weights=np.concatenate(
+            self._rhs + [_EMPTY]), minlength=r_uniq.size)
 
 
 class _BlockState(_Part):
@@ -744,8 +904,10 @@ class PartitionedAssembler:
         parts = self._blocks + [self._iface]
         sizes = [part.m * part.m + part.m for part in parts]
         self._buf = np.zeros(sum(sizes))
+        self._static = _PooledStatic(parts, node_index, self.n,
+                                     self._buf.size)
         for part, offset in zip(parts, np.cumsum([0] + sizes[:-1])):
-            part.bind(self._buf, int(offset))
+            part.bind(self._buf, self._static.buf, int(offset))
         # One CNFET bank pooled across every block and the interface:
         # per Newton iteration the assembler runs a single stacked
         # evaluation over the active blocks' and the interface's
@@ -759,24 +921,28 @@ class PartitionedAssembler:
         if pool:
             self._bank = CNFETBank(pool, node_index, self.n,
                                    stats=device_stats)
-            m_map = np.empty((17, len(pool)), dtype=np.int64)
-            r_map = np.empty((5, len(pool)), dtype=np.int64)
             ends = np.cumsum([len(els) for els in banked])
             for part, els, idx in zip(
                     parts, rest,
                     np.split(np.arange(len(pool)), ends[:-1])):
                 part.dynamic_els = els
                 part.bank_idx = idx
-                m_map[:, idx], r_map[:, idx] = part.bank_maps(
-                    self._bank, self._buf.size)
-            self._bank_target = (self._buf, m_map, self._buf, r_map)
+            owner = np.repeat(np.arange(len(parts)),
+                              [len(els) for els in banked])
+            bank = self._bank
+            m_map, r_map = _compose(parts, owner, bank.rows, bank.cols,
+                                    bank.rhs_rows, self._buf.size)
+            self._bank_target = (self._buf, m_map.astype(np.int64),
+                                 self._buf, r_map.astype(np.int64))
         for st in self._blocks:
             # boundary nodes' positions in the interface system
             st.gpos = self._iface.loc[st.block.boundary]
-        self._step: Optional[dict] = None
+        self._step: Optional[StampContext] = None
         self._x: Optional[np.ndarray] = None
         self._first_reuse_tol: Optional[float] = None
         self._qprev_pending: Optional[np.ndarray] = None
+        self._active_key: Optional[bytes] = None
+        self._active: Optional[tuple] = None
         self._frozen_sig: Optional[tuple] = None
         self._frozen_S: Optional[np.ndarray] = None
         self._frozen_r: Optional[np.ndarray] = None
@@ -885,14 +1051,15 @@ class PartitionedAssembler:
                    x_prev: Optional[np.ndarray] = None,
                    method: str = "be", gmin: float = 1e-12,
                    source_scale: float = 1.0) -> None:
-        """Stamp the static phase of the interface and of every block
-        that cannot be bypassed this step."""
-        step = dict(analysis=analysis, time=time, dt=dt, x_prev=x_prev,
-                    method=method, gmin=gmin, source_scale=source_scale)
+        """Assemble the static phase of the interface and of every
+        block that cannot be bypassed this step."""
+        step = StampContext(
+            _NO_MATRIX, _EMPTY, self.circuit.node_index, None,
+            analysis=analysis, time=time, dt=dt, x_prev=x_prev,
+            method=method, gmin=gmin, source_scale=source_scale)
         self._step = step
         self._first_reuse_tol = None
         self.stats["steps"] += 1
-        self._iface.stamp_static(step)
         tol = self.bypass_tol
         bypassed = np.zeros(len(self._blocks), dtype=bool)
         key = self._keys.get((analysis, method, gmin, source_scale))
@@ -919,7 +1086,11 @@ class PartitionedAssembler:
         n_bypassed = int(np.count_nonzero(bypassed))
         self.stats["block_steps_bypassed"] += n_bypassed
         self.stats["block_steps_active"] += bypassed.size - n_bypassed
-        for i in (~bypassed).nonzero()[0]:
+        active = (~bypassed).nonzero()[0].tolist()
+        self._static.stamp(step, self.stats["steps"],
+                           active + [len(self._blocks)])
+        self._iface.stamp_static(step)
+        for i in active:
             st = self._blocks[i]
             st.stamp_static(step)
             st.static_step = self.stats["steps"]
@@ -931,7 +1102,7 @@ class PartitionedAssembler:
             # iteration, whose iterate is x_prev itself: the companion
             # evaluation there computes the very charges q_prev needs,
             # saving a kernel call per step
-            idx = self._bank_idx(self._active_parts())
+            idx = self._active_parts()[1]
             self._qprev_pending = idx if idx.size else None
 
     def _within_tol(self, x: np.ndarray, frozen: np.ndarray) -> np.ndarray:
@@ -951,16 +1122,19 @@ class PartitionedAssembler:
         self._drift_memo[id(frozen)] = (key, within)
         return within
 
-    def _active_parts(self) -> List[_Part]:
-        """The parts assembled this iteration: the active blocks, then
-        the interface."""
-        return [self._blocks[i] for i in (~self._bypassed).nonzero()[0]] \
-            + [self._iface]
-
-    @staticmethod
-    def _bank_idx(parts: List[_Part]) -> np.ndarray:
-        """Concatenated bank positions of ``parts``' devices."""
-        return np.concatenate([part.bank_idx for part in parts])
+    def _active_parts(self) -> Tuple[List[_Part], np.ndarray]:
+        """The parts assembled this iteration (the active blocks, then
+        the interface) and their devices' bank positions, memoised on
+        the bypassed mask."""
+        key = self._bypassed.tobytes()
+        if key != self._active_key:
+            parts = [self._blocks[i]
+                     for i in (~self._bypassed).nonzero()[0]] \
+                + [self._iface]
+            self._active = (parts, np.concatenate(
+                [part.bank_idx for part in parts]))
+            self._active_key = key
+        return self._active
 
     def iterate(self, x: np.ndarray, reuse_tol: float = 0.0) -> None:
         """Stamp the dynamic phase around iterate ``x``; bypassed
@@ -982,7 +1156,7 @@ class PartitionedAssembler:
         step_id = self.stats["steps"]
         bypassed = self._bypassed
         if (self._blocks and tol > 0.0 and not stalled
-                and self._step["analysis"] == "tran"):
+                and self._step.analysis == "tran"):
             still = self._within_tol(x, self._frozen_x_all)
         else:
             still = np.zeros(bypassed.size, dtype=bool)
@@ -999,40 +1173,40 @@ class PartitionedAssembler:
                 # skipped and move it to the active column (an
                 # intra-step re-frozen block keeps its fresh static
                 # phase and was already counted)
+                self._static.stamp(self._step, step_id, [int(i)])
                 st.stamp_static(self._step)
                 st.static_step = step_id
                 self.stats["bypass_promotions"] += 1
                 self.stats["block_steps_bypassed"] -= 1
                 self.stats["block_steps_active"] += 1
                 step = self._step
-                if (st.bank_idx.size and step["analysis"] == "tran"
-                        and step["dt"] is not None
-                        and step["x_prev"] is not None):
-                    self._bank.refresh_charges(step["x_prev"],
+                if (st.bank_idx.size and step.analysis == "tran"
+                        and step.dt is not None
+                        and step.x_prev is not None):
+                    self._bank.refresh_charges(step.x_prev,
                                                st.bank_idx)
         bypassed = (bypassed & still) | refreeze
         self._bypassed = bypassed
         step = self._step
-        parts = self._active_parts()
+        parts, idx = self._active_parts()
         for part in parts:
             part.assemble(step, x, reuse_tol)
-        idx = self._bank_idx(parts)
         if idx.size:
             # one stacked companion evaluation for every active
             # block's and the interface's devices, stamped in place
-            tran = step["analysis"] == "tran" and step["dt"] is not None
+            tran = transient_step(step)
             seed = False
             pending = self._qprev_pending
             if pending is not None:
                 self._qprev_pending = None
                 if np.array_equal(idx, pending) \
-                        and np.array_equal(x, step["x_prev"]):
+                        and np.array_equal(x, step.x_prev):
                     seed = True  # charges at x double as q_prev
                 else:  # pragma: no cover - first iterate moved
-                    self._bank.refresh_charges(step["x_prev"], pending)
+                    self._bank.refresh_charges(step.x_prev, pending)
             self._bank.companion(
-                x, idx, target=self._bank_target, gmin=step["gmin"],
-                tran=tran, dt=step["dt"],
+                x, idx, target=self._bank_target, gmin=step.gmin,
+                tran=tran, dt=step.dt,
                 reuse_tol=reuse_tol if tran else 0.0, seed_qprev=seed)
         self._x = x
 
@@ -1057,10 +1231,10 @@ class PartitionedAssembler:
                 self.stats["interface_solve_reuses"] += 1
                 return self._cache_x.copy()
         step = self._step
-        x_prev = step["x_prev"]
+        x_prev = step.x_prev
         key = (-1 if x_prev is None else self._keys.setdefault(
-            (step["analysis"], step["method"], step["gmin"],
-             step["source_scale"]), len(self._keys)))
+            (step.analysis, step.method, step.gmin,
+             step.source_scale), len(self._keys)))
         active = []
         for i in (~bypassed).nonzero()[0]:
             st = blocks[i]
@@ -1087,16 +1261,16 @@ class PartitionedAssembler:
                 X = sol[:, 1:]
                 s_add = C - F @ X
             st.frozen = {
-                "src_vals": tuple(el.waveform.value(step["time"])
+                "src_vals": tuple(el.waveform.value(step.time)
                                   for el in st.wave_els)
-                if step["time"] is not None else (),
+                if step.time is not None else (),
                 "y": y, "X": X,
                 "s_add": s_add,
                 "r_contrib": r_bd - F @ y,
                 "sys_serial": st.sys_serial,
             }
             self._fz_key[i] = key
-            self._fz_dt[i] = np.nan if step["dt"] is None else step["dt"]
+            self._fz_dt[i] = np.nan if step.dt is None else step.dt
             self._fz_age[i] = 0
             self._fz_step[i] = self.stats["steps"]
             self._fz_version[i] += 1

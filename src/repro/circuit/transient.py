@@ -95,9 +95,9 @@ def _collect_breakpoints(circuit: Circuit, tstop: float) -> List[float]:
 
 def _step_commits(circuit: Circuit) -> List:
     """Callables committing the elements' per-step state from a
-    context: one per class that vectorizes it
-    (:meth:`Element.accept_group`), else one ``accept_step`` per
-    element.
+    context: one :meth:`StaticGroup.accept
+    <repro.circuit.elements.base.StaticGroup.accept>` per built-in class
+    with state, else one ``accept_step`` per element.
 
     Most elements inherit the base no-op ``accept_step`` and are
     skipped: a 32-bit adder is ~1200 elements of which ~30 (the trap
@@ -107,10 +107,11 @@ def _step_commits(circuit: Circuit) -> List:
         if type(el).accept_step is not Element.accept_step:
             by_class.setdefault(type(el), []).append(el)
     commits: List = []
+    n = circuit.dimension()
     for cls, elements in by_class.items():
-        group = cls.accept_group(elements, circuit.node_index)
+        group = cls.static_group(elements, circuit.node_index, n)
         if group is not None:
-            commits.append(group)
+            commits.append(group.accept)
         else:
             commits.extend(el.accept_step for el in elements)
     return commits

@@ -73,8 +73,9 @@ class TestElements:
     @pytest.mark.parametrize("method", ["trap", "be"])
     def test_capacitor_accept_group_matches_accept_step(self, method):
         # The scalar transient commits every capacitor in one vector
-        # update; each element must end with the state its own
-        # accept_step leaves, grounded terminals included.
+        # update (its static group's accept); each element must end
+        # with the state its own accept_step leaves, grounded terminals
+        # included.
         def caps():
             return [Capacitor("c0", "a", "0", 1e-12),
                     Capacitor("c1", "a", "b", 2e-15),
@@ -92,9 +93,28 @@ class TestElements:
                            method=method)
         for el in one:
             el.accept_step(ctx)
-        Capacitor.accept_group(grouped, node_index)(ctx)
+        Capacitor.static_group(grouped, node_index, 3).accept(ctx)
         assert [el._i_prev for el in grouped] == \
             [el._i_prev for el in one]
+
+    def test_inductor_group_accept_matches_accept_step(self):
+        def inductors():
+            els = [Inductor("l0", "a", "0", 1e-9),
+                   Inductor("l1", "0", "b", 2e-9)]
+            for aux, el in enumerate(els, start=2):
+                el.aux_index = aux
+            return els
+
+        node_index = {"a": 0, "b": 1}
+        x = np.random.default_rng(4).normal(size=4)
+        ctx = StampContext(np.zeros((0, 0)), np.zeros(0), node_index, x,
+                           analysis="tran", dt=1e-12, method="trap")
+        one, grouped = inductors(), inductors()
+        for el in one:
+            el.accept_step(ctx)
+        Inductor.static_group(grouped, node_index, 4).accept(ctx)
+        assert [el._v_prev for el in grouped] == \
+            [el._v_prev for el in one]
 
     def test_inductor_validation(self):
         with pytest.raises(ParameterError):

@@ -10,18 +10,24 @@ summation-order rounding).
 import numpy as np
 import pytest
 
+import repro.circuit.elements as elements_module
 from repro.circuit import (
     Capacitor,
     Circuit,
     CNFETElement,
+    CurrentSource,
     Diode,
+    Inductor,
     Resistor,
     VoltageSource,
     dc_sweep,
     transient,
 )
+from repro.circuit.elements import Element
 from repro.circuit.logic import LogicFamily, build_ring_oscillator
 from repro.circuit.mna import TwoPhaseAssembler, assemble
+from repro.circuit.partition import PartitionedAssembler
+from repro.circuit.waveforms import DC, Pulse
 from repro.circuit.transient import initial_conditions_from_op
 from repro.errors import AnalysisError
 from repro.experiments.workloads import default_device_parameters
@@ -40,6 +46,68 @@ def _mixed_circuit() -> Circuit:
     return c
 
 
+class _Leak(Element):
+    """A user-defined linear element (a conductance in parallel with a
+    current source): no static group, so it takes the per-element
+    fallback of the static phase."""
+
+    def __init__(self, name, a, b, g, i):
+        super().__init__(name, (a, b))
+        self.g, self.i = g, i
+
+    def stamp(self, ctx):
+        ctx.add_conductance(*self.nodes, self.g)
+        ctx.add_current(*self.nodes, self.i)
+
+
+def _linear_circuit() -> Circuit:
+    """Every built-in linear element twice, once with a grounded
+    terminal and once floating, plus a user-defined linear element;
+    the trapezoidal state is primed non-zero."""
+    c = Circuit("every linear element")
+    pulse = Pulse(v1=0.1, v2=0.7, delay=0.5e-12, rise=1e-12, fall=1e-12,
+                  width=5e-12, period=20e-12)
+    c.add(VoltageSource("vp", "a", "0", pulse))
+    c.add(VoltageSource("vf", "b", "a", 0.2))
+    c.add(Resistor("rg", "b", "0", 3e3))
+    c.add(Resistor("rf", "b", "c", 7e3))
+    c.add(Capacitor("cg", "0", "c", 2e-15))
+    c.add(Capacitor("cf", "c", "d", 5e-15))
+    c.add(Inductor("lg", "d", "0", 3e-9))
+    c.add(Inductor("lf", "c", "e", 7e-9))
+    c.add(CurrentSource("ig", "0", "e", 1e-6))
+    c.add(CurrentSource("if", "e", "d", Pulse(v1=0.0, v2=2e-6,
+                                             delay=0.0, rise=4e-12)))
+    c.add(_Leak("xg", "e", "0", 2e-4, 3e-7))
+    c.add(_Leak("xf", "d", "b", 5e-4, -1e-7))
+    c.dimension()
+    for el, state in zip(c.iter_elements(Capacitor), (1e-6, -3e-6)):
+        el._i_prev = state
+    for el, state in zip(c.iter_elements(Inductor), (0.05, -0.02)):
+        el._v_prev = state
+    return c
+
+
+def _assembled(asm: TwoPhaseAssembler, x: np.ndarray):
+    """Dense matrix and rhs of either backend's system around ``x``."""
+    got = asm.iterate(x)
+    if not asm.backend.is_sparse:
+        return got.matrix, got.rhs
+    data, rhs = asm._system
+    matrix = np.zeros((asm.n, asm.n))
+    cols = np.repeat(np.arange(asm.n), np.diff(asm._indptr))
+    matrix[asm._indices, cols] = data
+    return matrix, rhs
+
+
+def _partitioned_rhs(asm: PartitionedAssembler, row: int) -> float:
+    """Assembled rhs entry of a global row (in the part that owns it)."""
+    for part in asm._blocks + [asm._iface]:
+        if part.loc[row] >= 0:
+            return float(part.rhs[part.loc[row]])
+    raise AssertionError(f"row {row} in no part")
+
+
 class TestAssemblyEquivalence:
     @pytest.mark.parametrize("analysis,kwargs", [
         ("dc", {}),
@@ -47,20 +115,70 @@ class TestAssemblyEquivalence:
         ("tran", {"time": 1e-12, "dt": 1e-12, "method": "trap"}),
     ])
     def test_matches_one_phase(self, analysis, kwargs):
-        c = _mixed_circuit()
-        n = c.dimension()
-        rng = np.random.default_rng(7)
-        x = 0.3 * rng.standard_normal(n)
-        x_prev = 0.3 * rng.standard_normal(n) if analysis == "tran" \
-            else None
-        ref = assemble(c, x, analysis=analysis, x_prev=x_prev, **kwargs)
-        asm = TwoPhaseAssembler(c)
-        asm.begin_step(analysis=analysis, x_prev=x_prev, **kwargs)
-        got = asm.iterate(x)
-        np.testing.assert_allclose(got.matrix, ref.matrix, rtol=1e-12,
-                                   atol=1e-30)
-        np.testing.assert_allclose(got.rhs, ref.rhs, rtol=1e-12,
-                                   atol=1e-30)
+        """Both backends, a nonlinear mix and every linear element
+        (static groups and the per-element fallback), at full and half
+        source scale."""
+        for build in (_mixed_circuit, _linear_circuit):
+            c = build()
+            n = c.dimension()
+            rng = np.random.default_rng(7)
+            x = 0.3 * rng.standard_normal(n)
+            x_prev = 0.3 * rng.standard_normal(n) \
+                if analysis == "tran" else None
+            for backend in ("dense", "sparse"):
+                asm = TwoPhaseAssembler(c, backend=backend)
+                for scale in (1.0, 0.5):
+                    ref = assemble(c, x, analysis=analysis, x_prev=x_prev,
+                                   source_scale=scale, **kwargs)
+                    asm.begin_step(analysis=analysis, x_prev=x_prev,
+                                   source_scale=scale, **kwargs)
+                    matrix, rhs = _assembled(asm, x)
+                    np.testing.assert_allclose(matrix, ref.matrix,
+                                               rtol=1e-12, atol=1e-30)
+                    np.testing.assert_allclose(rhs, ref.rhs, rtol=1e-12,
+                                               atol=1e-30)
+
+    def test_every_builtin_linear_class_has_a_static_group(self):
+        """A built-in linear element without a group would silently
+        stamp one by one through the fallback."""
+        c = _linear_circuit()
+        classes = [getattr(elements_module, name)
+                   for name in elements_module.__all__]
+        linear = [cls for cls in classes
+                  if isinstance(cls, type) and issubclass(cls, Element)
+                  and cls is not Element and not cls.nonlinear]
+        assert {cls.__name__ for cls in linear} == {
+            "Resistor", "Capacitor", "Inductor", "VoltageSource",
+            "CurrentSource"}
+        for cls in linear:
+            members = list(c.iter_elements(cls))
+            assert cls.static_group(members, c.node_index,
+                                    c.dimension()) is not None, cls
+        assert _Leak.static_group([c.element("xg")], c.node_index,
+                                  c.dimension()) is None
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "partitioned"])
+    def test_waveform_swap_reaches_rhs(self, kind):
+        """Sweeps replace a source's waveform object between steps of
+        one reused assembler: the next step's rhs must carry the new
+        value, in DC and in a transient step."""
+        c = _linear_circuit()
+        vf = c.element("vf")
+        x = np.zeros(c.dimension())
+        asm = PartitionedAssembler(c) if kind == "partitioned" \
+            else TwoPhaseAssembler(c, backend=kind)
+        for step in ({"analysis": "dc"},
+                     {"analysis": "tran", "time": 2e-12, "dt": 1e-12,
+                      "x_prev": x, "method": "trap"}):
+            for level in (0.2, -0.45, 0.3):
+                vf.waveform = DC(level)
+                asm.begin_step(**step)
+                if kind == "partitioned":
+                    asm.iterate(x)
+                    got = _partitioned_rhs(asm, vf.aux_index)
+                else:
+                    got = _assembled(asm, x)[1][vf.aux_index]
+                assert got == level
 
     def test_iterate_is_repeatable(self):
         """Re-iterating at the same x must not accumulate stamps."""

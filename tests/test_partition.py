@@ -16,6 +16,7 @@ from repro.circuit import (
     Circuit,
     CNFETElement,
     NewtonOptions,
+    Resistor,
     VoltageSource,
     transient,
 )
@@ -29,7 +30,7 @@ from repro.circuit.logic import (
 from repro.circuit.mna import TwoPhaseAssembler, newton_solve, robust_dc_solve
 from repro.circuit.partition import PartitionedAssembler, partition_circuit
 from repro.circuit.waveforms import Pulse
-from repro.errors import ParameterError
+from repro.errors import AnalysisError, ParameterError
 from repro.reference.fettoy import FETToyModel, FETToyParameters
 
 FAM = LogicFamily.default()
@@ -103,6 +104,39 @@ class TestPartitionStructure:
         c, _ = build_inverter_chain(FAM, 8)
         part = partition_circuit(c, max_block=6)
         assert len(part.blocks) >= 2
+
+    def test_absorption_moves_are_decided_before_any_is_made(self):
+        """Two elements of different groups across the same two nodes
+        each qualify to move into the other's group; both moves hold
+        (applying them in turn used to fail on a stale touch count)."""
+        c = Circuit("swap")
+        c.add(Resistor("A.r", "p", "q", 1e3))
+        c.add(Resistor("A.rg", "q", "0", 1e3))
+        c.add(Resistor("B.r", "p", "q", 2e3))
+        part = partition_circuit(c)
+        assert part.blocks == []
+        assert [el.name for el in part.interface_elements] \
+            == ["B.r", "A.r", "A.rg"]
+        assert part.boundary_nodes == ["p", "q"]
+
+    @pytest.mark.parametrize("kind", [Capacitor, CNFETElement])
+    def test_element_rewired_into_another_block_is_rejected(self, kind):
+        """A block element rewired after partitioning onto another
+        block's private node: composing its stamps with the pooled
+        layout (static groups and the CNFET bank alike) must fail
+        loudly instead of stamping into the wrong slot."""
+        c = _rca8(pulse=False)
+        part = partition_circuit(c)
+        own, other = part.blocks[0], part.blocks[1]
+        el = next(e for e in own.elements if isinstance(e, kind))
+        name_of = {i: name for name, i in c.node_index.items()}
+        foreign = next(name_of[i] for i in other.internal.tolist()
+                       if i in name_of)
+        el.nodes = (foreign,) + el.nodes[1:]
+        with pytest.raises(AnalysisError, match="outside its scope"):
+            asm = PartitionedAssembler(c, part)
+            asm.begin_step(analysis="tran", time=1e-12, dt=1e-12,
+                           x_prev=np.zeros(c.dimension()))
 
     def test_bad_arguments(self):
         c = _rca8()

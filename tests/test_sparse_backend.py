@@ -345,8 +345,8 @@ class TestSparseInternals:
                   mono._static_map, mono._dyn_map]
         for array in arrays:
             digest.update(np.ascontiguousarray(array, np.int64).tobytes())
-        assert digest.hexdigest() == ("dc64a7076502c643f7994996229a7b3d"
-                                      "914802115f23f0f0b0dc844272b55838")
+        assert digest.hexdigest() == ("411993abf39874aa8b9324e9876105c5"
+                                      "9ea46aa02c885204dbb48ba538749847")
 
         n = mono.n
         rows, cols = np.divmod(mono._pattern_flat, n)
