@@ -46,23 +46,28 @@ from repro.circuit.elements.base import (
 from repro.errors import ParameterError
 from repro.pwl.batch import StackedCurves, StackedVscSolver
 from repro.pwl.device import CNFET, _log1pexp_many
-from repro.pwl.kernels import active_kernel_backend
+from repro.pwl.kernels import N_ANCHOR, active_kernel_backend
 from repro.reference.fettoy import FETToyModel
 
 #: Chord radius [V] of the bank's exact-rhs modified-Newton reuse: the
 #: frozen Jacobian is kept while no device's bias moved further than
-#: this from the linearisation point.  Unlike the scalar elements'
-#: ``jacobian_reuse_tol`` (whose frozen *rhs* carries an O(tol^2)
-#: solution error), the bank rebuilds the rhs exactly every iteration,
-#: so this radius only trades Newton iteration count against
-#: factorisation + companion-evaluation count.  Tuned on the 32-bit
-#: carry-ripple benchmark *with* the compiled frozen-pivot
-#: refactorisation lane active (which makes factorisations cheap):
-#: the chord should only take over in the convergence tail of a step
-#: and across quiescent plateau steps, where it converges without
-#: extra iterations; wider radii trade quadratic for linear
-#: convergence mid-transient and lose outright.
+#: this from the linearisation point.  The rhs is rebuilt at every
+#: iteration (from the device's current and charges, exact or along
+#: its bypass anchor's tangent), so this radius only trades Newton
+#: iteration count against factorisation count, unlike the bypass
+#: tolerance (``jacobian_reuse_tol``), whose tangent carries an
+#: O(curvature * tol^2) error.  Tuned on the 32-bit carry-ripple
+#: benchmark *with* the compiled frozen-pivot refactorisation lane
+#: active (which makes factorisations cheap): the chord should only
+#: take over in the convergence tail of a step and across quiescent
+#: plateau steps, where it converges without extra iterations; wider
+#: radii trade quadratic for linear convergence mid-transient and lose
+#: outright.
 _SLAB_CHORD_RADIUS_V = 1e-4
+
+#: bias points per stacked VSC pass of :meth:`_Backend.ids_many`
+#: (bounds the pass's temporaries to a few MB each)
+_IDS_CHUNK = 1 << 18
 
 
 def _log1pexp(x: float) -> float:
@@ -94,6 +99,8 @@ class _Backend:
             self.ef = device._ef
             self.pref = device._i_prefactor
             self._solve = lambda vgs, vds: device.solver.solve(vgs, vds, 0.0)
+            #: one-lane stacked solver of :meth:`ids_many` (built on use)
+            self._stacked = None
             self._q = device.fitted.curve.value
             self._dq = device.fitted.curve.derivative
         elif isinstance(device, FETToyModel):
@@ -163,19 +170,31 @@ class _Backend:
 
     def ids_many(self, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
         """Vectorized drain currents (n-frame), for waveform post-
-        processing; mirrors :meth:`evaluate`'s current arithmetic."""
+        processing; mirrors :meth:`evaluate`'s current arithmetic.
+
+        A fast-backend device solves VSC through a one-lane
+        :class:`~repro.pwl.batch.StackedVscSolver` hinted with the
+        root without mobile charge (the Laplace solution, within a few
+        regions of the root), in passes of at most ``_IDS_CHUNK``
+        points."""
         device = self.device
-        if isinstance(device, CNFET):
-            vsc = device.solver.solve_many(vgs, vds, 0.0)
-            eta_s = (self.ef - vsc) / self.kt
-            eta_d = eta_s - vds / self.kt
-            return self.pref * (
-                _log1pexp_many(eta_s) - _log1pexp_many(eta_d)
-            )
-        return np.asarray([
-            self.evaluate(float(g), float(d))[0]
-            for g, d in zip(vgs, vds)
-        ])
+        if not isinstance(device, CNFET):
+            return np.asarray([
+                self.evaluate(float(g), float(d))[0]
+                for g, d in zip(vgs, vds)
+            ])
+        if self._stacked is None:
+            self._stacked = StackedVscSolver([device.solver])
+        caps = self.caps
+        vsc = np.empty(len(vgs))
+        for lo in range(0, vsc.size, _IDS_CHUNK):
+            g, d = vgs[lo:lo + _IDS_CHUNK], vds[lo:lo + _IDS_CHUNK]
+            hint = -(caps.cg * g + caps.cd * d) / caps.csum
+            vsc[lo:lo + g.size] = self._stacked.solve(
+                g, d, hint, table=np.zeros(g.size, dtype=np.int64))
+        eta_s = (self.ef - vsc) / self.kt
+        eta_d = eta_s - vds / self.kt
+        return self.pref * (_log1pexp_many(eta_s) - _log1pexp_many(eta_d))
 
 
 # Terminal rows of the bank's node table.
@@ -197,9 +216,43 @@ def split_bank_devices(groups):
     """Split element lists into :class:`CNFETBank` devices (every
     fast-backend CNFET) and the rest: ``(banked, rest)``, one list per
     group, order kept."""
-    return ([[el for el in group if _is_bankable(el)] for group in groups],
-            [[el for el in group if not _is_bankable(el)]
-             for group in groups])
+    banked, rest = [], []
+    for group in groups:
+        flags = [_is_bankable(el) for el in group]
+        banked.append([el for el, flag in zip(group, flags) if flag])
+        rest.append([el for el, flag in zip(group, flags) if not flag])
+    return banked, rest
+
+
+def drain_currents(elements, rows: np.ndarray,
+                   node_index) -> np.ndarray:
+    """Drain currents ``(len(elements), T)`` of CNFET ``elements`` over
+    the solution rows ``(T, dim)`` (nodes missing from ``node_index``
+    read as ground), in each element's terminal sign: one
+    :meth:`_Backend.ids_many` call per device model over all its
+    elements' (element, row) biases."""
+    rows = np.asarray(rows, dtype=float)
+    n_rows, dim = rows.shape
+    out = np.empty((len(elements), n_rows))
+    if not elements:
+        return out
+    padded = np.concatenate((rows, np.zeros((n_rows, 1))), axis=1)
+    # (drain, gate, source) columns, ground on the zero pad
+    cols = np.array([[node_index.get(node, dim) for node in el.nodes]
+                     for el in elements]).T
+    sign = np.array([1.0 if el.polarity == "n" else -1.0
+                     for el in elements])
+    vs = padded[:, cols[2]]
+    vgs = (sign * (padded[:, cols[1]] - vs)).T
+    vds = (sign * (padded[:, cols[0]] - vs)).T
+    models: dict = {}
+    for i, el in enumerate(elements):
+        models.setdefault(id(el.backend.device), []).append(i)
+    for members in models.values():
+        out[members] = elements[members[0]].backend.ids_many(
+            vgs[members].ravel(), vds[members].ravel()
+        ).reshape(len(members), n_rows)
+    return out * sign[:, None]
 
 
 class CNFETBank:
@@ -220,14 +273,14 @@ class CNFETBank:
 
     The bank holds the per-device parameters, the warm-start hints,
     the previous-step terminal charges ``q_prev``, a per-device chord
-    memo, and the gather table of the devices' terminal positions in
-    the iterate (``-1`` for ground).  All of them are persistent arrays
-    updated in place, so the compiled tier binds its pointers once per
-    bank.  From the terminal rows it writes, once, the stamp-entry
-    table: ``rows``/``cols`` of the 17 matrix entry kinds and
-    ``rhs_rows`` of the 5 rhs kinds, one column per device (ground on
-    the pad row ``dim``) — the exact per-entry sums of the scalar
-    ``stamp``:
+    memo, a per-device bypass anchor, and the gather table of the
+    devices' terminal positions in the iterate (``-1`` for ground).
+    All of them are persistent arrays updated in place, so the
+    compiled tier binds its pointers once per bank.  From the terminal
+    rows it writes, once, the stamp-entry table: ``rows``/``cols`` of
+    the 17 matrix entry kinds and ``rhs_rows`` of the 5 rhs kinds, one
+    column per device (ground on the pad row ``dim``) — the exact
+    per-entry sums of the scalar ``stamp``:
 
     ======== ======================  ========================
     kind     entry                   value
@@ -266,13 +319,12 @@ class CNFETBank:
         # One table row per distinct device model: a circuit of many
         # instances of few models streams a cache-sized parameter set.
         models: dict = {}
-        for el in self.elements:
-            models.setdefault(id(el.backend.device), el.backend)
-        row_of = {key: row for row, key in enumerate(models)}
         #: table row of each device in the per-model arrays below
-        self.table = np.array([row_of[id(el.backend.device)]
-                               for el in self.elements], dtype=np.int64)
-        backends = list(models.values())
+        self.table = np.array([
+            models.setdefault(id(el.backend.device),
+                              (len(models), el.backend))[0]
+            for el in self.elements], dtype=np.int64)
+        backends = [backend for _row, backend in models.values()]
         self.kt = np.array([b.kt for b in backends])
         self.ef = np.array([b.ef for b in backends])
         self.pref = np.array([b.pref for b in backends])
@@ -285,10 +337,11 @@ class CNFETBank:
             [b.device.fitted.curve for b in backends])
         p = self.p = len(self.elements)
         # rows _G, _D, _S of the (drain, gate, source) terminals
-        terminals = np.array([
-            [dim if el.nodes[t] in GROUND_NAMES
-             else node_index[el.nodes[t]] for el in self.elements]
-            for t in (1, 0, 2)], dtype=np.int64)
+        row_of_node = dict(node_index)
+        row_of_node.update(dict.fromkeys(GROUND_NAMES, dim))
+        terminals = np.fromiter(
+            (row_of_node[node] for el in self.elements for node in el.nodes),
+            np.int64, 3 * p).reshape(p, 3).T[[1, 0, 2]]
         self.rows = terminals[list(_KIND_ROWS)]
         self.cols = terminals[list(_KIND_COLS)]
         self.rhs_rows = terminals[list(_RHS_ROWS)]
@@ -310,16 +363,23 @@ class CNFETBank:
         self.memo_vds = np.zeros(p)
         self.memo_values = np.zeros((17, p))
         self.memo_valid = np.zeros(p, dtype=bool)
+        #: Per-device bypass anchor (see :meth:`companion`): the
+        #: dt-independent linearisation at the bias of the device's
+        #: last full transient evaluation, one row of ``N_ANCHOR``
+        #: values laid out as :data:`repro.pwl.kernels.A_VGS` etc.; a
+        #: NaN bias marks a device without one.
+        self.anchor = np.full((p, N_ANCHOR), np.nan)
         #: per-tier kernel state (the compiled tier's pointer binding)
         self.kernel_state: dict = {}
 
     def reset(self) -> None:
-        """Forget warm-start hints, previous-step charges and the chord
-        memo."""
+        """Forget warm-start hints, previous-step charges, the chord
+        memo and the bypass anchors."""
         self.hint[:] = 0.0
         self.q_prev[:] = 0.0
         self._memo_key = None
         self.memo_valid[:] = False
+        self.anchor[:] = np.nan
 
     def flat_entries(self, dim: int) -> Tuple[np.ndarray, np.ndarray]:
         """The entry table in the global ``dim x dim`` layout: flat
@@ -330,10 +390,15 @@ class CNFETBank:
                 self.rhs_rows)
 
     def refresh_charges(self, x_prev: np.ndarray,
-                        idx: Optional[np.ndarray] = None) -> None:
+                        idx: Optional[np.ndarray] = None,
+                        reuse_tol: float = 0.0) -> None:
         """Set ``q_prev`` of the selected devices (default: all) from
-        the previous step's solution."""
+        the previous step's solution; ``reuse_tol`` > 0 takes a
+        device's charges along its bypass anchor's tangent when its
+        bias lies within that tolerance of the anchor (see
+        :meth:`companion`)."""
         active_kernel_backend().bank_stamp(self, x_prev, idx,
+                                           bypass=reuse_tol,
                                            charges_only=True)
 
     def companion(self, x: np.ndarray,
@@ -348,22 +413,38 @@ class CNFETBank:
         one buffer) through the ``(17, P)`` / ``(5, P)`` index maps,
         entries at or past a buffer's size discarded.
 
-        ``reuse_tol`` > 0 enables the exact-rhs chord
-        (``NewtonOptions.jacobian_reuse_tol``): while every selected
-        device's bias stays within :data:`_SLAB_CHORD_RADIUS_V` (or
-        ``reuse_tol``, if larger) of its memoised linearisation for the
-        same ``(tran, dt, gmin)``, the matrix values are stamped frozen
-        while the rhs is rebuilt from a fresh closed-form solve at the
-        current bias with the frozen gm/gds/geq coefficients.  That is
-        the classic modified-Newton split: the fixed point satisfies
-        exact KCL (the frozen coefficients cancel between matrix and
-        rhs at convergence), so the radius trades iteration count
-        against factorisation count, never accuracy — which is why it
-        can be far looser than the scalar elements' O(tol^2)
-        frozen-rhs tolerance.  The frozen values keep the assembled
-        data bit-identical, so the assemblers reuse their LU
-        factorisations across iterations and plateau steps.  Devices
-        outside ``idx`` keep their memo untouched.
+        ``reuse_tol`` > 0 (``NewtonOptions.jacobian_reuse_tol``) turns
+        on two independent reuses; 0 turns both off and runs the exact
+        Newton iteration.
+
+        *Chord* (the matrix): while every selected device's bias stays
+        within :data:`_SLAB_CHORD_RADIUS_V` (or ``reuse_tol``, if
+        larger) of its memoised linearisation for the same ``(tran,
+        dt, gmin)``, the matrix values are stamped frozen while the rhs
+        is rebuilt at the current bias with the frozen gm/gds/geq
+        coefficients.  That is the classic modified-Newton split: the
+        fixed point satisfies KCL with the devices' current and
+        charges (the frozen coefficients cancel between matrix and rhs
+        at convergence), so the radius trades iteration count against
+        factorisation count, never accuracy — which is why it can be
+        far looser than the bypass tolerance.  The frozen values keep
+        the assembled data bit-identical, so the assemblers reuse their
+        LU factorisations across iterations and plateau steps.
+        Devices outside ``idx`` keep their memo untouched.
+
+        *Bypass* (the device evaluation, transient only): a device
+        whose bias lies within ``reuse_tol`` of its *anchor* — the bias
+        of its last full evaluation, never the last iterate, so slow
+        drift cannot build up past the tolerance — skips the VSC solve
+        and the transcendentals.  Its current and charges come from
+        the anchor's tangent (current, conductances, charges and their
+        partials, all dt-independent) and go through the same
+        companion, chord rhs, ``q_prev`` seeding and scatter as a
+        solved device's; outside the chord it memoises the anchor's
+        values at the anchor's bias.  Every full evaluation refreshes
+        the device's anchor.  Like the scalar element's reuse, the
+        error is the tangent's: O(curvature * tol^2) in current and
+        charge, about 1e-12 V of solution error at the default 1e-6 V.
 
         With ``seed_qprev=True`` (valid only when ``x`` *is* the
         previous step's solution, i.e. the first Newton iteration of a
@@ -378,7 +459,8 @@ class CNFETBank:
             if reuse_tol > 0.0 else 0.0
         active_kernel_backend().bank_stamp(
             self, x, idx, gmin=gmin, tran=tran, dt=dt, radius=radius,
-            seed_qprev=seed_qprev, target=target)
+            bypass=reuse_tol if tran else 0.0, seed_qprev=seed_qprev,
+            target=target)
 
 
 class CNFETSlab:
@@ -396,8 +478,9 @@ class CNFETSlab:
     ``x_prev`` (every fixed step), and refreshes from ``x_prev`` first
     otherwise (an adaptive predictor start).  In transient,
     :meth:`stamp` passes ``ctx.reuse_tol`` on to the bank's exact-rhs
-    chord; DC solves (operating points, sweeps) run without it, so a DC
-    solve takes the lane-batched engine's exact Newton iterates.  The
+    chord and per-device bypass (the refresh bypasses too); DC solves
+    (operating points, sweeps) run without them, so a DC solve takes
+    the lane-batched engine's exact Newton iterates.  The
     benchmark's traced mode (``perfbench/tracing.py``) times its
     ``elements.slab`` layer through these two methods."""
 
@@ -421,20 +504,20 @@ class CNFETSlab:
         ``ctx.rhs``)."""
         seed = False
         pending = self._pending
+        tran = ctx.analysis == "tran" and ctx.dt is not None
+        reuse_tol = ctx.reuse_tol if tran else 0.0
         if pending is not None:
             self._pending = None
             if np.array_equal(ctx.x, pending):
                 seed = True  # charges at x double as q_prev
             else:
-                self.bank.refresh_charges(pending)
+                self.bank.refresh_charges(pending, reuse_tol=reuse_tol)
         if target is None:
             target = (ctx.matrix.reshape(-1), self.m_idx, ctx.rhs,
                       self.r_idx)
-        tran = ctx.analysis == "tran" and ctx.dt is not None
         self.bank.companion(
             ctx.x, gmin=ctx.gmin, tran=tran, dt=ctx.dt,
-            reuse_tol=ctx.reuse_tol if tran else 0.0, seed_qprev=seed,
-            target=target)
+            reuse_tol=reuse_tol, seed_qprev=seed, target=target)
 
 
 class _CNFETLaneGroup(LaneGroup):

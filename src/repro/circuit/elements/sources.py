@@ -33,7 +33,9 @@ class _SourceLaneGroup(LaneGroup):
     plain-Python objects and may differ per lane); the all-DC common
     case short-circuits to a cached value vector.  The DC cache is
     rebuilt per stamp when any lane's waveform object was swapped
-    (``dc_sweep``-style mutation).
+    (``dc_sweep``-style mutation); like :class:`_SourceGroup` it holds
+    the objects it keys on, so a freed waveform's id cannot come back
+    as a new one's.
     """
 
     def __init__(self, elements) -> None:
@@ -50,11 +52,13 @@ class _SourceLaneGroup(LaneGroup):
             ])
         cache = self._dc_cache
         waveforms = [elements[lane].waveform for lane in lanes]
-        if cache is None or cache[0] != [id(w) for w in waveforms]:
+        ids = list(map(id, waveforms))
+        if cache is None or cache[1] != ids:
             values = np.array([w.dc_value() for w in waveforms])
-            self._dc_cache = ([id(w) for w in waveforms], values)
+            # the waveforms are held, so that their ids stay theirs
+            self._dc_cache = (waveforms, ids, values)
             return values
-        return cache[1]
+        return cache[2]
 
 
 class _VoltageSourceLaneGroup(_SourceLaneGroup):

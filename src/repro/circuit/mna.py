@@ -100,18 +100,32 @@ class NewtonOptions:
     gmin_stepping: bool = True
     #: enable source stepping fallback
     source_stepping: bool = True
-    #: Jacobian-reuse fast path: when > 0, a Newton iteration whose
-    #: iterate moved less than this many volts (inf-norm) since the
-    #: last nonlinear assembly reuses that assembly's stamps instead of
-    #: re-evaluating every nonlinear element.  The static phase is
-    #: still refreshed per step, so across transient steps this is a
-    #: frozen-linearisation (chord) iteration; the approximation error
-    #: is O(curvature * tol^2), and a stalling solve falls back to full
-    #: assemblies for its remaining iterations.  The tuned default
-    #: (1e-6 V — solution error ~1e-12 V, well under every engine
-    #: tolerance) additionally lets the sparse assembler reuse its LU
-    #: factorisation whenever the chord freezes the stamps; set 0 to
-    #: recover the exact legacy iteration.
+    #: Jacobian-reuse fast path [V]; 0 recovers the exact Newton
+    #: iteration.  When > 0 it turns on two reuses of the nonlinear
+    #: stamps (the CNFET bank uses them in transient only, so its DC
+    #: solves take exact Newton iterates):
+    #:
+    #: * *Bypass* (the device evaluation): an element whose controlling
+    #:   voltages lie within this tolerance of the bias of its last
+    #:   full evaluation is not re-evaluated; its current and charges
+    #:   move along that evaluation's tangent and it restamps that
+    #:   frozen linearisation.  Compared against the last full
+    #:   evaluation, never the last iterate, so slow drift cannot build
+    #:   up past the tolerance.  The error is the tangent's,
+    #:   O(curvature * tol^2): ~1e-12 V of solution error at the tuned
+    #:   default, well under every engine tolerance.  The scalar
+    #:   elements (:meth:`CNFETElement.stamp`) and the CNFET bank
+    #:   (per device, :meth:`CNFETBank.companion`) both do this.
+    #: * *Chord* (the matrix, CNFET bank only): while every device's
+    #:   bias stays within ``max(tol, 1e-4 V)`` of its memoised
+    #:   linearisation, the bank stamps frozen matrix values and
+    #:   rebuilds only the rhs, so the sparse assembler reuses its LU
+    #:   factorisation.  The rhs keeps the fixed point exact, so the
+    #:   chord trades iterations against factorisations, not accuracy.
+    #:
+    #: The static phase is still refreshed per step, and a stalling
+    #: solve falls back to full, exact assemblies for its remaining
+    #: iterations.
     jacobian_reuse_tol: float = 1e-6
 
 
@@ -169,9 +183,9 @@ class TwoPhaseAssembler:
         ``"auto"`` picks dense below
         :data:`~repro.circuit.solvers.SPARSE_AUTO_MIN_DIM` unknowns.
     device_stats : dict, optional
-        Receives the stacked CNFET solver counters (``stacked_lanes``,
-        ``stacked_fallbacks``) of the circuit's fast-backend CNFET
-        bank.
+        Receives the stacked CNFET counters (``stacked_lanes``,
+        ``stacked_fallbacks``, ``stacked_bypassed``) of the circuit's
+        fast-backend CNFET bank.
     """
 
     def __init__(self, circuit: Circuit,

@@ -66,15 +66,6 @@ from repro.circuit.solvers import HAVE_SCIPY
 from repro.circuit.waveforms import DC
 from repro.errors import AnalysisError, ParameterError
 
-try:  # dense-block LU reuse (optional; numpy fallback below)
-    # the raw LAPACK routines scipy.linalg.lu_factor / lu_solve wrap:
-    # the same results without their per-call validation overhead,
-    # which dominates at block sizes
-    from scipy.linalg.lapack import dgetrf as _getrf
-    from scipy.linalg.lapack import dgetrs as _getrs
-except ImportError:  # pragma: no cover - no-scipy guard
-    _getrf = _getrs = None
-
 #: Default maximum number of elements per block; hierarchy groups and
 #: connectivity clusters larger than this are split further.
 DEFAULT_MAX_BLOCK = 64
@@ -789,13 +780,13 @@ class _BlockState(_Part):
         self.block = block
         self.ni = block.n_internal
         self.nb = block.n_boundary
-        # Factorisation reuse: a chord-frozen block restamps a
-        # bit-identical system every iteration, so the factorisation
-        # of A and the Schur pieces built from it (X, s_add) carry
-        # over; only the right-hand side moves.  ``sys_serial`` ties a
-        # frozen dict to the matrix it was computed from.
-        self._fac = None
-        self._fac_key: Optional[bytes] = None
+        # System reuse: a chord-frozen block restamps a bit-identical
+        # system every iteration, so the Schur pieces built from its A
+        # (X, s_add) carry over; only the right-hand side moves.
+        # ``sys_serial`` ties a frozen dict to the matrix it was
+        # computed from.
+        self._a: Optional[np.ndarray] = None
+        self._a_key: Optional[bytes] = None
         self.sys_serial = 0
         #: frozen Schur contribution (bypass state lives in the
         #: assembler's per-block arrays)
@@ -809,30 +800,28 @@ class _BlockState(_Part):
         self.iseg: Optional[slice] = None       # slice into internal_all
         self.dseg: Optional[slice] = None       # slice into bsub data
 
-    def factor(self) -> bool:
-        """Factorise ``A`` of the assembled system, unless the system
-        is bit-identical to the last factorised one; returns whether it
-        was (Schur pieces tagged with :attr:`sys_serial` still hold)."""
+    def take_system(self) -> bool:
+        """Take ``A`` of the assembled system for this solve, unless
+        the system is bit-identical to the last one taken; returns
+        whether it was (Schur pieces tagged with :attr:`sys_serial`
+        still hold)."""
         key = self.sys.tobytes()
-        if self._fac is not None and key == self._fac_key:
+        if self._a is not None and key == self._a_key:
             return True
-        a = self.sys[:self.ni, :self.ni]
-        if _getrf is not None:
-            lu, piv, info = _getrf(a)
-            if info != 0:
-                raise np.linalg.LinAlgError("singular block system")
-            self._fac = (lu, piv)
-        else:  # pragma: no cover - no-scipy guard
-            self._fac = a.copy()
-        self._fac_key = key
+        self._a = self.sys[:self.ni, :self.ni].copy()
+        self._a_key = key
         self.sys_serial += 1
         return False
 
     def solve_a(self, b_stack: np.ndarray) -> np.ndarray:
-        """Solve ``A X = B`` for a stacked ``(ni, k)`` right-hand side."""
-        if _getrf is not None:
-            return _getrs(*self._fac, b_stack)[0]
-        return np.linalg.solve(self._fac, b_stack)  # pragma: no cover
+        """Solve ``A X = B`` for a stacked ``(ni, k)`` right-hand side.
+
+        Through numpy's LAPACK, like the interface solve and the Schur
+        products: scipy ships a second OpenBLAS, and alternating
+        between the two libraries' thread pools on a small core count
+        left one pool's workers spinning against the other's (about
+        2.5 ms per small block solve on a 2-core VM)."""
+        return np.linalg.solve(self._a, b_stack)
 
 
 class PartitionedAssembler:
@@ -1184,7 +1173,7 @@ class PartitionedAssembler:
                         and step.dt is not None
                         and step.x_prev is not None):
                     self._bank.refresh_charges(step.x_prev,
-                                               st.bank_idx)
+                                               st.bank_idx, reuse_tol)
         bypassed = (bypassed & still) | refreeze
         self._bypassed = bypassed
         step = self._step
@@ -1203,7 +1192,8 @@ class PartitionedAssembler:
                         and np.array_equal(x, step.x_prev):
                     seed = True  # charges at x double as q_prev
                 else:  # pragma: no cover - first iterate moved
-                    self._bank.refresh_charges(step.x_prev, pending)
+                    self._bank.refresh_charges(step.x_prev, pending,
+                                               reuse_tol)
             self._bank.companion(
                 x, idx, target=self._bank_target, gmin=step.gmin,
                 tran=tran, dt=step.dt,
@@ -1238,7 +1228,7 @@ class PartitionedAssembler:
         active = []
         for i in (~bypassed).nonzero()[0]:
             st = blocks[i]
-            reusable = st.factor()
+            reusable = st.take_system()
             ni = st.ni
             E, F, C = st.sys[:ni, ni:], st.sys[ni:, :ni], st.sys[ni:, ni:]
             r_int, r_bd = st.rhs[:ni], st.rhs[ni:]
@@ -1248,7 +1238,7 @@ class PartitionedAssembler:
                 # matrix identical to the one the last frozen state was
                 # built from: only the rhs moved, so the coupling
                 # columns X and the Schur term survive — one single-rhs
-                # back-solve replaces the stacked solve and the GEMM
+                # solve replaces the stacked solve and the GEMM
                 y = st.solve_a(r_int.reshape(-1, 1))[:, 0]
                 X = fz0["X"]
                 s_add = fz0["s_add"]

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.cancel import CancelToken
 from repro.circuit.elements.base import Element, StampContext
-from repro.circuit.elements.cnfet import CNFETElement
+from repro.circuit.elements.cnfet import CNFETElement, drain_currents
 from repro.circuit.elements.sources import VoltageSource
 from repro.circuit.mna import (
     NewtonOptions,
@@ -133,25 +133,10 @@ def _trace_dataset(circuit: Circuit, times: Sequence[float],
         for el in circuit.iter_elements(VoltageSource):
             dataset.add_trace(f"i({el.name})", data[:, el.aux_index])
     if record_currents is True:
-        # CNFET current traces in one vectorized post-pass per element
-        # (the per-row scalar re-evaluation used to rival the Newton
-        # loop itself on long runs).
-        zeros = np.zeros(data.shape[0])
-
-        def node_trace(node: str) -> np.ndarray:
-            idx = node_index.get(node, -1)
-            return data[:, idx] if idx >= 0 else zeros
-
-        for el in circuit.iter_elements(CNFETElement):
-            d_node, g_node, s_node = el.nodes
-            vs_col = node_trace(s_node)
-            vgs = node_trace(g_node) - vs_col
-            vds = node_trace(d_node) - vs_col
-            if el.polarity == "p":
-                vgs, vds = -vgs, -vds
-            series = el.backend.ids_many(vgs, vds)
-            if el.polarity == "p":
-                series = -series
+        # CNFET current traces: one vectorized pass per device model
+        cnfets = list(circuit.iter_elements(CNFETElement))
+        for el, series in zip(cnfets, drain_currents(cnfets, data,
+                                                     node_index)):
             dataset.add_trace(f"i({el.name})", series)
     return dataset
 
@@ -431,8 +416,10 @@ def transient(
         ``breakpoints_hit``, and in adaptive mode additionally
         ``rejected_lte``, ``dt_smallest``, ``dt_largest``.  Circuits
         whose CNFETs run as one stacked bank also count
-        ``stacked_lanes`` (device solves) and ``stacked_fallbacks``
-        (solves that needed the scalar fallback).
+        ``stacked_lanes`` (device evaluations), ``stacked_fallbacks``
+        (solves that needed the scalar fallback) and
+        ``stacked_bypassed`` (evaluations that reused the device's last
+        linearisation; see :attr:`NewtonOptions.jacobian_reuse_tol`).
     adaptive : bool, optional
         Force the stepping mode; default ``dt is None``.
     rtol, atol : float, optional

@@ -58,7 +58,9 @@ Registered workloads cover the BENCH sections the runner regenerates:
 * ``partitioned_transient`` — the partitioned latency-exploiting
   transient vs the monolithic engine on a ripple-carry adder (factor
   ``solver`` in {monolithic, partitioned, partitioned_nobypass};
-  param ``activity`` in {hold, pulse}).
+  ``activity`` in {hold, pulse}; ``chord`` in {on, off}, the tight
+  Newton options with the chord and the per-device bypass on or off,
+  default: the transient's own options).
 
 New workloads register through :func:`register_workload`.
 """
@@ -724,6 +726,9 @@ def _run_partitioned_transient(point: Mapping, params: Mapping,
         kwargs["partition"] = "auto"
     if solver == "partitioned_nobypass":
         kwargs["bypass_tol"] = 0.0
+    chord = _get(point, params, "chord", "default")
+    if chord != "default":
+        kwargs["options"] = _newton_options(chord)
     stats: Dict = {}
     start = time.perf_counter()
     ds = transient(adder, tstop=tstop, dt=dt, x0=x0,

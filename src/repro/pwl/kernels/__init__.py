@@ -2,9 +2,10 @@
 
 The engines funnel through three measured hot kernels — the
 :class:`~repro.pwl.batch.StackedVscSolver` region solve, the fused
-CNFET bank stamp (``bank_stamp``: bias gather, chord check, VSC
-solve, companion, ``q_prev`` seeding and scatter in one call per
-Newton iteration), and the scatter-add stamping in the assemblers.
+CNFET bank stamp (``bank_stamp``: bias gather, chord check,
+per-device bypass, VSC solve, companion, ``q_prev`` seeding and
+scatter in one call per Newton iteration), and the scatter-add
+stamping in the assemblers.
 Each has two interchangeable implementations:
 
 ``numpy``
@@ -46,6 +47,16 @@ __all__ = [
 ]
 
 KernelBackendLike = Union[None, str, object]
+
+#: Layout of a bank device's bypass anchor (one ``CNFETBank.anchor``
+#: row; the ``N_ANCHOR`` define of ``_kernels.c``): its dt-independent
+#: linearisation at the bias of its last full evaluation — the bias,
+#: the current and its two conductances, the three terminal charges
+#: (G, D, S) and their VGS and VDS partials.  A device's evaluation
+#: state inside ``bank_stamp`` has the same layout.
+N_ANCHOR = 14
+A_VGS, A_VDS, A_IDS, A_GM, A_GDS = range(5)
+A_Q, A_DQG, A_DQD = 5, 8, 11
 
 _ENV_VAR = "REPRO_KERNELS"
 

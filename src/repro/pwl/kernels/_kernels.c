@@ -8,10 +8,12 @@
  *      plus residual validation of StackedVscSolver.solve;
  *   2. bank_stamp         — the fused per-iteration CNFETBank stamp:
  *      bias gather from the iterate, chord check against the
- *      per-device memo, the kernel-1 solve, currents, charges and
- *      analytic partials, companion and exact rhs, q_prev seeding,
- *      and the scatter-add into the caller's matrix / rhs buffers
- *      through flat index maps — one call per Newton iteration;
+ *      per-device memo, the per-device bypass against the anchor of
+ *      the last full evaluation, the kernel-1 solve, currents,
+ *      charges and analytic partials, companion and exact rhs, q_prev
+ *      seeding, and the scatter-add into the caller's matrix / rhs
+ *      buffers through flat index maps — one call per Newton
+ *      iteration;
  *   3. scatter_accum — the sparse assembler's dynamic-value
  *      scatter-add into its CSC data;
  *   4. lu_refactor / lu_solve_factored / csc_residual_inf — frozen-
@@ -297,16 +299,27 @@ static double curve_derivative(const double *bps_r,
 #define N_KINDS 17
 #define N_RHS 5
 
+/* The bypass anchor of one device: its dt-independent linearisation at
+ * the bias of its last full evaluation, N_ANCHOR doubles in this
+ * order — the bias, the current and its two conductances, the three
+ * terminal charges (G, D, S) and their VGS and VDS partials.  A
+ * device's evaluation state has the same layout, the bias being the
+ * point it was linearised at. */
+#define N_ANCHOR 14
+enum { A_VGS, A_VDS, A_IDS, A_GM, A_GDS, A_Q, A_DQG = A_Q + 3,
+       A_DQD = A_DQG + 3 };
+
 /* The bank's persistent arrays (CNFETBank), bound once per bank.
  * Per-device state is indexed by the bank position r: sign, length,
- * hints, the chord memo ((N_KINDS, p) values) and q_prev ((3, p)),
- * row-major.  Device parameters, solver and curve tables are indexed
- * by the device's table row table[r] (devices sharing one model share
- * one row, which keeps the working set cache-sized).  The gather
- * table holds, per terminal row (g, d, s), each device's flat position
- * in the iterate, -1 for ground.  vgs/vds/vsc/bad are p-sized scratch
- * in selection order, read back by the caller for the scalar
- * fallback. */
+ * hints, the chord memo ((N_KINDS, p) values), q_prev ((3, p)),
+ * row-major, and the bypass anchors ((p, N_ANCHOR), a NaN bias where
+ * a device has none).  Device parameters, solver and curve tables are
+ * indexed by the device's table row table[r] (devices sharing one
+ * model share one row, which keeps the working set cache-sized).  The
+ * gather table holds, per terminal row (g, d, s), each device's flat
+ * position in the iterate, -1 for ground.  vgs/vds/vsc/bad are
+ * p-sized scratch in selection order, read back by the caller for the
+ * scalar fallback. */
 typedef struct {
     idx_t p;
     const idx_t *gather, *table;
@@ -318,25 +331,28 @@ typedef struct {
     double *hint, *q_prev;
     double *memo_vgs, *memo_vds, *memo_values;
     uint8_t *memo_valid;
+    double *anchor;
     double *vgs, *vds, *vsc;
     idx_t *bad;
 } bank_t;
 
 /* One bank_stamp call.  `idx` (NULL: every device) selects n devices.
  * pass 0 gathers the biases, takes the chord decision (stored in
- * `chord`) and solves every lane; pass 1 revisits only the n_sub
- * selection positions `sub`, whose vsc the caller filled in after the
- * scalar fallback.  The destination is a flat matrix buffer and an
- * rhs buffer (possibly the same one) with (N_KINDS, p) / (N_RHS, p)
- * index maps, entries >= the buffer size discarded; a charges_only
- * call has none. */
+ * `chord`), bypasses the devices within `bypass` of their anchor
+ * (counted in n_bypassed; 0 disables the bypass) and solves every
+ * other lane; pass 1 revisits only the n_sub selection positions
+ * `sub`, whose vsc the caller filled in after the scalar fallback.
+ * The destination is a flat matrix buffer and an rhs buffer (possibly
+ * the same one) with (N_KINDS, p) / (N_RHS, p) index maps, entries >=
+ * the buffer size discarded; a charges_only call has none. */
 typedef struct {
     idx_t n;
     const idx_t *idx;
     const double *x;
-    double gmin, dt, radius;
+    double gmin, dt, radius, bypass;
     int32_t tran, seed, charges_only, pass;
     int32_t chord;
+    idx_t n_bypassed;
     idx_t n_sub;
     const idx_t *sub;
     double *m_out;
@@ -364,24 +380,18 @@ static void charges_lane(const bank_t *b, idx_t r, double vg, double vd,
     q0[2] = -(qg + qd);
 }
 
-/* Full companion of one device around (vg, vd, v): matrix values
- * (17|8) and rhs (5|2) in the numpy tier's kind order; seeds q_prev
- * from the charges at this bias when asked. */
-static void full_lane(const bank_t *b, const stamp_call_t *c, idx_t r,
-                      double vg, double vd, double v,
-                      double *val, double *rhs)
+/* Full evaluation of device r at (vg, vd) and its vsc v into the
+ * state st: current and conductances, and in transient the charges
+ * and their analytic partials. */
+static void eval_lane(const bank_t *b, const stamp_call_t *c, idx_t r,
+                      double vg, double vd, double v, double *st)
 {
     idx_t k_bps = b->c_kbps;
-    idx_t p = b->p;
     idx_t m = b->table[r];   /* model row */
-    double gmin = c->gmin;
-    double s_ = b->sign[r];
     double kt_r = b->kt[m];
     double eta_s = (b->ef[m] - v) / kt_r;
     double eta_d = eta_s - vd / kt_r;
     double pref_r = b->pref[m];
-    double ids = pref_r * (log1pexp_scalar(eta_s)
-                           - log1pexp_scalar(eta_d));
     double sig_s = logistic_scalar(eta_s);
     double sig_d = logistic_scalar(eta_d);
     double di_dvsc = (pref_r / kt_r) * (sig_d - sig_s);
@@ -393,113 +403,107 @@ static void full_lane(const bank_t *b, const stamp_call_t *c, idx_t r,
     double denominator = b->csum[m] - dq_s - dq_d;
     double dvsc_g = -cg_r / denominator;
     double dvsc_d = -(cd_r - dq_d) / denominator;
-    double gm = di_dvsc * dvsc_g;
-    double gds = (pref_r / kt_r) * sig_d + di_dvsc * dvsc_d;
-    double residual = s_ * ids - gm * s_ * vg - gds * s_ * vd;
-    val[0] = gm;
-    val[1] = -(gm + gmin);
-    val[2] = gds + gmin;
-    val[3] = gm + gds + 2.0 * gmin;
-    val[4] = -(gm + gds + gmin);
-    val[5] = -(gds + gmin);
-    val[6] = gmin;
-    val[7] = -gmin;
-    rhs[0] = -residual;
-    rhs[1] = residual;
+    st[A_VGS] = vg;
+    st[A_VDS] = vd;
+    st[A_IDS] = pref_r * (log1pexp_scalar(eta_s)
+                          - log1pexp_scalar(eta_d));
+    st[A_GM] = di_dvsc * dvsc_g;
+    st[A_GDS] = (pref_r / kt_r) * sig_d + di_dvsc * dvsc_d;
     if (!c->tran)
         return;
     double len = b->length[r];
-    double q0[3];
-    charges_lane(b, r, vg, vd, v, q0);
-    if (c->seed)
-        for (int t = 0; t < 3; t++)
-            b->q_prev[t * p + r] = q0[t];
+    charges_lane(b, r, vg, vd, v, st + A_Q);
     double dg_gs = len * cg_r * (1.0 + dvsc_g);
     double dg_ds = len * cg_r * dvsc_d;
     double dd_gs = len * dvsc_g * (cd_r - dq_d);
     double dd_ds = len * (1.0 + dvsc_d) * (cd_r - dq_d);
-    double dq_dvgs[3], dq_dvds[3];
-    dq_dvgs[0] = dg_gs;
-    dq_dvgs[1] = dd_gs;
-    dq_dvgs[2] = -(dg_gs + dd_gs);
-    dq_dvds[0] = dg_ds;
-    dq_dvds[1] = dd_ds;
-    dq_dvds[2] = -(dg_ds + dd_ds);
-    for (int t = 0; t < 3; t++) {
-        double geq_gs = dq_dvgs[t] / c->dt;
-        double geq_ds = dq_dvds[t] / c->dt;
-        double i_now = (q0[t] - b->q_prev[t * p + r]) / c->dt;
-        int row = 8 + 3 * t;
-        val[row] = geq_gs;
-        val[row + 1] = geq_ds;
-        val[row + 2] = -(geq_gs + geq_ds);
-        rhs[2 + t] = -(s_ * i_now - geq_gs * s_ * vg - geq_ds * s_ * vd);
-    }
+    st[A_DQG] = dg_gs;
+    st[A_DQG + 1] = dd_gs;
+    st[A_DQG + 2] = -(dg_gs + dd_gs);
+    st[A_DQD] = dg_ds;
+    st[A_DQD + 1] = dd_ds;
+    st[A_DQD + 2] = -(dg_ds + dd_ds);
 }
 
-/* Chord companion: the memoised matrix values of device r, with the
- * exact rhs at the current bias around those frozen coefficients. */
-static void chord_lane(const bank_t *b, const stamp_call_t *c, idx_t r,
-                       double vg, double vd, double v,
-                       double *val, double *rhs)
+/* Bypassed device r at (vg, vd): its anchor's linearisation, with the
+ * current and charges moved along the anchor's tangent. */
+static void tangent_lane(const bank_t *b, idx_t r, double vg, double vd,
+                         double *st)
+{
+    const double *a = b->anchor + r * N_ANCHOR;
+    double dvg = vg - a[A_VGS], dvd = vd - a[A_VDS];
+    for (int j = 0; j < N_ANCHOR; j++)
+        st[j] = a[j];
+    st[A_IDS] = a[A_IDS] + a[A_GM] * dvg + a[A_GDS] * dvd;
+    for (int t = 0; t < 3; t++)
+        st[A_Q + t] = a[A_Q + t] + a[A_DQG + t] * dvg
+            + a[A_DQD + t] * dvd;
+}
+
+/* Companion of device r at (vg, vd) from its state st: matrix values
+ * (17|8) and rhs (5|2) in the numpy tier's kind order — or, on a
+ * chord hit, the memoised matrix values with the exact rhs around
+ * them — landed in the destinations.  Seeds q_prev from the state's
+ * charges when asked; outside the chord it memoises the stamped
+ * values at the state's linearisation bias. */
+static void stamp_lane(const bank_t *b, const stamp_call_t *c, idx_t r,
+                       double vg, double vd, const double *st)
 {
     idx_t p = b->p;
-    int nk = c->tran ? N_KINDS : 8;
-    for (int j = 0; j < nk; j++)
-        val[j] = b->memo_values[j * p + r];
-    idx_t m = b->table[r];   /* model row */
+    double gmin = c->gmin;
     double s_ = b->sign[r];
-    double kt_r = b->kt[m];
-    double eta_s = (b->ef[m] - v) / kt_r;
-    double eta_d = eta_s - vd / kt_r;
-    double ids = b->pref[m] * (log1pexp_scalar(eta_s)
-                               - log1pexp_scalar(eta_d));
-    double gm = val[0];
-    double gds = val[2] - c->gmin;
-    double residual = s_ * ids - gm * s_ * vg - gds * s_ * vd;
-    rhs[0] = -residual;
-    rhs[1] = residual;
-    if (!c->tran)
-        return;
-    double q0[3];
-    charges_lane(b, r, vg, vd, v, q0);
-    if (c->seed)
-        for (int t = 0; t < 3; t++)
-            b->q_prev[t * p + r] = q0[t];
-    for (int t = 0; t < 3; t++) {
-        double geq_gs = val[8 + 3 * t];
-        double geq_ds = val[9 + 3 * t];
-        double i_now = (q0[t] - b->q_prev[t * p + r]) / c->dt;
-        rhs[2 + t] = -(s_ * i_now - geq_gs * s_ * vg - geq_ds * s_ * vd);
-    }
-}
-
-/* Everything after the solve for selection position k (device r). */
-static void finish_lane(const bank_t *b, const stamp_call_t *c, idx_t k,
-                        idx_t r)
-{
-    idx_t p = b->p;
-    double vg = b->vgs[k], vd = b->vds[k], v = b->vsc[k];
-    b->hint[r] = v;
-    if (c->charges_only) {
-        double q0[3];
-        charges_lane(b, r, vg, vd, v, q0);
-        for (int t = 0; t < 3; t++)
-            b->q_prev[t * p + r] = q0[t];
-        return;
-    }
     int nk = c->tran ? N_KINDS : 8;
     int nr = c->tran ? N_RHS : 2;
     double val[N_KINDS], rhs[N_RHS];
+    double gm, gds;
     if (c->chord) {
-        chord_lane(b, c, r, vg, vd, v, val, rhs);
+        for (int j = 0; j < nk; j++)
+            val[j] = b->memo_values[j * p + r];
+        gm = val[0];
+        gds = val[2] - gmin;
     } else {
-        full_lane(b, c, r, vg, vd, v, val, rhs);
+        gm = st[A_GM];
+        gds = st[A_GDS];
+        val[0] = gm;
+        val[1] = -(gm + gmin);
+        val[2] = gds + gmin;
+        val[3] = gm + gds + 2.0 * gmin;
+        val[4] = -(gm + gds + gmin);
+        val[5] = -(gds + gmin);
+        val[6] = gmin;
+        val[7] = -gmin;
+    }
+    double residual = s_ * st[A_IDS] - gm * s_ * vg - gds * s_ * vd;
+    rhs[0] = -residual;
+    rhs[1] = residual;
+    if (c->tran) {
+        const double *q0 = st + A_Q;
+        if (c->seed)
+            for (int t = 0; t < 3; t++)
+                b->q_prev[t * p + r] = q0[t];
+        for (int t = 0; t < 3; t++) {
+            int row = 8 + 3 * t;
+            double geq_gs, geq_ds;
+            if (c->chord) {
+                geq_gs = val[row];
+                geq_ds = val[row + 1];
+            } else {
+                geq_gs = st[A_DQG + t] / c->dt;
+                geq_ds = st[A_DQD + t] / c->dt;
+                val[row] = geq_gs;
+                val[row + 1] = geq_ds;
+                val[row + 2] = -(geq_gs + geq_ds);
+            }
+            double i_now = (q0[t] - b->q_prev[t * p + r]) / c->dt;
+            rhs[2 + t] = -(s_ * i_now - geq_gs * s_ * vg - geq_ds * s_ * vd);
+        }
+    }
+    if (!c->chord) {
         if (c->radius > 0.0) {
             for (int j = 0; j < nk; j++)
                 b->memo_values[j * p + r] = val[j];
-            b->memo_vgs[r] = vg;
-            b->memo_vds[r] = vd;
+            b->memo_vgs[r] = st[A_VGS];
+            b->memo_vds[r] = st[A_VDS];
             b->memo_valid[r] = 1;
         } else {
             b->memo_valid[r] = 0;
@@ -517,12 +521,54 @@ static void finish_lane(const bank_t *b, const stamp_call_t *c, idx_t k,
     }
 }
 
+/* Everything after the solve for selection position k (device r): the
+ * charges into q_prev, or the full evaluation (refreshing the anchor
+ * while the bypass is on) and its companion. */
+static void finish_lane(const bank_t *b, const stamp_call_t *c, idx_t k,
+                        idx_t r)
+{
+    idx_t p = b->p;
+    double vg = b->vgs[k], vd = b->vds[k], v = b->vsc[k];
+    b->hint[r] = v;
+    if (c->charges_only) {
+        double q0[3];
+        charges_lane(b, r, vg, vd, v, q0);
+        for (int t = 0; t < 3; t++)
+            b->q_prev[t * p + r] = q0[t];
+        return;
+    }
+    double st[N_ANCHOR];
+    eval_lane(b, c, r, vg, vd, v, st);
+    if (c->bypass > 0.0)
+        for (int j = 0; j < N_ANCHOR; j++)
+            b->anchor[r * N_ANCHOR + j] = st[j];
+    stamp_lane(b, c, r, vg, vd, st);
+}
+
+/* A bypassed device r at selection position k: no solve, the anchor's
+ * tangent into q_prev or through the companion. */
+static void bypass_lane(const bank_t *b, const stamp_call_t *c, idx_t k,
+                        idx_t r)
+{
+    idx_t p = b->p;
+    double vg = b->vgs[k], vd = b->vds[k];
+    double st[N_ANCHOR];
+    tangent_lane(b, r, vg, vd, st);
+    if (c->charges_only) {
+        for (int t = 0; t < 3; t++)
+            b->q_prev[t * p + r] = st[A_Q + t];
+        return;
+    }
+    stamp_lane(b, c, r, vg, vd, st);
+}
+
 /* Fused per-iteration bank stamp: gather the n-frame biases from x,
- * take the chord decision against the per-device memo, run the
- * hint-warmed VSC solve, evaluate the companion (or the chord rhs, or
- * only the charges into q_prev) and land it in the destinations.
- * Lanes whose solve fails validation are skipped and listed in
- * b->bad; returns their count (pass 0) or 0 (pass 1). */
+ * take the chord decision against the per-device memo, bypass the
+ * devices whose bias lies within c->bypass of their anchor, run the
+ * hint-warmed VSC solve for the rest, evaluate the companion (or the
+ * chord rhs, or only the charges into q_prev) and land it in the
+ * destinations.  Lanes whose solve fails validation are skipped and
+ * listed in b->bad; returns their count (pass 0) or 0 (pass 1). */
 idx_t bank_stamp(const bank_t *b, stamp_call_t *c)
 {
     idx_t n = c->n;
@@ -553,16 +599,26 @@ idx_t bank_stamp(const bank_t *b, stamp_call_t *c)
             && fabs(b->vds[k] - b->memo_vds[r]) <= c->radius;
     }
     c->chord = chord;
-    idx_t n_bad = 0;
+    idx_t n_bad = 0, n_bypassed = 0;
     for (idx_t k = 0; k < n; k++) {
         idx_t r = c->idx ? c->idx[k] : k;
-        if (vsc_lane(b->table[r], b->vgs[k], b->vds[k], b->s_bps,
-                     b->s_lo, b->s_hi, b->s_polys, b->s_cg, b->s_cd,
-                     b->s_csum, b->s_kbps, b->hint[r], b->vsc + k))
+        const double *a = b->anchor + r * N_ANCHOR;
+        /* a NaN anchor bias (none yet) compares false */
+        if (c->bypass > 0.0
+                && fabs(b->vgs[k] - a[A_VGS]) <= c->bypass
+                && fabs(b->vds[k] - a[A_VDS]) <= c->bypass) {
+            bypass_lane(b, c, k, r);
+            n_bypassed++;
+        } else if (vsc_lane(b->table[r], b->vgs[k], b->vds[k], b->s_bps,
+                            b->s_lo, b->s_hi, b->s_polys, b->s_cg,
+                            b->s_cd, b->s_csum, b->s_kbps, b->hint[r],
+                            b->vsc + k)) {
             finish_lane(b, c, k, r);
-        else
+        } else {
             b->bad[n_bad++] = k;
+        }
     }
+    c->n_bypassed = n_bypassed;
     return n_bad;
 }
 

@@ -32,6 +32,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.pwl.kernels import N_ANCHOR
+
 
 class KernelBuildError(RuntimeError):
     """The compiled kernel library could not be built or loaded."""
@@ -170,7 +172,7 @@ class _Bank(ctypes.Structure):
         (name, _VP) for name in (
             "c_bps", "c_coeffs", "c_dcoeffs", "hint", "q_prev",
             "memo_vgs", "memo_vds", "memo_values", "memo_valid",
-            "vgs", "vds", "vsc", "bad")
+            "anchor", "vgs", "vds", "vsc", "bad")
     ]
 
 
@@ -180,10 +182,10 @@ class _StampCall(ctypes.Structure):
     _fields_ = [
         ("n", ctypes.c_int64), ("idx", _VP), ("x", _VP),
         ("gmin", ctypes.c_double), ("dt", ctypes.c_double),
-        ("radius", ctypes.c_double),
+        ("radius", ctypes.c_double), ("bypass", ctypes.c_double),
         ("tran", ctypes.c_int32), ("seed", ctypes.c_int32),
         ("charges_only", ctypes.c_int32), ("pass_", ctypes.c_int32),
-        ("chord", ctypes.c_int32),
+        ("chord", ctypes.c_int32), ("n_bypassed", ctypes.c_int64),
         ("n_sub", ctypes.c_int64), ("sub", _VP),
         ("m_out", _VP), ("m_map", _VP), ("m_size", ctypes.c_int64),
         ("r_out", _VP), ("r_map", _VP), ("r_size", ctypes.c_int64),
@@ -215,8 +217,9 @@ class _BankBinding:
             "c_dcoeffs": curves.dcoeffs, "hint": bank.hint,
             "q_prev": bank.q_prev, "memo_vgs": bank.memo_vgs,
             "memo_vds": bank.memo_vds, "memo_values": bank.memo_values,
-            "memo_valid": bank.memo_valid, "vgs": self.vgs,
-            "vds": self.vds, "vsc": self.vsc, "bad": self.bad,
+            "memo_valid": bank.memo_valid, "anchor": bank.anchor,
+            "vgs": self.vgs, "vds": self.vds, "vsc": self.vsc,
+            "bad": self.bad,
         }
         for name, array in arrays.items():
             dtype = np.int64 if name in ("gather", "table", "bad") \
@@ -224,6 +227,8 @@ class _BankBinding:
             if array.dtype != dtype or not array.flags.c_contiguous:
                 raise ValueError(f"bank array {name} must be C-contiguous "
                                  f"{np.dtype(dtype).name}")
+        if bank.anchor.shape != (p, N_ANCHOR):
+            raise ValueError(f"bank anchors must be ({p}, {N_ANCHOR})")
         #: pins every bound buffer for the binding's lifetime
         self._arrays = arrays
         self.p = p
@@ -288,8 +293,8 @@ class CcKernelBackend:
     def bank_stamp(self, bank, x: np.ndarray, idx: Optional[np.ndarray],
                    *, gmin: float = 0.0, tran: bool = False,
                    dt: Optional[float] = None, radius: float = 0.0,
-                   seed_qprev: bool = False, target=None,
-                   charges_only: bool = False) -> None:
+                   bypass: float = 0.0, seed_qprev: bool = False,
+                   target=None, charges_only: bool = False) -> None:
         """The numpy tier's :meth:`bank_stamp` as one C call (two when
         a lane needs the exact scalar VSC fallback)."""
         binding = bank.kernel_state.get(self.name)
@@ -313,6 +318,7 @@ class CcKernelBackend:
         call.gmin = gmin
         call.dt = dt if dt is not None else 0.0
         call.radius = radius
+        call.bypass = bypass
         call.tran = tran
         call.seed = seed_qprev
         call.charges_only = charges_only
@@ -348,6 +354,8 @@ class CcKernelBackend:
             stats["stacked_lanes"] = stats.get("stacked_lanes", 0) + n
             stats["stacked_fallbacks"] = \
                 stats.get("stacked_fallbacks", 0) + n_bad
+            stats["stacked_bypassed"] = \
+                stats.get("stacked_bypassed", 0) + call.n_bypassed
 
     # -- kernel 3: sparse value scatter --------------------------------
 

@@ -14,6 +14,17 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.pwl.kernels import (
+    A_DQD,
+    A_DQG,
+    A_GDS,
+    A_GM,
+    A_IDS,
+    A_Q,
+    A_VDS,
+    A_VGS,
+    N_ANCHOR,
+)
 from repro.pwl.batch import (
     _STACK_EDGE_TOL,
     _STACK_RESIDUAL_TOL,
@@ -100,14 +111,18 @@ class NumpyKernelBackend:
     def bank_stamp(self, bank, x: np.ndarray, idx: Optional[np.ndarray],
                    *, gmin: float = 0.0, tran: bool = False,
                    dt: Optional[float] = None, radius: float = 0.0,
-                   seed_qprev: bool = False, target=None,
-                   charges_only: bool = False) -> None:
+                   bypass: float = 0.0, seed_qprev: bool = False,
+                   target=None, charges_only: bool = False) -> None:
         """One per-iteration stamp of the bank devices ``idx`` (``None``:
         all of them) around iterate ``x``.
 
         Gathers the n-frame biases, takes the chord decision against the
-        bank's per-device memo (``radius`` > 0), solves VSC, evaluates
-        the companion (kind-row table of
+        bank's per-device memo (``radius`` > 0), bypasses the devices
+        whose bias lies within ``bypass`` (> 0, transient only) of their
+        anchor — their current and charges move along the anchor's
+        tangent, no solve — and solves VSC for the rest, refreshing
+        their anchors while the bypass is on.  From those states it
+        evaluates the companion (kind-row table of
         :class:`~repro.circuit.elements.cnfet.CNFETBank`) or, on a chord
         hit, the exact rhs around the memoised matrix values, seeds
         ``q_prev`` from the charges at ``x`` when ``seed_qprev``, and
@@ -120,29 +135,32 @@ class NumpyKernelBackend:
         """
         sel = slice(None) if idx is None else idx
         vgs, vds = _biases(bank, x, idx)
+        state, n_bypassed = _states(bank, idx, vgs, vds, bypass, tran,
+                                    charges_only)
+        stats = bank.stats
+        if stats is not None:
+            stats["stacked_lanes"] = \
+                stats.get("stacked_lanes", 0) + n_bypassed
+            stats["stacked_bypassed"] = \
+                stats.get("stacked_bypassed", 0) + n_bypassed
         if charges_only:
-            bank.q_prev[:, sel] = _charges(bank, vgs, vds, idx)
+            bank.q_prev[:, sel] = state[A_Q:A_DQG]
             return
-        if (radius > 0.0 and bank.memo_valid[sel].all()
-                and float(np.max(np.abs(vgs - bank.memo_vgs[sel])))
-                <= radius
-                and float(np.max(np.abs(vds - bank.memo_vds[sel])))
-                <= radius):
-            values = bank.memo_values[:17 if tran else 8, sel]
-            rhs_values = _chord_rhs(bank, values, vgs, vds, idx, gmin,
-                                    tran, dt, seed_qprev)
-        else:
-            vsc = bank.solver.solve(vgs, vds, bank.hint, idx=idx,
-                                    stats=bank.stats, table=bank.table)
-            values, rhs_values = _companion(bank, idx, vsc, vgs, vds,
-                                            gmin, tran, dt, seed_qprev)
+        chord = (radius > 0.0 and bank.memo_valid[sel].all()
+                 and float(np.max(np.abs(vgs - bank.memo_vgs[sel])))
+                 <= radius
+                 and float(np.max(np.abs(vds - bank.memo_vds[sel])))
+                 <= radius)
+        values, rhs_values = _stamp(bank, idx, state, vgs, vds, gmin,
+                                    tran, dt, seed_qprev, chord)
+        if not chord:
+            # memoised at the states' linearisation biases (a bypassed
+            # device's anchor)
+            bank.memo_valid[sel] = radius > 0.0
             if radius > 0.0:
                 bank.memo_values[:values.shape[0], sel] = values
-                bank.memo_vgs[sel] = vgs
-                bank.memo_vds[sel] = vds
-                bank.memo_valid[sel] = True
-            else:
-                bank.memo_valid[sel] = False
+                bank.memo_vgs[sel] = state[A_VGS]
+                bank.memo_vds[sel] = state[A_VDS]
         m_out, m_map, r_out, r_map = target
         _scatter_add_pad(m_out, m_map[:values.shape[0], sel].ravel(),
                          values.ravel())
@@ -196,14 +214,11 @@ def _biases(bank, x: np.ndarray, idx: Optional[np.ndarray]
 
 
 def _charges(bank, vgs: np.ndarray, vds: np.ndarray,
-             idx: Optional[np.ndarray], vsc: Optional[np.ndarray] = None
+             idx: Optional[np.ndarray], vsc: np.ndarray
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terminal charges (G, D, S) at n-frame biases [C] — vectorized
-    ``_Backend.charges`` (solving for ``vsc`` unless given)."""
+    """Terminal charges (G, D, S) at n-frame biases and their VSC [C] —
+    vectorized ``_Backend.charges``."""
     sel = slice(None) if idx is None else idx
-    if vsc is None:
-        vsc = bank.solver.solve(vgs, vds, bank.hint, idx=idx,
-                                stats=bank.stats, table=bank.table)
     tab = bank.table[sel]
     length = bank.length[sel]
     qg = length * bank.cg[tab] * (vgs + vsc)
@@ -212,22 +227,58 @@ def _charges(bank, vgs: np.ndarray, vds: np.ndarray,
     return qg, qd, -(qg + qd)
 
 
-def _companion(bank, didx: Optional[np.ndarray], vsc: np.ndarray,
-               vgs: np.ndarray, vds: np.ndarray, gmin: float, tran: bool,
-               dt: Optional[float], seed_qprev: bool
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stacked companion stamp values around the given biases (the
-    scalar ``CNFETElement.stamp`` arithmetic on ``(P,)`` arrays)."""
+def _states(bank, idx: Optional[np.ndarray], vgs: np.ndarray,
+            vds: np.ndarray, bypass: float, tran: bool,
+            charges_only: bool) -> Tuple[np.ndarray, int]:
+    """``(N_ANCHOR, n)`` states of the selected devices at their biases
+    and how many were bypassed: the anchor's tangent for a device
+    within ``bypass`` (> 0) of its anchor, a VSC solve and full
+    evaluation for the rest (refreshing their anchors while the bypass
+    is on).  With ``charges_only`` the solved devices evaluate only
+    their charges (the other state rows are left unset) and keep their
+    anchors."""
+    sel = slice(None) if idx is None else idx
+    state = np.empty((N_ANCHOR, vgs.size))
+    solved, solve_idx, n_bypassed = slice(None), idx, 0
+    if bypass > 0.0:
+        anchor = bank.anchor[sel]
+        hit = (np.abs(vgs - anchor[:, A_VGS]) <= bypass) \
+            & (np.abs(vds - anchor[:, A_VDS]) <= bypass)
+        n_bypassed = int(np.count_nonzero(hit))
+        if n_bypassed:
+            state[:, hit] = _tangent(anchor[hit], vgs[hit], vds[hit])
+            solved = np.flatnonzero(~hit)
+            solve_idx = solved if idx is None else idx[solved]
+    if solve_idx is None or solve_idx.size:
+        vs, ds = vgs[solved], vds[solved]
+        vsc = bank.solver.solve(vs, ds, bank.hint, idx=solve_idx,
+                                stats=bank.stats, table=bank.table)
+        if charges_only:
+            state[A_Q:A_DQG, solved] = _charges(bank, vs, ds, solve_idx,
+                                                vsc)
+        else:
+            state[:, solved] = _evaluate(bank, solve_idx, vsc, vs, ds,
+                                         tran)
+            if bypass > 0.0:
+                bank.anchor[sel if solve_idx is None else solve_idx] = \
+                    state[:, solved].T
+    return state, n_bypassed
+
+
+def _evaluate(bank, didx: Optional[np.ndarray], vsc: np.ndarray,
+              vgs: np.ndarray, vds: np.ndarray, tran: bool) -> np.ndarray:
+    """``(N_ANCHOR, n)`` states of devices ``didx`` at the given biases
+    and their VSC: current and conductances, and in transient the
+    charges and their analytic partials (the scalar
+    ``CNFETElement.stamp`` arithmetic on ``(n,)`` arrays)."""
     from repro.pwl.device import _log1pexp_many
 
     sel = slice(None) if didx is None else didx
     tab = bank.table[sel]
-    sign = bank.sign[sel]
     kt = bank.kt[tab]
     eta_s = (bank.ef[tab] - vsc) / kt
     eta_d = eta_s - vds / kt
     pref = bank.pref[tab]
-    ids = pref * (_log1pexp_many(eta_s) - _log1pexp_many(eta_d))
     sig_s = _logistic_many(eta_s)
     sig_d = _logistic_many(eta_d)
     di_dvsc = (pref / kt) * (sig_d - sig_s)
@@ -237,83 +288,87 @@ def _companion(bank, didx: Optional[np.ndarray], vsc: np.ndarray,
     denominator = bank.csum[tab] - dq_s - dq_d
     dvsc_g = -cg / denominator
     dvsc_d = -(cd - dq_d) / denominator
-    gm = di_dvsc * dvsc_g
-    gds = (pref / kt) * sig_d + di_dvsc * dvsc_d
-    residual = sign * ids - gm * sign * vgs - gds * sign * vds
-    n_kinds = 17 if tran else 8
-    values = np.empty((n_kinds, vsc.size))
-    values[0] = gm
-    values[1] = -(gm + gmin)
-    values[2] = gds + gmin
-    values[3] = gm + gds + 2.0 * gmin
-    values[4] = -(gm + gds + gmin)
-    values[5] = -(gds + gmin)
-    values[6] = gmin
-    values[7] = -gmin
-    rhs_values = np.empty((5 if tran else 2, vsc.size))
-    rhs_values[0] = -residual
-    rhs_values[1] = residual
+    state = np.empty((N_ANCHOR, vsc.size))
+    state[A_VGS] = vgs
+    state[A_VDS] = vds
+    state[A_IDS] = pref * (_log1pexp_many(eta_s) - _log1pexp_many(eta_d))
+    state[A_GM] = di_dvsc * dvsc_g
+    state[A_GDS] = (pref / kt) * sig_d + di_dvsc * dvsc_d
     if tran:
-        # Charge companions (vectorized ``_stamp_charges``).
         length = bank.length[sel]
-        q0 = _charges(bank, vgs, vds, didx, vsc)
-        if seed_qprev:
-            bank.q_prev[:, sel] = q0
+        state[A_Q:A_DQG] = _charges(bank, vgs, vds, didx, vsc)
         dg_gs = length * cg * (1.0 + dvsc_g)
         dg_ds = length * cg * dvsc_d
         dd_gs = length * dvsc_g * (cd - dq_d)
         dd_ds = length * (1.0 + dvsc_d) * (cd - dq_d)
-        dq_dvgs = (dg_gs, dd_gs, -(dg_gs + dd_gs))
-        dq_dvds = (dg_ds, dd_ds, -(dg_ds + dd_ds))
+        state[A_DQG:A_DQD] = (dg_gs, dd_gs, -(dg_gs + dd_gs))
+        state[A_DQD:] = (dg_ds, dd_ds, -(dg_ds + dd_ds))
+    return state
+
+
+def _tangent(anchor: np.ndarray, vgs: np.ndarray,
+             vds: np.ndarray) -> np.ndarray:
+    """``(N_ANCHOR, n)`` states of bypassed devices: their ``(n,
+    N_ANCHOR)`` anchors, with the current and charges moved along the
+    anchor's tangent to the given biases."""
+    state = anchor.T.copy()
+    dvg = vgs - state[A_VGS]
+    dvd = vds - state[A_VDS]
+    # (the compiled tier's left-to-right sums)
+    state[A_IDS] = state[A_IDS] + state[A_GM] * dvg + state[A_GDS] * dvd
+    state[A_Q:A_DQG] = state[A_Q:A_DQG] + state[A_DQG:A_DQD] * dvg \
+        + state[A_DQD:] * dvd
+    return state
+
+
+def _stamp(bank, didx: Optional[np.ndarray], state: np.ndarray,
+           vgs: np.ndarray, vds: np.ndarray, gmin: float, tran: bool,
+           dt: Optional[float], seed_qprev: bool, chord: bool
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacked companion values and rhs of devices ``didx`` at the
+    given biases from their states — or, on a chord hit, the memoised
+    values with the exact rhs around them; seeds ``q_prev`` from the
+    states' charges when asked."""
+    sel = slice(None) if didx is None else didx
+    sign = bank.sign[sel]
+    n_kinds = 17 if tran else 8
+    if chord:
+        values = bank.memo_values[:n_kinds, sel]
+        gm = values[0]
+        gds = values[2] - gmin
+    else:
+        gm, gds = state[A_GM], state[A_GDS]
+        values = np.empty((n_kinds, vgs.size))
+        values[0] = gm
+        values[1] = -(gm + gmin)
+        values[2] = gds + gmin
+        values[3] = gm + gds + 2.0 * gmin
+        values[4] = -(gm + gds + gmin)
+        values[5] = -(gds + gmin)
+        values[6] = gmin
+        values[7] = -gmin
+    residual = sign * state[A_IDS] - gm * sign * vgs - gds * sign * vds
+    rhs_values = np.empty((5 if tran else 2, vgs.size))
+    rhs_values[0] = -residual
+    rhs_values[1] = residual
+    if tran:
+        # Charge companions (vectorized ``_stamp_charges``).
+        q0 = state[A_Q:A_DQG]
+        if seed_qprev:
+            bank.q_prev[:, sel] = q0
         for t_idx in range(3):
-            geq_gs = dq_dvgs[t_idx] / dt
-            geq_ds = dq_dvds[t_idx] / dt
-            i_now = (q0[t_idx] - bank.q_prev[t_idx, sel]) / dt
             row = 8 + 3 * t_idx
-            values[row] = geq_gs
-            values[row + 1] = geq_ds
-            values[row + 2] = -(geq_gs + geq_ds)
+            if chord:
+                geq_gs, geq_ds = values[row], values[row + 1]
+            else:
+                geq_gs = state[A_DQG + t_idx] / dt
+                geq_ds = state[A_DQD + t_idx] / dt
+                values[row] = geq_gs
+                values[row + 1] = geq_ds
+                values[row + 2] = -(geq_gs + geq_ds)
+            i_now = (q0[t_idx] - bank.q_prev[t_idx, sel]) / dt
             rhs_values[2 + t_idx] = -(
                 sign * i_now - geq_gs * sign * vgs
                 - geq_ds * sign * vds
             )
     return values, rhs_values
-
-
-def _chord_rhs(bank, values: np.ndarray, vgs: np.ndarray,
-               vds: np.ndarray, idx: Optional[np.ndarray], gmin: float,
-               tran: bool, dt: Optional[float],
-               seed_qprev: bool) -> np.ndarray:
-    """Exact rhs at the current bias around frozen matrix ``values``
-    (the chord branch of the bank stamp)."""
-    from repro.pwl.device import _log1pexp_many
-
-    sel = slice(None) if idx is None else idx
-    vsc = bank.solver.solve(vgs, vds, bank.hint, idx=idx,
-                            stats=bank.stats, table=bank.table)
-    tab = bank.table[sel]
-    kt = bank.kt[tab]
-    eta_s = (bank.ef[tab] - vsc) / kt
-    eta_d = eta_s - vds / kt
-    ids = bank.pref[tab] * (_log1pexp_many(eta_s)
-                            - _log1pexp_many(eta_d))
-    sign = bank.sign[sel]
-    gm = values[0]
-    gds = values[2] - gmin
-    residual = sign * ids - gm * sign * vgs - gds * sign * vds
-    rhs_values = np.empty((5 if tran else 2, vgs.size))
-    rhs_values[0] = -residual
-    rhs_values[1] = residual
-    if tran:
-        q0 = _charges(bank, vgs, vds, idx, vsc)
-        if seed_qprev:
-            bank.q_prev[:, sel] = q0
-        for t_idx in range(3):
-            geq_gs = values[8 + 3 * t_idx]
-            geq_ds = values[9 + 3 * t_idx]
-            i_now = (q0[t_idx] - bank.q_prev[t_idx, sel]) / dt
-            rhs_values[2 + t_idx] = -(
-                sign * i_now - geq_gs * sign * vgs
-                - geq_ds * sign * vds
-            )
-    return rhs_values

@@ -31,7 +31,10 @@ from repro.circuit.transient import (
     initial_conditions_from_op,
     transient,
 )
-from repro.circuit.waveforms import Pulse
+from repro.circuit.elements import Resistor, VoltageSource
+from repro.circuit.elements.base import LaneContext
+from repro.circuit.netlist import Circuit
+from repro.circuit.waveforms import DC, Pulse
 from repro.errors import AnalysisError, NetlistError, ParameterError
 from repro.pwl.batch import StackedCurves, StackedVscSolver
 from repro.pwl.device import CNFET
@@ -431,6 +434,40 @@ class TestBatchStats:
         assert stats["lane_iterations"] >= stats["iterations"]
         assert stats["retired_lanes"] == 2
         assert stats["stacked_solves"] == stats["iterations"]
+
+
+class TestSourceLaneCache:
+    def test_dc_cache_follows_a_waveform_at_a_recycled_id(self):
+        """A source's waveform swapped for a new ``DC`` that lands at
+        the freed object's id (``batch_dc_sweep`` swaps waveforms per
+        point) is read, not the cached level of the old one."""
+        circuits = []
+        for _ in range(2):
+            circuit = Circuit()
+            circuit.add(VoltageSource("v1", "a", "0", 1.0))
+            circuit.add(Resistor("r1", "a", "0", 1e3))
+            circuits.append(circuit)
+        n = circuits[0].dimension()
+        sources = [c.element("v1") for c in circuits]
+        group = VoltageSource.lane_group(sources)
+
+        def stamp():
+            ctx = LaneContext(np.zeros((2, n + 1, n + 1)),
+                              np.zeros((2, n + 1)),
+                              circuits[0].node_index, np.zeros((2, n)),
+                              np.arange(2))
+            group.stamp(ctx)
+            return ctx.rhs[:, sources[0].aux_index].tolist()
+
+        assert stamp() == [1.0, 1.0]
+        old_id = id(sources[0].waveform)
+        sources[0].waveform = DC(0.0)      # frees the old level
+        # allocate until a new level takes the freed id (kept alive:
+        # a cache that holds its waveforms never lets it be freed)
+        fresh = [DC(2.0) for _ in range(1000)]
+        sources[0].waveform = next(
+            (w for w in fresh if id(w) == old_id), fresh[-1])
+        assert stamp() == [2.0, 1.0]
 
 
 class TestRecordCurrentsModes:

@@ -116,3 +116,47 @@ class TestTransient:
         element = CNFETElement("q1", "d", "g", "s", device=device_m2)
         qg, qd, qs = element.backend.charges(0.5, 0.4, element.length_m)
         assert qg + qd + qs == pytest.approx(0.0, abs=1e-25)
+
+    def test_current_traces_match_per_element_evaluation(
+            self, device_m2, device_p, ref300, monkeypatch):
+        """``record_currents=True`` traces every CNFET in one vectorized
+        pass per device model (split into passes of a few points here);
+        each trace equals the element's scalar evaluation within 1e-12
+        of the trace's scale: an n- and a p-type device on the rails, a
+        series device with no grounded terminal, a second model and an
+        n- and a p-type reference-backend device."""
+        from repro.circuit import Capacitor
+        from repro.circuit.elements import cnfet
+
+        monkeypatch.setattr(cnfet, "_IDS_CHUNK", 5)
+
+        model1 = CNFET(FETToyParameters(), model="model1")
+        c = Circuit("traces")
+        c.add(VoltageSource("vdd", "vdd", "0", 0.6))
+        c.add(VoltageSource("vin", "g", "0",
+                            Pulse(0.0, 0.6, delay=2e-12, rise=2e-12,
+                                  width=1e-9, period=2e-9)))
+        c.add(CNFETElement("qp", "out", "g", "vdd", device=device_p))
+        c.add(CNFETElement("qn", "out", "g", "mid", device=device_m2))
+        c.add(CNFETElement("qs", "mid", "g", "0", device=model1))
+        c.add(CNFETElement("qr", "out", "g", "0", device=ref300))
+        c.add(CNFETElement("qrp", "out", "g", "vdd", device=ref300,
+                           polarity="p"))
+        c.add(Capacitor("cl", "out", "0", 1e-17))
+        ds = transient(c, tstop=1e-11, dt=1e-12, record_currents=True)
+        rows = np.stack([ds.voltage(n) for n in ("vdd", "g", "out",
+                                                 "mid")])
+        volts = dict(zip(("vdd", "g", "out", "mid"), rows))
+        volts["0"] = np.zeros(rows.shape[1])
+        for el in c.elements:
+            if not isinstance(el, CNFETElement):
+                continue
+            d, g, s = (volts[n] for n in el.nodes)
+            sign = 1.0 if el.polarity == "n" else -1.0
+            ref = sign * np.array([
+                el.backend.evaluate(vgs, vds)[0]
+                for vgs, vds in zip(sign * (g - s), sign * (d - s))])
+            got = ds.current(el.name)
+            assert np.max(np.abs(got - ref)) \
+                <= 1e-12 * np.max(np.abs(ref)), el.name
+

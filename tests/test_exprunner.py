@@ -318,6 +318,7 @@ class TestSuiteAndCli:
                                             "ring_lanes"]
         assert names["compiled_hot_path"] == ["rca32", "vsc_parity"]
         assert names["smoke"] == ["ring_smoke"]
+        assert names["bypass"] == ["hold", "pulse"]
 
     def test_cli_run_resume_report(self, tmp_path):
         config_path = tmp_path / "exp.json"

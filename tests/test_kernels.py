@@ -90,11 +90,20 @@ def adder4(family):
 
 
 def _bank_calls(spec, adder4, *, tran, chord, seed, select,
-                fallback=False):
-    """Three ``bank_stamp`` rounds under tier ``spec``: prime (memo and,
-    in transient, ``q_prev``), a call that hits or misses the chord,
-    read back as ``(kinds, P)`` columns through an identity target, and
-    the same call scattered into a padded flat system."""
+                bypass="off", fallback=False):
+    """Three ``bank_stamp`` rounds under tier ``spec``: prime (memo,
+    bypass anchors and, in transient, ``q_prev``), a call that hits or
+    misses the chord, read back as ``(kinds, P)`` columns through an
+    identity target, and the same call scattered into a padded flat
+    system; in transient then a ``refresh_charges`` between the two
+    iterates.
+
+    ``bypass`` sets the anchors those calls meet: ``"off"`` clears
+    them before every call (no device bypassed), ``"mixed"`` keeps them
+    (the iterate moves by a uniform step, so only the devices with a
+    grounded terminal leave their anchors), ``"anchored"`` moves the
+    iterate by 2e-7 V, inside the tolerance for every device (a chord
+    miss then comes from a new gmin)."""
     elements, node_index, n, x_prev, x = adder4
     if fallback:
         # device 1 on a model of its own, whose closed-form tables are
@@ -122,24 +131,36 @@ def _bank_calls(spec, adder4, *, tran, chord, seed, select,
                          lane_of=lane_of, stats=stats)
         if fallback:
             bank.solver.polys[bank.table[1]] = np.nan
+        reuse_tol = 1e-6 if chord != "off" else 0.0
         kw = dict(gmin=1e-12, tran=tran, dt=1e-12 if tran else None,
-                  reuse_tol=1e-6 if chord != "off" else 0.0)
+                  reuse_tol=reuse_tol)
         sel = slice(None) if idx is None else idx
         nv, nr = (17, 5) if tran else (8, 2)
+
+        def companion(x_at, target, **extra):
+            if bypass == "off":
+                bank.anchor[:] = np.nan
+            return bank.companion(x_at, idx, target=target,
+                                  **{**kw, **extra})
 
         def columns(x_at, **extra):
             # identity target: kind j of bank device r lands at j * p + r
             m_col, r_col = np.zeros(17 * p), np.zeros(5 * p)
-            bank.companion(x_at, idx, target=(
-                m_col, np.arange(17 * p).reshape(17, p),
-                r_col, np.arange(5 * p).reshape(5, p)), **extra, **kw)
+            companion(x_at, (m_col, np.arange(17 * p).reshape(17, p),
+                             r_col, np.arange(5 * p).reshape(5, p)),
+                      **extra)
             return (m_col.reshape(17, p)[:nv, sel],
                     r_col.reshape(5, p)[:nr, sel])
 
         if tran:
             bank.refresh_charges(xs_prev, idx)
         first = columns(xs)
-        step = 2e-5 if chord == "hit" else 1e-2
+        if bypass == "anchored":
+            step = 2e-7
+            if chord == "miss":
+                kw["gmin"] = 2e-12
+        else:
+            step = 2e-5 if chord == "hit" else 1e-2
         x1 = xs + step
         values, rhs = columns(x1, seed_qprev=seed)
         if chord == "hit":
@@ -152,11 +173,26 @@ def _bank_calls(spec, adder4, *, tran, chord, seed, select,
         r_map = (0 if lane_of is None else lane_of * pad) + bank.rhs_rows
         m_out = np.zeros(lanes * pad * pad)
         r_out = np.zeros(lanes * pad)
-        assert bank.companion(x1, idx, target=(m_out, m_map, r_out, r_map),
-                              **kw) is None
+        assert companion(x1, (m_out, m_map, r_out, r_map)) is None
+        q_stamp = bank.q_prev.copy()
+        if tran:
+            if bypass == "off":
+                bank.anchor[:] = np.nan
+            bank.refresh_charges(0.5 * (xs + x1), idx, reuse_tol)
     return dict(values=values, rhs=rhs, m_out=m_out, r_out=r_out,
-                q_prev=bank.q_prev.copy(), hint=bank.hint.copy(),
-                memo_valid=bank.memo_valid.copy(), stats=stats)
+                q_prev=q_stamp, q_refresh=bank.q_prev.copy(),
+                hint=bank.hint.copy(), memo_valid=bank.memo_valid.copy(),
+                memo_vgs=bank.memo_vgs.copy(), anchor=bank.anchor.copy(),
+                stats=stats, n_selected=p if idx is None else idx.size)
+
+
+#: (chord, bypass) cases of the bank-stamp parity test and their ids
+#: (bypass "off" keeps the chord's own id)
+_CHORD_BYPASS = [("off", "off"), ("miss", "off"), ("hit", "off"),
+                 ("miss", "mixed"), ("hit", "mixed"),
+                 ("miss", "anchored"), ("hit", "anchored")]
+_CHORD_BYPASS_IDS = [chord if bypass == "off" else f"{chord}-{bypass}"
+                     for chord, bypass in _CHORD_BYPASS]
 
 
 def _assert_rows_close(got, ref, what):
@@ -252,28 +288,53 @@ class TestKernelParity:
         assert dv <= KERNEL_PARITY_TOL_V
 
     @pytest.mark.parametrize("select", ["all", "subset", "lanes"])
-    @pytest.mark.parametrize("chord", ["off", "miss", "hit"])
+    # the bypass shares the chord's tolerance, so it rides the chord
+    # axis: "hit-anchored" is a chord hit with every device on its
+    # bypass anchor
+    @pytest.mark.parametrize("chord,bypass", _CHORD_BYPASS,
+                             ids=_CHORD_BYPASS_IDS)
     # q_prev seeding is a transient-only option
     @pytest.mark.parametrize("tran,seed", [(False, False), (True, False),
                                            (True, True)])
-    def test_bank_stamp(self, adder4, tran, seed, chord, select):
+    def test_bank_stamp(self, adder4, tran, seed, chord, bypass, select):
         """The fused bank stamp, compiled against numpy: DC and
-        transient, chord off / missed / hit, ``q_prev`` seeding on and
-        off, every device, an ``idx`` subset and a lane-offset gather."""
+        transient, chord off / missed / hit, the per-device bypass off,
+        for every device and for some, ``q_prev`` seeding on and off,
+        every device, an ``idx`` subset and a lane-offset gather —
+        then the charges-only refresh through the same anchors."""
         _require_compiled()
         ref = _bank_calls("numpy", adder4, tran=tran, chord=chord,
-                          seed=seed, select=select)
+                          seed=seed, select=select, bypass=bypass)
         got = _bank_calls("compiled", adder4, tran=tran, chord=chord,
-                          seed=seed, select=select)
-        for key in ("values", "rhs", "q_prev", "m_out", "r_out"):
+                          seed=seed, select=select, bypass=bypass)
+        for key in ("values", "rhs", "q_prev", "q_refresh", "m_out",
+                    "r_out"):
             _assert_rows_close(got[key], ref[key], key)
         assert np.max(np.abs(got["hint"] - ref["hint"])) \
             <= KERNEL_PARITY_TOL_V
         assert np.array_equal(got["memo_valid"], ref["memo_valid"])
-        # one solve per selected lane per call in both tiers (the
-        # compiled tier's extra refinement rounds only save fallbacks)
-        assert got["stats"]["stacked_lanes"] == \
-            ref["stats"]["stacked_lanes"]
+        assert np.array_equal(got["memo_vgs"], ref["memo_vgs"])
+        # the anchors: set by the same devices, to the same values
+        anchored = ~np.isnan(ref["anchor"][:, 0])
+        assert np.array_equal(~np.isnan(got["anchor"][:, 0]), anchored)
+        if anchored.any():
+            _assert_rows_close(got["anchor"][anchored].T,
+                               ref["anchor"][anchored].T, "anchor")
+        # one evaluation per selected lane per call in both tiers (the
+        # compiled tier's extra refinement rounds only save fallbacks),
+        # the same ones bypassed
+        for key in ("stacked_lanes", "stacked_bypassed"):
+            assert got["stats"][key] == ref["stats"][key], key
+        bypassed = ref["stats"]["stacked_bypassed"]
+        # the second and third companion calls, and the refresh
+        selected = ref["n_selected"] * 3
+        if not tran or bypass == "off":
+            assert bypassed == 0
+            assert not anchored.any()
+        elif bypass == "anchored":
+            assert bypassed == selected
+        else:
+            assert 0 < bypassed < selected
 
     @pytest.mark.parametrize("tran", [False, True])
     def test_bank_stamp_scalar_fallback(self, adder4, tran):
@@ -290,7 +351,8 @@ class TestKernelParity:
         assert ref["stats"]["stacked_fallbacks"] >= calls
         assert got["stats"]["stacked_lanes"] == \
             ref["stats"]["stacked_lanes"]
-        for key in ("values", "rhs", "q_prev", "m_out", "r_out"):
+        for key in ("values", "rhs", "q_prev", "q_refresh", "m_out",
+                    "r_out"):
             _assert_rows_close(got[key], ref[key], key)
         assert np.max(np.abs(got["hint"] - ref["hint"])) \
             <= KERNEL_PARITY_TOL_V
