@@ -10,13 +10,12 @@ caps, source waveforms, per-lane CNFET geometry).  This module advances
 
 * :class:`LaneBatch` stacks assembly into ``(B, n+1, n+1)`` matrix /
   ``(B, n+1)`` rhs stacks (the extra row/column is a ground pad), with
-  the same static/dynamic split as :class:`TwoPhaseAssembler`: linear
-  element groups are stamped once per step, nonlinear groups per Newton
-  iteration.  Element classes provide vectorized
-  :class:`~repro.circuit.elements.base.LaneGroup` implementations
-  (CNFETs route all lanes through the stacked closed forms of
-  :mod:`repro.pwl.batch`); anything else falls back to a per-lane
-  scalar loop, so every circuit is batchable.
+  the same static/dynamic split as :class:`TwoPhaseAssembler`.  The
+  built-in linear classes stamp through the scalar engines' static
+  groups (:class:`~repro.circuit.elements.base.StaticGroup`), built
+  over all lanes; the CNFETs evaluate as one bank (the stacked closed
+  forms of :mod:`repro.pwl.batch`); anything else falls back to a
+  per-lane scalar loop, so every circuit is batchable.
 * the lock-step Newton iteration solves all active lanes through one
   batched ``np.linalg.solve`` on the stack, damps and checks
   convergence per lane, and *freezes* converged lanes while stragglers
@@ -43,7 +42,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.circuit.elements.base import LaneContext
+from repro.circuit.elements.base import (
+    LaneContext,
+    StaticPhase,
+    transient_step,
+)
 from repro.circuit.elements.sources import CurrentSource, VoltageSource
 from repro.circuit.mna import NewtonOptions, robust_dc_solve
 from repro.circuit.netlist import Circuit
@@ -68,10 +71,13 @@ class LaneBatch:
     """Stacked two-phase assembler over ``B`` same-topology circuits.
 
     Validates that every circuit shares the template's topology (same
-    element order, types, names, terminal nodes and system layout),
-    groups each element slot through
-    :meth:`~repro.circuit.elements.base.Element.lane_group`, and owns
-    the preallocated matrix/rhs stacks.
+    element order, types, names, terminal nodes and system layout) and
+    owns the preallocated matrix/rhs stacks.  The linear elements of
+    every lane form one
+    :class:`~repro.circuit.elements.base.StaticPhase` (the scalar
+    engines' static groups, over all lanes); every other slot is
+    grouped per class through
+    :meth:`~repro.circuit.elements.base.Element.lane_groups`.
     """
 
     def __init__(self, circuits: Sequence[Circuit],
@@ -106,18 +112,26 @@ class LaneBatch:
                         f"lane {lane} element {el.name!r} does not "
                         f"match the template topology"
                     )
+        # per-step state lives on the elements: one object per lane
+        if len({id(el) for c in self.circuits for el in c.elements}) \
+                != self.n_lanes * len(template.elements):
+            raise NetlistError("lane circuits share element objects")
         self.dim = dim
         self.n_nodes = len(template.node_index)
         self.node_index = template.node_index
-        # Slots grouped per element class: classes whose vectorization
-        # spans slots (CNFET) stack them into one wide group.
+        self._phase = StaticPhase(
+            [[el for el in c.elements if not el.nonlinear]
+             for c in self.circuits], self.node_index, dim)
+        fallback = {id(el) for el in self._phase.fallback}
+        # The other slots grouped per element class: classes whose
+        # vectorization spans slots (CNFET) stack them into one group.
         by_class: Dict[type, List[List]] = {}
-        for slot in range(len(template.elements)):
-            elements = [c.elements[slot] for c in self.circuits]
-            by_class.setdefault(type(elements[0]), []).append(elements)
-        self.groups = []
-        for cls, slots in by_class.items():
-            self.groups.extend(cls.lane_groups(slots))
+        for slot, el in enumerate(template.elements):
+            if el.nonlinear or id(el) in fallback:
+                by_class.setdefault(type(el), []).append(
+                    [c.elements[slot] for c in self.circuits])
+        self.groups = [group for cls, slots in by_class.items()
+                       for group in cls.lane_groups(slots)]
         self._static = [g for g in self.groups if not g.nonlinear]
         self._dynamic = [g for g in self.groups if g.nonlinear]
         pad = dim + 1
@@ -127,23 +141,42 @@ class LaneBatch:
         self._matrix = np.zeros((b, pad, pad))
         self._rhs = np.zeros((b, pad))
         self._ctx: Optional[LaneContext] = None
+        #: per analysis mode, the static groups' entries in the stacks
+        self._positions: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
+        #: value key ``(analysis, dt, method)`` of the scattered static
+        #: matrix (``None``: scatter at the next step)
+        self._static_key: Optional[tuple] = None
 
     # ------------------------------------------------------------------
 
     def reset(self) -> None:
-        """Reset per-lane transient state in every group (run start)."""
+        """Forget every lane's transient state (run start): the
+        elements' own, where the static groups keep it, and the lane
+        groups'."""
+        for circuit in self.circuits:
+            circuit.reset_state()
         for group in self.groups:
             group.reset()
 
-    def context(self, x: np.ndarray, lanes: np.ndarray,
-                **kwargs) -> LaneContext:
-        """A :class:`LaneContext` over the work buffers (reporting /
-        group-state priming; stamping goes through
-        :meth:`begin_step` / :meth:`iterate`)."""
-        return LaneContext(
-            matrix=self._matrix, rhs=self._rhs,
-            node_index=self.node_index, x=x, lanes=lanes, **kwargs,
-        )
+    def _static_positions(self, tran: bool
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat positions of the static groups' ``(kinds, B, E)``
+        entries in the matrix and rhs stacks (grounded entries on each
+        lane's pad row/column)."""
+        cached = self._positions.get(tran)
+        if cached is None:
+            pad = self.dim + 1
+            lane = np.arange(self.n_lanes)[:, None] * pad
+            flat, rhs_rows = [np.zeros(0, dtype=np.intp)], \
+                [np.zeros(0, dtype=np.intp)]
+            for group in self._phase.groups:
+                rows, cols, rhs = group.layout(tran)
+                flat.append(((lane + rows[:, None]) * pad
+                             + cols[:, None]).ravel())
+                rhs_rows.append((lane + rhs[:, None]).ravel())
+            cached = self._positions[tran] = (
+                np.concatenate(flat), np.concatenate(rhs_rows))
+        return cached
 
     def begin_step(self, x_sample: np.ndarray, lanes: np.ndarray, *,
                    analysis: str = "dc", time: Optional[float] = None,
@@ -151,15 +184,27 @@ class LaneBatch:
                    x_prev: Optional[np.ndarray] = None,
                    method: str = "be", gmin: float = 1e-12,
                    source_scale: float = 1.0) -> None:
-        """Stamp the iterate-independent groups for the active lanes."""
-        self._static_matrix[lanes] = 0.0
-        self._static_rhs[lanes] = 0.0
+        """Stamp the static phase: the groups' values for every lane,
+        then the fallback groups for the active lanes.  The matrix is
+        re-scattered only when its value key ``(analysis, dt,
+        method)`` changes (or a fallback group stamps)."""
         ctx = LaneContext(
             matrix=self._static_matrix, rhs=self._static_rhs,
             node_index=self.node_index, x=x_sample, lanes=lanes,
             analysis=analysis, time=time, dt=dt, x_prev=x_prev,
             method=method, gmin=gmin, source_scale=source_scale,
         )
+        phase = self._phase
+        flat, rows = self._static_positions(transient_step(ctx))
+        rhs = self._static_rhs.reshape(-1)
+        rhs[:] = np.bincount(rows, weights=phase.rhs(ctx),
+                             minlength=rhs.size)
+        key = (analysis, dt, method)
+        if key != self._static_key or self._static:
+            matrix = self._static_matrix.reshape(-1)
+            matrix[:] = np.bincount(flat, weights=phase.matrix(ctx),
+                                    minlength=matrix.size)
+            self._static_key = key
         for group in self._static:
             group.stamp(ctx)
         self._ctx = ctx
@@ -180,16 +225,24 @@ class LaneBatch:
             group.stamp(ctx)
         return ctx
 
-    def accept_context(self, x: np.ndarray, x_prev: np.ndarray,
-                       lanes: np.ndarray, time: float, dt: float,
-                       method: str) -> LaneContext:
-        """Context for committing a converged step (group state)."""
-        return LaneContext(
-            matrix=self._matrix, rhs=self._rhs,
-            node_index=self.node_index, x=x, lanes=lanes,
-            analysis="tran", time=time, dt=dt, x_prev=x_prev,
-            method=method,
-        )
+    def begin_run(self, x: np.ndarray, method: str) -> None:
+        """Prime the groups' per-lane state at the initial solution."""
+        ctx = LaneContext(self._matrix, self._rhs, self.node_index, x,
+                          np.arange(self.n_lanes), analysis="tran",
+                          time=0.0, dt=1.0, x_prev=x, method=method)
+        for group in self.groups:
+            group.begin_run(ctx)
+
+    def accept(self, x: np.ndarray, x_prev: np.ndarray,
+               lanes: np.ndarray, time: float, dt: float,
+               method: str) -> None:
+        """Commit a converged step for ``lanes``: the static groups'
+        state on the elements, then every lane group's."""
+        ctx = LaneContext(self._matrix, self._rhs, self.node_index, x,
+                          lanes, analysis="tran", time=time, dt=dt,
+                          x_prev=x_prev, method=method)
+        for group in self._phase.groups + self.groups:
+            group.accept(ctx)
 
 
 # ----------------------------------------------------------------------
@@ -295,8 +348,6 @@ def batch_operating_points(circuits: Sequence[Circuit],
     """
     if batch is None:
         batch = LaneBatch(circuits, backend=backend)
-    for circuit in batch.circuits:
-        circuit.reset_state()
     batch.reset()
     lanes = np.arange(batch.n_lanes)
     x = np.zeros((batch.n_lanes, batch.dim))
@@ -336,8 +387,6 @@ def batch_dc_sweep(circuits: Sequence[Circuit], source_name: str,
     values = [float(v) for v in values]
     rows = np.empty((len(values), batch.n_lanes, batch.dim))
     try:
-        for circuit in batch.circuits:
-            circuit.reset_state()
         batch.reset()
         x = np.zeros((batch.n_lanes, batch.dim))
         for i, value in enumerate(values):
@@ -502,8 +551,6 @@ def batch_transient(
     run_stats: dict = stats if stats is not None else {}
     for group in batch.groups:
         group.stats = run_stats
-    for circuit in batch.circuits:
-        circuit.reset_state()
     batch.reset()
     if x0 is None:
         x = batch_operating_points(batch.circuits, options, batch=batch,
@@ -530,11 +577,7 @@ def batch_transient(
 
     state = _RunState(batch, x, tstops, run_stats, record_currents,
                       options, method)
-    # Prime per-lane group state (previous-step charges) at x0.
-    prime_ctx = batch.accept_context(x, x, np.arange(n_lanes), 0.0,
-                                     1.0, method)
-    for group in batch.groups:
-        group.begin_run(prime_ctx)
+    batch.begin_run(x, method)
     if adaptive:
         _adaptive_lockstep(state, t_end, bp_times, bp_lanes, rtol, atol,
                            dt_min, dt_max, dt)
@@ -597,10 +640,7 @@ class _RunState:
 
     def accept(self, t: float, x_new: np.ndarray, step: float) -> None:
         alive = self.alive_lanes
-        ctx = self.batch.accept_context(x_new, self.x, alive, t, step,
-                                        self.method)
-        for group in self.batch.groups:
-            group.accept(ctx)
+        self.batch.accept(x_new, self.x, alive, t, step, self.method)
         self.recorder.accept(t, x_new, alive)
         self.x = x_new
         self.stats["steps"] = self.stats.get("steps", 0) + 1

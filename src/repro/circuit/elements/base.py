@@ -20,6 +20,7 @@ Sign conventions
 from __future__ import annotations
 
 import copy
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,8 +30,10 @@ from repro.errors import NetlistError
 GROUND_NAMES = ("0", "gnd", "GND")
 
 
-class StampContext:
-    """Assembly context handed to every element's ``stamp``.
+class StepContext:
+    """The fields of one assembly step, shared by the scalar
+    :class:`StampContext` and the stacked :class:`LaneContext` (what a
+    :class:`StaticGroup` reads).
 
     Attributes
     ----------
@@ -39,8 +42,9 @@ class StampContext:
     time, dt:
         Current time and step (transient only; ``None`` in DC).
     x:
-        Current Newton iterate (full solution vector) — elements read
-        their controlling voltages from it.
+        Current Newton iterate (the full solution vector; a ``(B, n)``
+        stack in a :class:`LaneContext`) — elements read their
+        controlling voltages from it.
     x_prev:
         Converged solution of the previous time step (transient only).
     method:
@@ -48,7 +52,13 @@ class StampContext:
     gmin:
         Shunt conductance added by nonlinear elements for robustness
         (swept during gmin stepping).
+    lanes:
+        The lanes the context covers: a scalar system is lane 0 of a
+        one-lane :class:`StaticGroup` grid (a :class:`LaneContext`
+        covers its active lanes).
     """
+
+    lanes = np.zeros(1, dtype=np.intp)
 
     def __init__(
         self,
@@ -75,11 +85,17 @@ class StampContext:
         self.method = method
         self.gmin = gmin
         self.source_scale = source_scale
-        #: Jacobian-reuse tolerance [V] of the current Newton iteration
-        #: (see :attr:`NewtonOptions.jacobian_reuse_tol`); elements may
-        #: restamp a frozen linearisation when their controlling
-        #: voltages moved less than this.  0 disables reuse.
-        self.reuse_tol = 0.0
+
+
+class StampContext(StepContext):
+    """Assembly context handed to every element's ``stamp`` (one scalar
+    system)."""
+
+    #: Jacobian-reuse tolerance [V] of the current Newton iteration
+    #: (see :attr:`NewtonOptions.jacobian_reuse_tol`); elements may
+    #: restamp a frozen linearisation when their controlling
+    #: voltages moved less than this.  0 disables reuse.
+    reuse_tol = 0.0
 
     # -- index helpers --------------------------------------------------
 
@@ -192,7 +208,7 @@ class TripletStampContext(StampContext):
             self.count = count + 1
 
 
-class LaneContext:
+class LaneContext(StepContext):
     """Stacked assembly context of the lane-batched engine.
 
     ``B`` independent instances (*lanes*) of one circuit topology are
@@ -204,60 +220,23 @@ class LaneContext:
 
     ``x``/``x_prev`` are ``(B, n)`` per-lane iterate / previous-step
     stacks; ``lanes`` holds the indices of the *active* lanes (Newton
-    freezes converged lanes, the stepper retires finished ones).  The
-    remaining fields mirror :class:`StampContext`.
+    freezes converged lanes, the stepper retires finished ones).
     """
 
     def __init__(self, matrix: np.ndarray, rhs: np.ndarray,
                  node_index: Dict[str, int], x: np.ndarray,
-                 lanes: np.ndarray, analysis: str = "dc",
-                 time: Optional[float] = None, dt: Optional[float] = None,
-                 x_prev: Optional[np.ndarray] = None, method: str = "be",
-                 gmin: float = 1e-12, source_scale: float = 1.0) -> None:
-        self.matrix = matrix
-        self.rhs = rhs
-        self.node_index = node_index
-        self.x = x
+                 lanes: np.ndarray, **step) -> None:
+        super().__init__(matrix, rhs, node_index, x, **step)
         self.lanes = lanes
-        self.analysis = analysis
-        self.time = time
-        self.dt = dt
-        self.x_prev = x_prev
-        self.method = method
-        self.gmin = gmin
-        self.source_scale = source_scale
-
-    @property
-    def n_lanes(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def dim(self) -> int:
         """Scalar system dimension (the stacks carry one pad row more)."""
         return self.matrix.shape[1] - 1
 
-    def idx(self, node: str) -> int:
-        """Matrix row of a node; the ground pad row for ground."""
-        if node in GROUND_NAMES:
-            return self.dim
-        try:
-            return self.node_index[node]
-        except KeyError:
-            raise NetlistError(f"unknown node {node!r}") from None
-
-    def voltages(self, node: str, x: Optional[np.ndarray] = None
-                 ) -> np.ndarray:
-        """Per-active-lane node voltages from ``x`` (default: the
-        current iterate stack); zeros for ground."""
-        source = self.x if x is None else x
-        i = self.idx(node)
-        if i >= self.dim:
-            return np.zeros(len(self.lanes))
-        return source[self.lanes, i]
-
     def scalar_context(self, lane: int) -> "StampContext":
         """Scalar :class:`StampContext` viewing one lane's system
-        (the generic per-lane fallback of :meth:`Element.lane_group`)."""
+        (the per-lane fallback, :class:`GenericLaneGroup`)."""
         dim = self.dim
         return StampContext(
             matrix=self.matrix[lane, :dim, :dim],
@@ -275,18 +254,20 @@ class LaneContext:
 
 
 class LaneGroup:
-    """Batched stamping unit: one element *slot* across all lanes.
+    """Batched stamping unit of the lane-batched engine for the
+    elements a :class:`StaticGroup` does not cover: nonlinear elements
+    and user-defined linear classes.
 
-    The lane-batched assembler collects, for every element position of
-    the shared topology, the ``B`` per-lane element objects ("slot")
-    and asks the element class for a group via
-    :meth:`Element.lane_group`.  The group owns whatever stacked
-    parameter arrays and per-lane transient state the slot needs:
+    The lane-batched assembler collects, for every such element
+    position of the shared topology, the ``B`` per-lane element objects
+    (a "slot") and asks the element class for groups over all of its
+    slots via :meth:`Element.lane_groups`.  A group owns whatever
+    stacked state its slots need:
 
-    * :meth:`stamp` adds the slot's contribution for the *active* lanes
-      (``ctx.lanes``) into the stacks — vectorized implementations
-      gather per-lane values and scatter-add; the generic fallback
-      loops the scalar ``Element.stamp``.
+    * :meth:`stamp` adds the slots' contribution for the *active* lanes
+      (``ctx.lanes``) into the stacks — the CNFET bank group in one
+      stacked evaluation; the generic fallback loops the scalar
+      ``Element.stamp``.
     * :meth:`begin_run` primes per-lane state at a transient run's
       initial solution.
     * :meth:`accept` commits a converged step (per-lane state update).
@@ -319,11 +300,13 @@ class LaneGroup:
 
 
 class GenericLaneGroup(LaneGroup):
-    """Per-lane scalar fallback group (correct for any element).
+    """Per-lane scalar fallback group over one slot (correct for any
+    element).
 
-    Elements without a vectorized group implementation — and any
-    user-defined element — are stamped lane by lane through their
-    scalar :meth:`Element.stamp` on a one-lane view of the stacks.
+    Nonlinear elements other than fast-backend CNFETs, and every
+    user-defined linear element, are stamped lane by lane through
+    their scalar :meth:`Element.stamp` on a one-lane view of the
+    stacks.
     The per-lane scalar contexts are cached per underlying buffer
     stack and mutated in place, so the dynamic-stamp hot path does
     not allocate a context (and two matrix/rhs views) per lane per
@@ -364,12 +347,9 @@ class GenericLaneGroup(LaneGroup):
             self.elements[lane].accept_step(
                 self._lane_context(ctx, int(lane)))
 
-    def reset(self) -> None:
-        for el in self.elements:
-            el.reset_state()
-
 
 _EMPTY = np.zeros(0)
+_ZERO = np.zeros(1)
 _NO_INDEX = np.zeros(0, dtype=np.intp)
 
 
@@ -401,34 +381,42 @@ def no_entries(count: int) -> np.ndarray:
 
 
 class StaticGroup:
-    """Array-stamped static phase of one linear element class.
+    """Array-stamped static phase of one linear element class: its one
+    stamp-and-commit implementation, shared by the three engines.
 
-    The scalar assemblers (the monolithic
-    :class:`~repro.circuit.mna.TwoPhaseAssembler` and every part of
-    :class:`~repro.circuit.partition.PartitionedAssembler`) ask each
-    linear element class once for a group over its elements
-    (:meth:`Element.static_group`).  Per analysis mode — ``tran`` (a
-    transient step, see :func:`transient_step`) or DC — the group
-    fixes where the class stamps: :meth:`layout` gives ``(kinds, E)``
-    tables of matrix rows, matrix columns and rhs rows over the ``E``
-    elements, with ground as row ``n``.  :meth:`matrix` and
-    :meth:`rhs` return the entries'
-    values for one step context in a few array operations (the matrix
-    values depend on the value key ``(analysis, dt, method)`` alone),
-    and :meth:`accept` is the vector form of
-    :meth:`Element.accept_step`.
+    The monolithic :class:`~repro.circuit.mna.TwoPhaseAssembler`, every
+    part of the :class:`~repro.circuit.partition.PartitionedAssembler`
+    and the lane-batched :class:`~repro.circuit.batch_sim.LaneBatch`
+    ask each linear element class once for a group
+    (:meth:`Element.static_group`) over a ``(B, E)`` grid of its
+    elements: ``B`` lanes (``B = 1`` in the scalar engines) of ``E``
+    elements, lane-major in :attr:`elements`.  The topology is shared
+    across lanes, so per analysis mode — ``tran`` (a transient step,
+    see :func:`transient_step`) or DC — :meth:`layout` gives ``(kinds,
+    E)`` tables of matrix rows, matrix columns and rhs rows (ground as
+    row ``n``), which each engine composes with its own layout once
+    per mode.  Parameters are ``(B, E)`` tables, raveled lane-major;
+    :meth:`matrix` and :meth:`rhs` return a step's values as raveled
+    ``(kinds, B, E)`` arrays (at ``B = 1`` exactly the scalar order),
+    the matrix values depending on the value key ``(analysis, dt,
+    method)`` alone.  :meth:`accept` is the vector form of
+    :meth:`Element.accept_step` over the context's lanes.
 
-    Per-step state (a trapezoidal capacitor's branch current, an
-    inductor's previous voltage) stays on the elements, so the
-    one-phase :func:`~repro.circuit.mna.assemble` and the AC
-    linearisation read the same state.  Source waveforms are read
-    from the elements at every :meth:`rhs`: sweeps replace them
-    mid-run.
+    A context's ``x`` / ``x_prev`` is an ``(n,)`` vector (lane 0) or a
+    ``(B, n)`` lane stack.  Per-step state (a trapezoidal capacitor's
+    branch current, an inductor's previous voltage) stays on the
+    elements, so the one-phase :func:`~repro.circuit.mna.assemble`,
+    the AC linearisation and a lane's scalar re-run read the same
+    state.  Source waveforms are read from the elements at every
+    :meth:`rhs`: sweeps replace them mid-run.
     """
 
-    def __init__(self, elements: Sequence["Element"],
+    def __init__(self, lanes: Sequence[Sequence["Element"]],
                  node_index: Dict[str, int], n: int) -> None:
-        self.elements = list(elements)
+        #: ``grid[b][e]``: element ``e`` of lane ``b``
+        self.grid = [list(lane) for lane in lanes]
+        self.elements = [el for lane in self.grid for el in lane]
+        self.shape = (len(self.grid), len(self.grid[0]))
         self.n = n
 
     def terminals(self, node_index: Dict[str, int]) -> List[np.ndarray]:
@@ -437,62 +425,95 @@ class StaticGroup:
         n = self.n
         return [np.array([n if el.nodes[t] in GROUND_NAMES
                           else node_index[el.nodes[t]]
-                          for el in self.elements], dtype=np.intp)
-                for t in range(len(self.elements[0].nodes))]
+                          for el in self.grid[0]], dtype=np.intp)
+                for t in range(len(self.grid[0][0].nodes))]
 
-    def padded(self, x: Optional[np.ndarray]) -> np.ndarray:
-        """``x`` followed by one ground zero (all zeros for ``None``)."""
-        out = np.zeros(self.n + 1)
-        if x is not None:
-            out[:self.n] = x[:self.n]
-        return out
+    def table(self, name: str) -> np.ndarray:
+        """One attribute of every element: a ``(B, E)`` table, raveled
+        lane-major like :attr:`elements`."""
+        return np.fromiter(map(attrgetter(name), self.elements), float,
+                           len(self.elements))
+
+    def committed(self, ctx: StepContext, values: np.ndarray
+                  ) -> Tuple[List["Element"], List[float]]:
+        """The elements of the context's lanes and their entries of the
+        raveled ``(B, E)`` table ``values``, lane-major (a commit writes
+        them back one by one)."""
+        lanes = ctx.lanes
+        if len(lanes) == self.shape[0]:
+            return self.elements, values.tolist()
+        return ([el for lane in lanes.tolist() for el in self.grid[lane]],
+                values.reshape(self.shape)[lanes].ravel().tolist())
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of the system rows ``rows`` (ground ``n``) in every
+        lane of an :meth:`extended` vector, raveled ``(B, E)``."""
+        b, n = self.shape[0], self.n
+        return np.where(rows == n, b * n,
+                        np.arange(b)[:, None] * n + rows).ravel()
+
+    def extended(self, x: Optional[np.ndarray]) -> np.ndarray:
+        """``x`` (an ``(n,)`` vector or a ``(B, n)`` stack) raveled, with
+        one zero appended that every ground row reads (all zeros for
+        ``None``)."""
+        if x is None:
+            return np.zeros(self.shape[0] * self.n + 1)
+        return np.concatenate((x.ravel(), _ZERO))
 
     def layout(self, tran: bool
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, rhs_rows)``: ``(kinds, E)`` index tables of
-        the mode's entries, kind-major like the values (the assemblers
+        the mode's entries, kind-major like the values (the engines
         compose them with their own layout once per mode)."""
         raise NotImplementedError
 
-    def matrix(self, ctx: StampContext) -> np.ndarray:
-        """Values of the mode's matrix entries, parallel to
-        :meth:`layout`.  They may depend only on the value key
-        ``(analysis, dt, method)`` of ``ctx``: the assemblers scatter
-        them again only when that key changes."""
+    def matrix(self, ctx: StepContext) -> np.ndarray:
+        """Values of the mode's matrix entries, ``(kinds, B, E)``
+        raveled.  They may depend only on the value key ``(analysis,
+        dt, method)`` of ``ctx``: the engines scatter them again only
+        when that key changes."""
         raise NotImplementedError
 
-    def rhs(self, ctx: StampContext) -> np.ndarray:
-        """Values of the mode's rhs entries for the step context."""
+    def rhs(self, ctx: StepContext) -> np.ndarray:
+        """Values of the mode's rhs entries for the step context,
+        ``(kinds, B, E)`` raveled."""
         raise NotImplementedError
 
-    def accept(self, ctx: StampContext) -> None:
-        """Commit a converged transient step for every element."""
+    def accept(self, ctx: StepContext) -> None:
+        """Commit a converged transient step for the elements of the
+        context's lanes."""
 
 
 class StaticPhase:
-    """The static phase of one scalar system: a :class:`StaticGroup`
-    per linear element class that has one, in first-appearance order,
-    and the *fallback* elements (user-defined linear classes) whose
-    ``stamp`` the assembler calls one by one."""
+    """The static phase of a system of ``B`` same-topology lanes
+    (``lanes[b]`` lists lane ``b``'s linear elements; ``B = 1`` for a
+    scalar system): a :class:`StaticGroup` per linear element class
+    that has one, in first-appearance order, and the *fallback*
+    elements (user-defined linear classes), lane-major, whose
+    ``stamp`` the engine calls one by one."""
 
-    def __init__(self, elements: Sequence["Element"],
+    def __init__(self, lanes: Sequence[Sequence["Element"]],
                  node_index: Dict[str, int], n: int) -> None:
-        by_class: Dict[type, List["Element"]] = {}
-        for el in elements:
-            by_class.setdefault(type(el), []).append(el)
+        by_class: Dict[type, List[int]] = {}
+        for e, el in enumerate(lanes[0]):
+            by_class.setdefault(type(el), []).append(e)
         self.groups: List[StaticGroup] = []
-        for cls, members in list(by_class.items()):
-            group = cls.static_group(members, node_index, n)
-            if group is not None:
+        fallback: List[int] = []
+        for cls, slots in by_class.items():
+            group = cls.static_group(
+                [[lane[e] for e in slots] for lane in lanes], node_index, n)
+            if group is None:
+                fallback.extend(slots)
+            else:
                 self.groups.append(group)
-                del by_class[cls]
-        self.fallback = [el for el in elements if type(el) in by_class]
+        fallback.sort()
+        self.fallback = [lane[e] for lane in lanes for e in fallback]
         self._positions: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
 
     def positions(self, tran: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Every group's entries of the mode, concatenated: flat matrix
-        positions ``row * n + col`` (every grounded entry on the pad
-        ``n * n``) and rhs rows (pad ``n``)."""
+        """Every group's entries of the mode in a scalar system,
+        concatenated: flat matrix positions ``row * n + col`` (every
+        grounded entry on the pad ``n * n``) and rhs rows (pad ``n``)."""
         cached = self._positions.get(tran)
         if cached is None:
             flat, rhs_rows = [_NO_INDEX], [_NO_INDEX]
@@ -507,12 +528,12 @@ class StaticPhase:
                 np.concatenate(rhs_rows).astype(np.intp))
         return cached
 
-    def matrix(self, ctx: StampContext) -> np.ndarray:
+    def matrix(self, ctx: StepContext) -> np.ndarray:
         """Every group's :meth:`StaticGroup.matrix`, concatenated."""
         return np.concatenate([g.matrix(ctx) for g in self.groups]
                               + [_EMPTY])
 
-    def rhs(self, ctx: StampContext) -> np.ndarray:
+    def rhs(self, ctx: StepContext) -> np.ndarray:
         """Every group's :meth:`StaticGroup.rhs`, concatenated."""
         return np.concatenate([g.rhs(ctx) for g in self.groups] + [_EMPTY])
 
@@ -525,11 +546,11 @@ class Element:
     currents).  ``aux_index`` is assigned by the circuit when the system
     is dimensioned.
 
-    The lane-batched engine additionally asks the class for a
-    :class:`LaneGroup` per element slot via :meth:`lane_group`; the
-    default returns the scalar-loop fallback, so every element is
-    batchable out of the box and vectorized groups are a pure
-    optimisation.
+    Every engine stamps the built-in linear classes through their
+    :meth:`static_group`; for every other element the lane-batched
+    engine asks the class for lane groups (:class:`LaneGroup`, see
+    :meth:`lane_groups`), whose default is the per-lane scalar loop,
+    so every element is batchable out of the box.
     """
 
     #: number of auxiliary (branch-current) unknowns
@@ -571,39 +592,42 @@ class Element:
         return dup
 
     @classmethod
-    def lane_group(cls, elements: Sequence["Element"]) -> LaneGroup:
-        """Batched stamping group for one slot (``elements[b]`` is the
-        slot's element in lane ``b``).  Override to vectorize."""
-        return GenericLaneGroup(elements)
-
-    @classmethod
     def lane_groups(cls, slots: Sequence[Sequence["Element"]]
                     ) -> Sequence[LaneGroup]:
-        """Batched stamping groups for *all* of this class's slots.
+        """Lane-batched stamping groups for all of this class's slots
+        that no :meth:`static_group` covers (``slots[s][b]`` is slot
+        ``s``'s element in lane ``b``).
 
-        The default is one :meth:`lane_group` per slot; classes whose
-        vectorization spans slots (CNFETs stack every device of the
-        batch into one evaluation) override this to return fewer,
-        wider groups.
+        The default is one :class:`GenericLaneGroup` per slot, the
+        per-lane scalar loop; CNFETs override this to stack every
+        fast-backend device of the batch into one bank evaluation.
         """
-        return [cls.lane_group(slot) for slot in slots]
+        return [GenericLaneGroup(slot) for slot in slots]
 
     def accept_step(self, ctx: StampContext) -> None:
         """Called once after a transient step converges; elements with
         memory (trapezoidal capacitors, inductors) update their state."""
 
+    #: the :class:`StaticGroup` type of exactly this class (a subclass,
+    #: which may override :meth:`stamp`, does not inherit it)
+    static_group_type: Optional[type] = None
+
     @classmethod
-    def static_group(cls, elements: Sequence["Element"],
+    def static_group(cls, lanes: Sequence[Sequence["Element"]],
                      node_index: Dict[str, int], n: int
                      ) -> Optional[StaticGroup]:
         """Array-stamped static phase (and step commit) of this class's
-        ``elements`` in one scalar system of dimension ``n``, or
-        ``None`` to stamp (and commit) each element on its own.
+        elements in a system of dimension ``n`` (``lanes[b]`` lists
+        lane ``b``'s; one lane in the scalar engines), or ``None`` to
+        stamp (and commit) each element on its own.
 
-        Every built-in linear class returns a group for exactly its own
-        class; a subclass (which may override :meth:`stamp`) and every
-        user-defined linear element take the per-element fallback."""
-        return None
+        Every built-in linear class returns its
+        :attr:`static_group_type`; a subclass (which may override
+        :meth:`stamp`) and every user-defined linear element take the
+        per-element fallback."""
+        group_type = cls.__dict__.get("static_group_type")
+        return None if group_type is None \
+            else group_type(lanes, node_index, n)
 
     def reset_state(self) -> None:
         """Forget any transient state (called when an analysis starts)."""

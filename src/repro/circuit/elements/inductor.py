@@ -9,12 +9,59 @@ from repro.circuit.elements.base import (
     BRANCH_VALUES,
     Element,
     StampContext,
+    StepContext,
     StaticGroup,
     branch_entries,
     no_entries,
     transient_step,
 )
 from repro.errors import ParameterError
+
+
+class _InductorGroup(StaticGroup):
+    """Every inductor's branch rows and BE/trapezoidal companion, and
+    its step commit (the same arithmetic per element as
+    :meth:`Inductor.stamp` / :meth:`Inductor.accept_step`; the previous
+    voltage is read from and written back to the elements)."""
+
+    def __init__(self, lanes, node_index, n) -> None:
+        super().__init__(lanes, node_index, n)
+        self.inductance = self.table("inductance")
+        self.ia, self.ib = self.terminals(node_index)
+        self.k = np.array([el.aux_index for el in self.grid[0]],
+                          dtype=np.intp)
+        self._ia, self._ib, self._k = map(self.index,
+                                          (self.ia, self.ib, self.k))
+
+    def layout(self, tran):
+        rows, cols = branch_entries(self.ia, self.ib, self.k)
+        if not tran:
+            return rows, cols, no_entries(self.k.size)
+        return (np.vstack((rows, self.k)), np.vstack((cols, self.k)),
+                self.k[None])
+
+    def matrix(self, ctx):
+        branch = np.repeat(BRANCH_VALUES, len(self.elements))
+        if not transient_step(ctx):
+            # DC: v_a - v_b = 0 (ideal short)
+            return branch
+        scale = 2.0 if ctx.method == "trap" else 1.0
+        return np.concatenate((branch, -scale * (self.inductance / ctx.dt)))
+
+    def rhs(self, ctx):
+        if not transient_step(ctx):
+            return _EMPTY
+        l_over_dt = self.inductance / ctx.dt
+        i_prev = self.extended(ctx.x_prev)[self._k]
+        if ctx.method == "trap":
+            v_prev = self.table("_v_prev")
+            return -2.0 * l_over_dt * i_prev + v_prev * -1.0
+        return -l_over_dt * i_prev
+
+    def accept(self, ctx: StepContext) -> None:
+        x = self.extended(ctx.x)
+        for el, value in zip(*self.committed(ctx, x[self._ia] - x[self._ib])):
+            el._v_prev = value
 
 
 class Inductor(Element):
@@ -25,6 +72,7 @@ class Inductor(Element):
     keeps the previous voltage as extra state.
     """
 
+    static_group_type = _InductorGroup
     n_aux = 1
 
     def __init__(self, name: str, a: str, b: str, inductance: float) -> None:
@@ -67,54 +115,3 @@ class Inductor(Element):
     def accept_step(self, ctx: StampContext) -> None:
         a, b = self.nodes
         self._v_prev = ctx.voltage(a) - ctx.voltage(b)
-
-    @classmethod
-    def static_group(cls, elements, node_index, n):
-        return _InductorGroup(elements, node_index, n) \
-            if cls is Inductor else None
-
-
-class _InductorGroup(StaticGroup):
-    """Every inductor's branch rows and BE/trapezoidal companion, and
-    its step commit (the same arithmetic per element as
-    :meth:`Inductor.stamp` / :meth:`Inductor.accept_step`; the previous
-    voltage is read from and written back to the elements)."""
-
-    def __init__(self, elements, node_index, n) -> None:
-        super().__init__(elements, node_index, n)
-        self.inductance = np.array([el.inductance for el in self.elements])
-        self.ia, self.ib = self.terminals(node_index)
-        self.k = np.array([el.aux_index for el in self.elements],
-                          dtype=np.intp)
-
-    def layout(self, tran):
-        rows, cols = branch_entries(self.ia, self.ib, self.k)
-        if not tran:
-            return rows, cols, no_entries(self.k.size)
-        return (np.vstack((rows, self.k)), np.vstack((cols, self.k)),
-                self.k[None])
-
-    def matrix(self, ctx):
-        if not transient_step(ctx):
-            # DC: v_a - v_b = 0 (ideal short)
-            return np.repeat(BRANCH_VALUES, self.k.size)
-        scale = 2.0 if ctx.method == "trap" else 1.0
-        return np.concatenate((np.repeat(BRANCH_VALUES, self.k.size),
-                               -scale * (self.inductance / ctx.dt)))
-
-    def rhs(self, ctx):
-        if not transient_step(ctx):
-            return _EMPTY
-        l_over_dt = self.inductance / ctx.dt
-        i_prev = ctx.x_prev[self.k] if ctx.x_prev is not None \
-            else np.zeros(self.k.size)
-        if ctx.method == "trap":
-            v_prev = np.array([el._v_prev for el in self.elements])
-            return -2.0 * l_over_dt * i_prev + v_prev * -1.0
-        return -l_over_dt * i_prev
-
-    def accept(self, ctx: StampContext) -> None:
-        x = self.padded(ctx.x)
-        for el, value in zip(self.elements,
-                             (x[self.ia] - x[self.ib]).tolist()):
-            el._v_prev = value

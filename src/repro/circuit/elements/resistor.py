@@ -7,8 +7,6 @@ import numpy as np
 from repro.circuit.elements.base import (
     _EMPTY,
     Element,
-    LaneContext,
-    LaneGroup,
     StampContext,
     StaticGroup,
     conductance_entries,
@@ -17,33 +15,14 @@ from repro.circuit.elements.base import (
 from repro.errors import ParameterError
 
 
-class _ResistorLaneGroup(LaneGroup):
-    """Vectorized conductance four-pattern across lanes."""
-
-    def __init__(self, elements) -> None:
-        super().__init__(elements)
-        self.g = np.array([el.conductance for el in elements])
-
-    def stamp(self, ctx: LaneContext) -> None:
-        a, b = self.elements[0].nodes
-        ia, ib = ctx.idx(a), ctx.idx(b)
-        lanes = ctx.lanes
-        g = self.g[lanes]
-        matrix = ctx.matrix
-        matrix[lanes, ia, ia] += g
-        matrix[lanes, ib, ib] += g
-        matrix[lanes, ia, ib] -= g
-        matrix[lanes, ib, ia] -= g
-
-
 class _ResistorGroup(StaticGroup):
     """Conductance four-patterns of every resistor: fixed values, no
     rhs, the same in DC and transient."""
 
-    def __init__(self, elements, node_index, n) -> None:
-        super().__init__(elements, node_index, n)
+    def __init__(self, lanes, node_index, n) -> None:
+        super().__init__(lanes, node_index, n)
         self.ia, self.ib = self.terminals(node_index)
-        g = np.array([el.conductance for el in self.elements])
+        g = self.table("conductance")
         self._values = np.concatenate((g, g, -g, -g))
 
     def layout(self, tran):
@@ -68,6 +47,8 @@ class Resistor(Element):
         Ohms; must be positive (use a voltage source for a short).
     """
 
+    static_group_type = _ResistorGroup
+
     def __init__(self, name: str, a: str, b: str, resistance: float) -> None:
         super().__init__(name, (a, b))
         if resistance <= 0.0 or not _finite(resistance):
@@ -87,14 +68,6 @@ class Resistor(Element):
         a, b = self.nodes
         ctx.add_conductance(a, b, self.conductance)
 
-    @classmethod
-    def lane_group(cls, elements):
-        return _ResistorLaneGroup(elements)
-
-    @classmethod
-    def static_group(cls, elements, node_index, n):
-        return _ResistorGroup(elements, node_index, n) \
-            if cls is Resistor else None
 
     def current(self, va: float, vb: float) -> float:
         """Branch current a -> b for reporting."""

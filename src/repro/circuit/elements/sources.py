@@ -9,9 +9,8 @@ import numpy as np
 from repro.circuit.elements.base import (
     _EMPTY,
     Element,
-    LaneContext,
-    LaneGroup,
     StampContext,
+    StepContext,
     StaticGroup,
     BRANCH_VALUES,
     branch_entries,
@@ -26,67 +25,9 @@ def _as_waveform(value: Union[float, Waveform]) -> Waveform:
     return DC(float(value))
 
 
-class _SourceLaneGroup(LaneGroup):
-    """Shared plumbing: per-lane source values at the context time.
-
-    Waveform evaluation is a scalar call per lane (waveforms are cheap
-    plain-Python objects and may differ per lane); the all-DC common
-    case short-circuits to a cached value vector.  The DC cache is
-    rebuilt per stamp when any lane's waveform object was swapped
-    (``dc_sweep``-style mutation); like :class:`_SourceGroup` it holds
-    the objects it keys on, so a freed waveform's id cannot come back
-    as a new one's.
-    """
-
-    def __init__(self, elements) -> None:
-        super().__init__(elements)
-        self._dc_cache = None
-
-    def _values(self, ctx: LaneContext) -> np.ndarray:
-        lanes = ctx.lanes
-        elements = self.elements
-        if ctx.analysis == "tran" and ctx.time is not None:
-            time = ctx.time
-            return np.array([
-                elements[lane].waveform.value(time) for lane in lanes
-            ])
-        cache = self._dc_cache
-        waveforms = [elements[lane].waveform for lane in lanes]
-        ids = list(map(id, waveforms))
-        if cache is None or cache[1] != ids:
-            values = np.array([w.dc_value() for w in waveforms])
-            # the waveforms are held, so that their ids stay theirs
-            self._dc_cache = (waveforms, ids, values)
-            return values
-        return cache[2]
-
-
-class _VoltageSourceLaneGroup(_SourceLaneGroup):
-    def stamp(self, ctx: LaneContext) -> None:
-        a, b = self.elements[0].nodes
-        ia, ib = ctx.idx(a), ctx.idx(b)
-        k = self.elements[0].aux_index
-        lanes = ctx.lanes
-        matrix = ctx.matrix
-        matrix[lanes, ia, k] += 1.0
-        matrix[lanes, ib, k] -= 1.0
-        matrix[lanes, k, ia] += 1.0
-        matrix[lanes, k, ib] -= 1.0
-        ctx.rhs[lanes, k] += self._values(ctx) * ctx.source_scale
-
-
-class _CurrentSourceLaneGroup(_SourceLaneGroup):
-    def stamp(self, ctx: LaneContext) -> None:
-        a, b = self.elements[0].nodes
-        ia, ib = ctx.idx(a), ctx.idx(b)
-        lanes = ctx.lanes
-        i = self._values(ctx) * ctx.source_scale
-        ctx.rhs[lanes, ia] -= i
-        ctx.rhs[lanes, ib] += i
-
-
 class _SourceGroup(StaticGroup):
-    """Shared plumbing: every source's value at the step context.
+    """Shared plumbing: every source's terminals and its value at the
+    step context.
 
     The waveform objects are read from the elements at every call
     (sweeps replace them mid-run).  Plain :class:`DC` levels are kept
@@ -95,8 +36,9 @@ class _SourceGroup(StaticGroup):
     level and the scale is unchanged, the same (read-only) array is
     returned, which lets a caller skip re-scattering it."""
 
-    def __init__(self, elements, node_index, n) -> None:
-        super().__init__(elements, node_index, n)
+    def __init__(self, lanes, node_index, n) -> None:
+        super().__init__(lanes, node_index, n)
+        self.ia, self.ib = self.terminals(node_index)
         #: the waveform objects of the last call (held, so that their
         #: ids stay theirs) and their ids
         self._waves: list = []
@@ -107,8 +49,9 @@ class _SourceGroup(StaticGroup):
         #: the scaled levels of the last call and their scale
         self._scaled: Optional[tuple] = None
 
-    def values(self, ctx: StampContext) -> np.ndarray:
-        """Source values scaled by ``ctx.source_scale``."""
+    def values(self, ctx: StepContext) -> np.ndarray:
+        """Source values scaled by ``ctx.source_scale``, lane-major
+        (the ``(B, E)`` table raveled)."""
         waves = [el.waveform for el in self.elements]
         ids = list(map(id, waves))
         if ids != self._ids:
@@ -138,17 +81,16 @@ class _VoltageSourceGroup(_SourceGroup):
     """Every voltage source's branch rows (fixed values) and its value
     on the branch row of the rhs."""
 
-    def __init__(self, elements, node_index, n) -> None:
-        super().__init__(elements, node_index, n)
-        self.ia, self.ib = self.terminals(node_index)
-        self.k = np.array([el.aux_index for el in self.elements],
+    def __init__(self, lanes, node_index, n) -> None:
+        super().__init__(lanes, node_index, n)
+        self.k = np.array([el.aux_index for el in self.grid[0]],
                           dtype=np.intp)
 
     def layout(self, tran):
         return branch_entries(self.ia, self.ib, self.k) + (self.k[None],)
 
     def matrix(self, ctx):
-        return np.repeat(BRANCH_VALUES, self.k.size)
+        return np.repeat(BRANCH_VALUES, len(self.elements))
 
     def rhs(self, ctx):
         return self.values(ctx)
@@ -157,10 +99,6 @@ class _VoltageSourceGroup(_SourceGroup):
 class _CurrentSourceGroup(_SourceGroup):
     """Every current source's injection: rhs only, out of ``a`` into
     ``b``."""
-
-    def __init__(self, elements, node_index, n) -> None:
-        super().__init__(elements, node_index, n)
-        self.ia, self.ib = self.terminals(node_index)
 
     def layout(self, tran):
         none = no_entries(self.ia.size)
@@ -182,6 +120,7 @@ class VoltageSource(Element):
     its + terminal, the SPICE convention).
     """
 
+    static_group_type = _VoltageSourceGroup
     n_aux = 1
 
     def __init__(self, name: str, a: str, b: str,
@@ -206,19 +145,13 @@ class VoltageSource(Element):
         ctx.add_entry(k, ib, -1.0)
         ctx.add_rhs(k, self.source_value(ctx) * ctx.source_scale)
 
-    @classmethod
-    def lane_group(cls, elements):
-        return _VoltageSourceLaneGroup(elements)
-
-    @classmethod
-    def static_group(cls, elements, node_index, n):
-        return _VoltageSourceGroup(elements, node_index, n) \
-            if cls is VoltageSource else None
 
 
 class CurrentSource(Element):
     """Independent current source pushing ``value(t)`` from a to b
     through the element (i.e. out of node ``a`` into node ``b``)."""
+
+    static_group_type = _CurrentSourceGroup
 
     def __init__(self, name: str, a: str, b: str,
                  value: Union[float, Waveform] = 0.0) -> None:
@@ -236,11 +169,3 @@ class CurrentSource(Element):
         a, b = self.nodes
         ctx.add_current(a, b, self.source_value(ctx) * ctx.source_scale)
 
-    @classmethod
-    def lane_group(cls, elements):
-        return _CurrentSourceLaneGroup(elements)
-
-    @classmethod
-    def static_group(cls, elements, node_index, n):
-        return _CurrentSourceGroup(elements, node_index, n) \
-            if cls is CurrentSource else None

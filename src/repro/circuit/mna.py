@@ -197,7 +197,7 @@ class TwoPhaseAssembler:
         self.backend = resolve_backend(backend, n)
         #: the linear elements' array-stamped groups plus the fallback
         self._phase = StaticPhase(
-            [el for el in circuit.elements if not el.nonlinear],
+            [[el for el in circuit.elements if not el.nonlinear]],
             circuit.node_index, n)
         #: value key ``(analysis, dt, method)`` of the scattered static
         #: matrix (``None``: scatter at the next step)

@@ -693,8 +693,8 @@ class _PooledStatic:
         # the blocks' groups apart from the interface's (the last part,
         # active every step), so a step with every block bypassed
         # evaluates only the interface's few elements
-        phases = [StaticPhase([el for part in tier for el in part.linear_els],
-                              node_index, n)
+        phases = [StaticPhase([[el for part in tier
+                                for el in part.linear_els]], node_index, n)
                   for tier in (parts[:-1], parts[-1:])]
         self.groups = groups = [g for phase in phases for g in phase.groups]
         owner_of = {id(el): p for p, part in enumerate(parts)

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cancel import CancelToken
-from repro.circuit.elements.base import Element, StampContext
+from repro.circuit.elements.base import Element, StampContext, StaticPhase
 from repro.circuit.elements.cnfet import CNFETElement, drain_currents
 from repro.circuit.elements.sources import VoltageSource
 from repro.circuit.mna import (
@@ -95,26 +95,20 @@ def _collect_breakpoints(circuit: Circuit, tstop: float) -> List[float]:
 
 def _step_commits(circuit: Circuit) -> List:
     """Callables committing the elements' per-step state from a
-    context: one :meth:`StaticGroup.accept
-    <repro.circuit.elements.base.StaticGroup.accept>` per built-in class
-    with state, else one ``accept_step`` per element.
+    context: the groups of a
+    :class:`~repro.circuit.elements.base.StaticPhase` over the elements
+    with state (one vector update per built-in class), then one
+    ``accept_step`` per element of its fallback.
 
     Most elements inherit the base no-op ``accept_step`` and are
     skipped: a 32-bit adder is ~1200 elements of which ~30 (the trap
     capacitors) keep per-step state, committed in one vector update."""
-    by_class: Dict[type, List[Element]] = {}
-    for el in circuit.elements:
-        if type(el).accept_step is not Element.accept_step:
-            by_class.setdefault(type(el), []).append(el)
-    commits: List = []
-    n = circuit.dimension()
-    for cls, elements in by_class.items():
-        group = cls.static_group(elements, circuit.node_index, n)
-        if group is not None:
-            commits.append(group.accept)
-        else:
-            commits.extend(el.accept_step for el in elements)
-    return commits
+    phase = StaticPhase(
+        [[el for el in circuit.elements
+          if type(el).accept_step is not Element.accept_step]],
+        circuit.node_index, circuit.dimension())
+    return [group.accept for group in phase.groups] \
+        + [el.accept_step for el in phase.fallback]
 
 
 def _trace_dataset(circuit: Circuit, times: Sequence[float],

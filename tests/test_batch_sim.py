@@ -31,8 +31,18 @@ from repro.circuit.transient import (
     initial_conditions_from_op,
     transient,
 )
-from repro.circuit.elements import Resistor, VoltageSource
-from repro.circuit.elements.base import LaneContext
+from repro.circuit.elements import (
+    Capacitor,
+    CurrentSource,
+    Inductor,
+    Resistor,
+    VoltageSource,
+)
+from repro.circuit.elements.base import (
+    Element,
+    GenericLaneGroup,
+    LaneContext,
+)
 from repro.circuit.netlist import Circuit
 from repro.circuit.waveforms import DC, Pulse
 from repro.errors import AnalysisError, NetlistError, ParameterError
@@ -125,6 +135,11 @@ class TestLaneBatchValidation:
         b, _ = build_ring_oscillator(family)
         with pytest.raises(NetlistError):
             LaneBatch([a, b])
+
+    def test_shared_element_objects_rejected(self, family):
+        a, _, _ = build_inverter(family)
+        with pytest.raises(NetlistError, match="share element objects"):
+            LaneBatch([a, a])
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
@@ -421,6 +436,85 @@ class TestEvaluatorParity:
             assert np.all(b[:, 1] > b[:, 0])
 
 
+class _Shunt(Element):
+    """A user-defined linear element (a conductance): no static group,
+    so the lane engine stamps it through the per-lane fallback."""
+
+    def __init__(self, name, a, b, g):
+        super().__init__(name, (a, b))
+        self.g = g
+
+    def stamp(self, ctx):
+        ctx.add_conductance(*self.nodes, self.g)
+
+
+#: per-lane (R, L, C, pulse delay) of the linear parity circuit
+LINEAR_SPECS = [(1e3, 1e-9, 1e-14, 2e-12), (2e3, 3e-9, 2e-14, 5e-12),
+                (5e2, 2e-9, 5e-15, 3e-12)]
+
+
+def _linear_lane(r, l, c, delay):
+    """Every linear element class in one circuit: a pulsed source
+    drives an R-L-C ladder with a current source and a user-defined
+    shunt on the far node."""
+    circuit = Circuit()
+    circuit.add(VoltageSource("vin", "in", "0", Pulse(
+        0.0, 1.0, delay=delay, rise=2e-12, fall=2e-12, width=1e-11,
+        period=1e-9)))
+    circuit.add(Resistor("r1", "in", "a", r))
+    circuit.add(Inductor("l1", "a", "b", l))
+    circuit.add(Capacitor("c1", "b", "0", c))
+    circuit.add(Capacitor("c2", "a", "b", c / 4))
+    circuit.add(Resistor("r2", "b", "0", 4 * r))
+    circuit.add(CurrentSource("i1", "0", "b", 1e-4))
+    circuit.add(_Shunt("x1", "b", "0", 1e-4))
+    return circuit
+
+
+class TestLinearLaneParity:
+    """Every linear class through the lane engine: the built-in ones
+    stamp through their lane-axis static groups, the user-defined one
+    through the per-lane fallback."""
+
+    def test_groups_cover_every_class(self):
+        batch = LaneBatch([_linear_lane(*spec) for spec in LINEAR_SPECS])
+        assert [type(g) for g in batch.groups] == [GenericLaneGroup]
+
+    @pytest.mark.parametrize("method", ["be", "trap"])
+    def test_transient_vs_scalar_replay(self, method):
+        tstop = 4e-11
+        circuits = [_linear_lane(*spec) for spec in LINEAR_SPECS]
+        result = batch_transient(circuits, tstop, dt=1e-12, method=method,
+                                 options=TIGHT)
+        assert not result.errors and not result.fallback_lanes
+        union = sorted(set().union(*(
+            _collect_breakpoints(c, tstop) for c in circuits)))
+        for lane, spec in enumerate(LINEAR_SPECS):
+            ref = transient(_linear_lane(*spec), tstop=tstop, dt=1e-12,
+                            method=method, options=TIGHT,
+                            extra_breakpoints=union)
+            ds = result[lane]
+            assert len(ds.axis) == len(ref.axis)
+            assert _max_dv(ds, ref, ["in", "a", "b"]) < PARITY_TOL_V
+            assert float(np.max(np.abs(
+                ds.current("vin") - ref.current("vin")))) < PARITY_TOL_V
+
+    def test_dc_sweep_vs_scalar(self):
+        sweep = np.linspace(0.0, 1.0, 5)
+        datasets = batch_dc_sweep(
+            [_linear_lane(*spec) for spec in LINEAR_SPECS], "vin", sweep,
+            TIGHT)
+        for lane, spec in enumerate(LINEAR_SPECS):
+            ref = dc_sweep(_linear_lane(*spec), "vin", sweep, TIGHT)
+            for node in ("in", "a", "b"):
+                assert float(np.max(np.abs(
+                    datasets[lane].voltage(node) - ref.voltage(node)
+                ))) < PARITY_TOL_V
+            assert float(np.max(np.abs(
+                datasets[lane].current("vin") - ref.current("vin")
+            ))) < PARITY_TOL_V
+
+
 class TestBatchStats:
     def test_lane_iterations_and_retirement_counters(self, family):
         rings = [build_ring_oscillator(family)[0] for _ in range(2)]
@@ -449,15 +543,16 @@ class TestSourceLaneCache:
             circuits.append(circuit)
         n = circuits[0].dimension()
         sources = [c.element("v1") for c in circuits]
-        group = VoltageSource.lane_group(sources)
+        # the lane-axis group: one source in each of two lanes
+        group = VoltageSource.static_group(
+            [[source] for source in sources], circuits[0].node_index, n)
 
         def stamp():
             ctx = LaneContext(np.zeros((2, n + 1, n + 1)),
                               np.zeros((2, n + 1)),
                               circuits[0].node_index, np.zeros((2, n)),
                               np.arange(2))
-            group.stamp(ctx)
-            return ctx.rhs[:, sources[0].aux_index].tolist()
+            return group.rhs(ctx).tolist()
 
         assert stamp() == [1.0, 1.0]
         old_id = id(sources[0].waveform)

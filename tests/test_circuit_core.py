@@ -93,7 +93,7 @@ class TestElements:
                            method=method)
         for el in one:
             el.accept_step(ctx)
-        Capacitor.static_group(grouped, node_index, 3).accept(ctx)
+        Capacitor.static_group([grouped], node_index, 3).accept(ctx)
         assert [el._i_prev for el in grouped] == \
             [el._i_prev for el in one]
 
@@ -112,7 +112,7 @@ class TestElements:
         one, grouped = inductors(), inductors()
         for el in one:
             el.accept_step(ctx)
-        Inductor.static_group(grouped, node_index, 4).accept(ctx)
+        Inductor.static_group([grouped], node_index, 4).accept(ctx)
         assert [el._v_prev for el in grouped] == \
             [el._v_prev for el in one]
 

@@ -152,9 +152,9 @@ class TestAssemblyEquivalence:
             "CurrentSource"}
         for cls in linear:
             members = list(c.iter_elements(cls))
-            assert cls.static_group(members, c.node_index,
+            assert cls.static_group([members], c.node_index,
                                     c.dimension()) is not None, cls
-        assert _Leak.static_group([c.element("xg")], c.node_index,
+        assert _Leak.static_group([[c.element("xg")]], c.node_index,
                                   c.dimension()) is None
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "partitioned"])
