@@ -12,12 +12,12 @@ complex MNA system ``(G + j w C) x = b`` per frequency:
 * one independent source is designated as the AC input with unit
   magnitude, SPICE-style.
 
-The ``G`` and ``C`` buffers are stamped **once** for the whole sweep;
-per frequency only the scaled sum ``G + j w C`` changes, written into
-one preallocated complex work matrix (dense) or re-summed on the
-shared sparsity pattern (sparse backend).  A circuit with no
-energy-storage stamps (``C == 0``) is frequency-independent, so it is
-factorised and solved exactly once.
+The ``G`` and ``C`` buffers are stamped **once** for the whole sweep
+and gathered onto their union sparsity pattern in CSC order; per
+frequency only the scaled sum ``G + j w C`` of the two data vectors
+changes, and every linear-solver backend factors that one CSC system.
+A circuit with no energy-storage stamps (``C == 0``) is
+frequency-independent, so it is factorised and solved exactly once.
 
 This covers the classic compact-model use cases — gain/bandwidth of a
 CNFET stage, input capacitance extraction — without any element needing
@@ -121,47 +121,34 @@ def _solve_frequency_sweep(solver, g_matrix: np.ndarray,
                            freqs: Sequence[float]) -> np.ndarray:
     """Solve ``(G + j w C) x = b`` per frequency through ``solver``.
 
-    The stamped ``G``/``C`` buffers are shared by every point; the
-    dense path re-sums into one preallocated complex work matrix, the
-    sparse path converts ``G``/``C`` to sparse once and re-sums on the
-    shared pattern.  With ``C == 0`` the system is frequency-
-    independent: one factorise-and-solve serves the whole sweep.
+    One structural pass gathers the stamped ``G``/``C`` buffers onto
+    their union sparsity pattern in CSC order; each frequency then
+    only combines the two aligned data vectors and hands the shared
+    structure to the backend — no per-point matrix addition or format
+    conversion.  With ``C == 0`` the system is frequency-independent:
+    one factorise-and-solve serves the whole sweep.
     """
     n = b.size
+    mask = (g_matrix != 0.0) | (c_matrix != 0.0)
+    cols, rows = np.nonzero(mask.T)  # column-major entry order
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    g_data = g_matrix[rows, cols].astype(complex)
+    c_data = c_matrix[rows, cols].astype(complex)
+    static = not c_data.any()
     solutions = np.empty((len(freqs), n), dtype=complex)
-    static = not c_matrix.any()
-    if static:
-        solutions[:] = solver.solve_dense(
-            g_matrix.astype(complex), b)
-        return solutions
-    if solver.is_sparse:
-        # One structural pass: the union sparsity pattern of G and C
-        # in CSC order, with both stamped buffers gathered onto it.
-        # Each frequency then only combines the two aligned data
-        # vectors and hands the shared structure to the backend — no
-        # per-point matrix addition or format conversion.
-        mask = (g_matrix != 0.0) | (c_matrix != 0.0)
-        cols, rows = np.nonzero(mask.T)  # column-major entry order
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        g_data = g_matrix[rows, cols].astype(complex)
-        c_data = c_matrix[rows, cols].astype(complex)
-        for k, f in enumerate(freqs):
-            omega = 2.0 * np.pi * f
-            try:
-                solutions[k] = solver.solve_csc(
-                    n, g_data + (1j * omega) * c_data, rows, indptr, b)
-            except AnalysisError as exc:
-                raise AnalysisError(
-                    f"singular AC system at f={f:g} Hz ({exc})"
-                ) from exc
-        return solutions
-    work = np.empty((n, n), dtype=complex)
     for k, f in enumerate(freqs):
         omega = 2.0 * np.pi * f
-        np.multiply(c_matrix, 1j * omega, out=work)
-        work += g_matrix
-        solutions[k] = solver.solve_dense(work, b)
+        try:
+            solutions[k] = solver.solve_csc(
+                n, g_data + (1j * omega) * c_data, rows, indptr, b)
+        except AnalysisError as exc:
+            raise AnalysisError(
+                f"singular AC system at f={f:g} Hz ({exc})"
+            ) from exc
+        if static:
+            solutions[k + 1:] = solutions[k]
+            break
     return solutions
 
 

@@ -155,15 +155,16 @@ class StampContext(StepContext):
 
 
 class TripletStampContext(StampContext):
-    """Stamping context that records COO triplets (sparse assembly).
+    """Stamping context that records COO triplets.
 
     Elements stamp through the same ``add_entry`` / ``add_rhs``
     primitives; matrix entries are appended to growing flat-index /
     value arrays instead of written into a dense buffer (the rhs stays
-    a dense vector — it is O(n)).  The sparse backend of
-    :class:`repro.circuit.mna.TwoPhaseAssembler` turns the recorded
-    triplets into a sparse system once per run and re-scatters only the
-    values on subsequent steps/iterations.
+    a dense vector — it is O(n)).  The assemblers
+    (:class:`repro.circuit.mna.TwoPhaseAssembler`'s CSC pattern, the
+    partitioned assembler's pooled buffer) map the recorded positions
+    onto their layout once per run and re-scatter only the values on
+    subsequent steps/iterations.
     """
 
     def __init__(self, dim: int, node_index: Dict[str, int],

@@ -298,11 +298,10 @@ class CNFETBank:
 
     DC uses the first 8 matrix and 2 rhs kinds.  Each consumer maps the
     table onto its own flat layout once and hands :meth:`companion` a
-    ``target``: the monolithic assembler's :class:`CNFETSlab` composes
-    :meth:`flat_entries` with its CSC pattern (sparse) or uses it as is
-    (dense), the lane-batched engine's group offsets it per lane, and
-    the partitioned assembler composes it with its pooled block and
-    interface buffer.
+    ``target``: the monolithic assembler composes :meth:`flat_entries`
+    with its CSC pattern, the lane-batched engine's group offsets it
+    per lane, and the partitioned assembler composes it with its
+    pooled block and interface buffer.
 
     ``lane_of`` (one lane per device) makes the bank read its biases
     from a lane-stacked ``(B, dim)`` iterate instead of a ``(dim,)``
@@ -466,11 +465,11 @@ class CNFETBank:
 class CNFETSlab:
     """The monolithic assembler's view of a :class:`CNFETBank`: every
     device, each Newton iteration, landed in the global system by one
-    fused ``bank_stamp`` call.  The target is the dense ``dim x dim``
-    matrix through :meth:`CNFETBank.flat_entries` (the default), or
-    whatever ``(m_out, m_map, r_out, r_map)`` the assembler passes —
-    the sparse assembler's CSC ``data`` through the entry table
-    composed with its pattern.
+    fused ``bank_stamp`` call.  :attr:`m_idx` / :attr:`r_idx` give the
+    entry table in the global ``dim x dim`` layout
+    (:meth:`CNFETBank.flat_entries`); the assembler composes them with
+    its CSC pattern and passes the resulting ``(m_out, m_map, r_out,
+    r_map)`` target to every :meth:`stamp`.
 
     :meth:`begin_step` only arms a deferred refresh of the
     previous-step charges; the first :meth:`stamp` of the step seeds
@@ -498,10 +497,11 @@ class CNFETSlab:
                 and ctx.x_prev is not None:
             self._pending = np.array(ctx.x_prev, dtype=float)
 
-    def stamp(self, ctx: StampContext, target=None) -> None:
+    def stamp(self, ctx: StampContext, target) -> None:
         """One fused companion stamp for all devices around ``ctx.x``,
-        into ``target`` (default: the dense ``ctx.matrix`` /
-        ``ctx.rhs``)."""
+        scatter-added into ``target``: ``(m_out, m_map, r_out,
+        r_map)``, the caller's matrix values and rhs with the entry
+        table mapped onto them (see :meth:`CNFETBank.companion`)."""
         seed = False
         pending = self._pending
         tran = ctx.analysis == "tran" and ctx.dt is not None
@@ -512,9 +512,6 @@ class CNFETSlab:
                 seed = True  # charges at x double as q_prev
             else:
                 self.bank.refresh_charges(pending, reuse_tol=reuse_tol)
-        if target is None:
-            target = (ctx.matrix.reshape(-1), self.m_idx, ctx.rhs,
-                      self.r_idx)
         self.bank.companion(
             ctx.x, gmin=ctx.gmin, tran=tran, dt=ctx.dt,
             reuse_tol=reuse_tol, seed_qprev=seed, target=target)

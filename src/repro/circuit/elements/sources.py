@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Union
 
 import numpy as np
@@ -19,27 +20,61 @@ from repro.circuit.elements.base import (
 from repro.circuit.waveforms import DC, Waveform
 
 
-def _as_waveform(value: Union[float, Waveform]) -> Waveform:
-    if isinstance(value, Waveform):
-        return value
-    return DC(float(value))
+#: a fresh value whenever any source's waveform is assigned (drawn
+#: from ``_swaps``, so no value is ever written twice); a group
+#: re-reads its sources' waveforms only when it has moved since its
+#: last read
+_swaps = itertools.count(1)
+_swap_serial = 0
+
+
+class _Source(Element):
+    """An independent source: its waveform, coerced from a plain
+    number to a :class:`DC` level, and the waveform's value at a step
+    context."""
+
+    def __init__(self, name: str, a: str, b: str,
+                 value: Union[float, Waveform] = 0.0) -> None:
+        super().__init__(name, (a, b))
+        self.waveform = value
+
+    @property
+    def waveform(self) -> Waveform:
+        """The source's waveform; sweeps replace it between steps."""
+        return self._waveform
+
+    @waveform.setter
+    def waveform(self, value: Union[float, Waveform]) -> None:
+        global _swap_serial
+        self._waveform = value if isinstance(value, Waveform) \
+            else DC(float(value))
+        _swap_serial = next(_swaps)
+
+    def source_value(self, ctx: StampContext) -> float:
+        """Waveform value at the context time (DC value in DC)."""
+        if ctx.analysis == "tran" and ctx.time is not None:
+            return self._waveform.value(ctx.time)
+        return self._waveform.dc_value()
 
 
 class _SourceGroup(StaticGroup):
     """Shared plumbing: every source's terminals and its value at the
     step context.
 
-    The waveform objects are read from the elements at every call
-    (sweeps replace them mid-run).  Plain :class:`DC` levels are kept
-    while the objects read are the last call's; only the other
-    waveforms are evaluated per step.  While every source is a kept
-    level and the scale is unchanged, the same (read-only) array is
-    returned, which lets a caller skip re-scattering it."""
+    The waveform objects are re-read from the elements whenever a
+    waveform was assigned anywhere since the last call (sweeps replace
+    them mid-run).  Plain :class:`DC` levels are kept while the objects
+    read are the last read's; only the other waveforms are evaluated
+    per step.  While every source is a kept level and the scale is
+    unchanged, the same (read-only) array is returned, which lets a
+    caller skip re-scattering it."""
 
     def __init__(self, lanes, node_index, n) -> None:
         super().__init__(lanes, node_index, n)
         self.ia, self.ib = self.terminals(node_index)
-        #: the waveform objects of the last call (held, so that their
+        #: the swap serial of the last read (``None``: never read)
+        self._serial: Optional[int] = None
+        #: the waveform objects of the last read (held, so that their
         #: ids stay theirs) and their ids
         self._waves: list = []
         self._ids: Optional[list] = None
@@ -52,15 +87,20 @@ class _SourceGroup(StaticGroup):
     def values(self, ctx: StepContext) -> np.ndarray:
         """Source values scaled by ``ctx.source_scale``, lane-major
         (the ``(B, E)`` table raveled)."""
-        waves = [el.waveform for el in self.elements]
-        ids = list(map(id, waves))
-        if ids != self._ids:
-            self._waves, self._ids = waves, ids
-            self._varying = [i for i, w in enumerate(waves)
-                             if type(w) is not DC]
-            self._levels = np.array([w.level if type(w) is DC else 0.0
-                                     for w in waves], dtype=float)
-            self._scaled = None
+        serial = _swap_serial  # read before the waveforms it covers
+        if serial != self._serial:
+            self._serial = serial
+            waves = [el.waveform for el in self.elements]
+            ids = list(map(id, waves))
+            if ids != self._ids:
+                self._waves, self._ids = waves, ids
+                self._varying = [i for i, w in enumerate(waves)
+                                 if type(w) is not DC]
+                self._levels = np.array(
+                    [w.level if type(w) is DC else 0.0 for w in waves],
+                    dtype=float)
+                self._scaled = None
+        waves = self._waves
         if self._varying:
             values = self._levels.copy()
             if ctx.analysis == "tran" and ctx.time is not None:
@@ -112,8 +152,8 @@ class _CurrentSourceGroup(_SourceGroup):
         return np.concatenate((-i, i))
 
 
-class VoltageSource(Element):
-    """Independent voltage source ``V(a) - V(b) = value(t)``.
+class VoltageSource(_Source):
+    """Independent voltage source ``V(a) - V(b) = value(t)`` [V].
 
     One auxiliary unknown: the branch current flowing a -> b through the
     source (so a positive current means the source *sinks* current at
@@ -122,17 +162,6 @@ class VoltageSource(Element):
 
     static_group_type = _VoltageSourceGroup
     n_aux = 1
-
-    def __init__(self, name: str, a: str, b: str,
-                 value: Union[float, Waveform] = 0.0) -> None:
-        super().__init__(name, (a, b))
-        self.waveform = _as_waveform(value)
-
-    def source_value(self, ctx: StampContext) -> float:
-        """Waveform value at the context time (DC value in DC) [V]."""
-        if ctx.analysis == "tran" and ctx.time is not None:
-            return self.waveform.value(ctx.time)
-        return self.waveform.dc_value()
 
     def stamp(self, ctx: StampContext) -> None:
         """Stamp the branch constraint rows and the source value."""
@@ -146,23 +175,11 @@ class VoltageSource(Element):
         ctx.add_rhs(k, self.source_value(ctx) * ctx.source_scale)
 
 
-
-class CurrentSource(Element):
-    """Independent current source pushing ``value(t)`` from a to b
+class CurrentSource(_Source):
+    """Independent current source pushing ``value(t)`` [A] from a to b
     through the element (i.e. out of node ``a`` into node ``b``)."""
 
     static_group_type = _CurrentSourceGroup
-
-    def __init__(self, name: str, a: str, b: str,
-                 value: Union[float, Waveform] = 0.0) -> None:
-        super().__init__(name, (a, b))
-        self.waveform = _as_waveform(value)
-
-    def source_value(self, ctx: StampContext) -> float:
-        """Waveform value at the context time (DC value in DC) [A]."""
-        if ctx.analysis == "tran" and ctx.time is not None:
-            return self.waveform.value(ctx.time)
-        return self.waveform.dc_value()
 
     def stamp(self, ctx: StampContext) -> None:
         """Inject the source current from node a to node b."""

@@ -4,51 +4,45 @@ Assembly is split into two phases per Newton solve:
 
 * **static phase** — every linear element (``nonlinear = False``:
   resistors, sources, capacitor/inductor companions) is stamped once
-  per step context into a preallocated static matrix/rhs pair.  These
-  stamps depend on ``(time, dt, x_prev, method, source_scale)`` but not
-  on the Newton iterate, so re-stamping them every iteration — as the
-  one-phase assembler did — is pure waste.  The built-in linear
-  classes stamp as *static groups*
+  per step context.  These stamps depend on ``(time, dt, x_prev,
+  method, source_scale)`` but not on the Newton iterate, so
+  re-stamping them every iteration — as the one-phase assembler did —
+  is pure waste.  The built-in linear classes stamp as *static groups*
   (:meth:`~repro.circuit.elements.base.Element.static_group`): each
   group fixes its flat matrix positions and rhs rows per analysis mode
   (ground on a pad) and produces the whole class's values in a few
   array operations.  The matrix values depend only on the value key
-  ``(analysis, dt, method)``, so the static matrix (dense) or CSC data
-  (sparse) is re-scattered only when that key changes and a fixed-step
-  run updates only the rhs per step.  Linear elements without a group
-  (user-defined classes) are the *fallback*: they stamp one by one
-  through their ``stamp``, every step, and only their triplets are
-  pattern-checked.
-* **dynamic phase** — each Newton iteration copies the static system
-  into preallocated work buffers and stamps only the nonlinear elements
-  (CNFETs, diodes) around the current iterate.
+  ``(analysis, dt, method)``, so the static CSC data is re-scattered
+  only when that key changes and a fixed-step run updates only the
+  rhs per step.  Linear elements without a group (user-defined
+  classes) are the *fallback*: they stamp one by one through their
+  ``stamp``, every step, and only their triplets are pattern-checked.
+* **dynamic phase** — each Newton iteration copies the static data and
+  rhs and adds only the nonlinear elements' stamps (CNFETs, diodes)
+  around the current iterate.
 
-:class:`TwoPhaseAssembler` owns the buffers and can be reused across
-Newton solves and transient steps, eliminating the per-iteration
-matrix allocations as well.  Two orthogonal scaling layers sit on the
-same two-phase split:
+:class:`TwoPhaseAssembler` builds one matrix representation for every
+linear-solver backend (:mod:`repro.circuit.solvers`): the elements
+outside the groups and the bank emit COO triplets through a
+:class:`~repro.circuit.elements.base.TripletStampContext`, and the
+symbolic sparsity pattern (CSC layout) with the static/dynamic
+scatter index maps is built once per run (positions depend only on
+topology and analysis mode — the pattern self-heals if a mode switch
+changes them).  Each iteration is then value scatters into one CSC
+``data`` vector; the backend decides how to factor it (dense LAPACK
+below :data:`~repro.circuit.solvers.SPARSE_AUTO_MIN_DIM` unknowns by
+default, SuperLU above).
 
-* **Linear-solver backends** (:mod:`repro.circuit.solvers`): the dense
-  path stamps/solves exactly as the engine always has; the sparse
-  path scatters the static groups through fixed maps and has the
-  other elements emit COO triplets through a
-  :class:`~repro.circuit.elements.base.TripletStampContext`, builds
-  the symbolic sparsity pattern (CSC layout) and the static/dynamic
-  scatter index maps
-  once per run (positions depend only on topology and analysis mode —
-  the pattern self-heals if a mode switch changes them), and
-  factorises with SuperLU per Newton iteration.
-* **The CNFET bank** (:class:`~repro.circuit.elements.cnfet.CNFETBank`,
-  stamped by :class:`~repro.circuit.elements.cnfet.CNFETSlab`): every
-  fast-backend CNFET, in a circuit of any size, evaluates in one fused
-  ``bank_stamp`` kernel call per iteration, scatter-adding straight
-  into the dense matrix or the CSC ``data`` (through the bank's entry
-  table composed with the pattern once per analysis mode — banked
-  devices record no triplets).  ``begin_step`` only arms the bank's
-  previous-step charge refresh: the first iteration of a fixed step
-  starts at ``x_prev`` and seeds the charges from its own evaluation.
-  Reference-backend (FETToy) CNFETs stamp one by one with the other
-  nonlinear elements.
+The CNFET bank (:class:`~repro.circuit.elements.cnfet.CNFETBank`,
+stamped by :class:`~repro.circuit.elements.cnfet.CNFETSlab`) evaluates
+every fast-backend CNFET, in a circuit of any size, in one fused
+``bank_stamp`` kernel call per iteration, scatter-adding straight into
+the CSC ``data`` through the bank's entry table composed with the
+pattern once per analysis mode (banked devices record no triplets).
+``begin_step`` only arms the bank's previous-step charge refresh: the
+first iteration of a fixed step starts at ``x_prev`` and seeds the
+charges from its own evaluation.  Reference-backend (FETToy) CNFETs
+stamp one by one with the other nonlinear elements.
 
 Robustness aids, in escalation order:
 
@@ -159,14 +153,26 @@ def assemble(circuit: Circuit, x: np.ndarray, *, analysis: str = "dc",
     return ctx
 
 
+def _recorded(ctx: TripletStampContext, flat: np.ndarray) -> bool:
+    """Whether ``ctx`` recorded its triplets at exactly the positions
+    ``flat`` (sizes first: the lists are mostly empty)."""
+    count = ctx.count
+    return count == flat.size and (
+        not count or np.array_equal(ctx.m_idx[:count], flat))
+
+
 class TwoPhaseAssembler:
-    """Preallocated two-phase assembly for one circuit.
+    """Two-phase assembly of one circuit's CSC system.
 
     Create once per analysis (or let :func:`newton_solve` make a
     throwaway one), call :meth:`begin_step` whenever the step context —
     ``(analysis, time, dt, x_prev, method, source_scale)`` — changes,
     then :meth:`iterate` per Newton iteration and :meth:`solve` for
-    the linear solve through the active backend.
+    the linear solve through the backend.
+
+    Every backend gets the same assembled system: the pattern's CSC
+    structure (:attr:`_indices`/:attr:`_indptr`) and, per iteration,
+    the CSC ``data`` vector and the rhs (:attr:`_system`).
 
     Elements whose stamp reads the Newton iterate must declare
     ``nonlinear = True`` (the documented contract of
@@ -200,7 +206,7 @@ class TwoPhaseAssembler:
             [[el for el in circuit.elements if not el.nonlinear]],
             circuit.node_index, n)
         #: value key ``(analysis, dt, method)`` of the scattered static
-        #: matrix (``None``: scatter at the next step)
+        #: data (``None``: scatter at the next iteration)
         self._static_key: Optional[tuple] = None
         (banked,), (self._dynamic,) = split_bank_devices(
             [[el for el in circuit.elements if el.nonlinear]])
@@ -209,51 +215,43 @@ class TwoPhaseAssembler:
         if banked:
             self.slab = CNFETSlab(CNFETBank(
                 banked, circuit.node_index, n, stats=device_stats), n)
-        if self.backend.is_sparse:
-            #: the step context; records the fallback's static triplets
-            self._static_ctx = TripletStampContext(n, circuit.node_index)
-            self._dyn_ctx = TripletStampContext(n, circuit.node_index)
-            #: sorted unique flat matrix positions (the pattern key;
-            #: _indices/_indptr hold its CSC form)
-            self._pattern_flat: Optional[np.ndarray] = None
-            self._indices: Optional[np.ndarray] = None
-            self._indptr: Optional[np.ndarray] = None
-            #: analysis mode (transient step or not) of the pattern
-            self._pattern_tran: Optional[bool] = None
-            #: CSC slots of the static entries: the groups' non-ground
-            #: ones, then the fallback triplets (flat positions in
-            #: _static_flat)
-            self._static_flat: Optional[np.ndarray] = None
-            self._static_map: Optional[np.ndarray] = None
-            #: CSC slot of every group entry of the mode (nnz: ground)
-            self._group_map: Optional[np.ndarray] = None
-            self._static_data: Optional[np.ndarray] = None
-            self._static_dirty = True
-            #: the static rhs of the step
-            self._static_rhs: Optional[np.ndarray] = None
-            #: flat positions of the non-bank dynamic triplets, and the
-            #: CSC slots of those followed by the bank's kept entries
-            self._dyn_flat: Optional[np.ndarray] = None
-            self._dyn_map: Optional[np.ndarray] = None
-            #: entry kinds of the bank in the pattern (8 DC, 17 tran)
-            #: and the bank's (17, P) CSC data slots (nnz: discarded)
-            self._bank_kinds = 0
-            self._bank_map: Optional[np.ndarray] = None
-            self._begun = False
-            #: assembled CSC data + rhs of the last iterate
-            self._system: Optional[tuple] = None
-            #: LU-factorisation reuse across iterations with identical
-            #: ``data`` (the Jacobian-reuse chord freezes the stamps,
-            #: so comparing the scattered values is enough)
-            self._lu_data: Optional[np.ndarray] = None
-            self._lu = None
-        else:
-            self._static_matrix = np.zeros((n, n))
-            self._static_rhs = np.zeros(n)
-            self._matrix = np.zeros((n, n))
-            self._rhs = np.zeros(n)
-            self._x_static = np.zeros(n)  # placeholder for phase 1
-            self._ctx: Optional[StampContext] = None
+        #: the step context; records the fallback's static triplets
+        self._static_ctx = TripletStampContext(n, circuit.node_index)
+        self._dyn_ctx = TripletStampContext(n, circuit.node_index)
+        #: sorted unique flat matrix positions (the pattern key;
+        #: _indices/_indptr hold its CSC form)
+        self._pattern_flat: Optional[np.ndarray] = None
+        self._indices: Optional[np.ndarray] = None
+        self._indptr: Optional[np.ndarray] = None
+        #: analysis mode (transient step or not) of the pattern
+        self._pattern_tran: Optional[bool] = None
+        #: CSC slots of the static entries: the groups' non-ground
+        #: ones, then the fallback triplets (flat positions in
+        #: _static_flat)
+        self._static_flat: Optional[np.ndarray] = None
+        self._static_map: Optional[np.ndarray] = None
+        #: CSC slot of every group entry of the mode (nnz: ground)
+        self._group_map: Optional[np.ndarray] = None
+        self._static_data: Optional[np.ndarray] = None
+        self._static_dirty = True
+        #: the static rhs of the step
+        self._static_rhs: Optional[np.ndarray] = None
+        #: flat positions of the non-bank dynamic triplets, and the
+        #: CSC slots of those followed by the bank's kept entries
+        self._dyn_flat: Optional[np.ndarray] = None
+        self._dyn_map: Optional[np.ndarray] = None
+        #: entry kinds of the bank in the pattern (8 DC, 17 tran)
+        #: and the bank's (17, P) CSC data slots (nnz: discarded)
+        self._bank_kinds = 0
+        self._bank_map: Optional[np.ndarray] = None
+        self._begun = False
+        #: assembled CSC data + rhs of the last iterate
+        self._system: Optional[tuple] = None
+        #: LU-factorisation reuse across iterations with identical
+        #: ``data`` (the Jacobian-reuse chord freezes the stamps, so
+        #: comparing the scattered values is enough)
+        self._lu_data: Optional[np.ndarray] = None
+        self._lu = None
 
     def begin_step(self, *, analysis: str = "dc",
                    time: Optional[float] = None, dt: Optional[float] = None,
@@ -261,62 +259,36 @@ class TwoPhaseAssembler:
                    gmin: float = 1e-12,
                    source_scale: float = 1.0) -> None:
         """Stamp the static (iterate-independent) part of the system:
-        the groups' values for this step, the fallback elements one by
-        one.  The static matrix is re-scattered only when its value key
-        ``(analysis, dt, method)`` changes (or the fallback stamps
-        matrix entries); the rhs every step."""
+        the groups' rhs for this step, the fallback elements one by
+        one.  The static matrix values are scattered with the next
+        iteration, once the pattern is known, and only when their
+        value key ``(analysis, dt, method)`` changed (or the fallback
+        stamps matrix entries)."""
         n = self.n
-        if self.backend.is_sparse:
-            ctx = self._static_ctx
-            ctx.clear()
-            ctx.analysis = analysis
-            ctx.time = time
-            ctx.dt = dt
-            ctx.x_prev = x_prev
-            ctx.method = method
-            ctx.gmin = gmin
-            ctx.source_scale = source_scale
-            self._static_dirty = True
-            self._begun = True
-        else:
-            ctx = StampContext(
-                matrix=self._static_matrix,
-                rhs=self._static_rhs,
-                node_index=self.circuit.node_index,
-                x=self._x_static,  # placeholder; static stamps never read x
-                analysis=analysis,
-                time=time,
-                dt=dt,
-                x_prev=x_prev,
-                method=method,
-                gmin=gmin,
-                source_scale=source_scale,
-            )
-            self._ctx = ctx
         phase = self._phase
-        flat, rows = phase.positions(transient_step(ctx))
+        ctx = self._static_ctx
+        if phase.fallback:  # the only stamps it records
+            ctx.clear()
+        ctx.analysis = analysis
+        ctx.time = time
+        ctx.dt = dt
+        ctx.x_prev = x_prev
+        ctx.method = method
+        ctx.gmin = gmin
+        ctx.source_scale = source_scale
+        self._static_dirty = True
+        self._begun = True
+        _, rows = phase.positions(transient_step(ctx))
         rhs = np.bincount(rows, weights=phase.rhs(ctx), minlength=n + 1)[:n]
-        if not self.backend.is_sparse:
-            key = (analysis, dt, method)
-            if key != self._static_key or phase.fallback:
-                self._static_matrix.reshape(-1)[:] = np.bincount(
-                    flat, weights=phase.matrix(ctx),
-                    minlength=n * n + 1)[:n * n]
-                self._static_key = key
-            self._static_rhs[:] = rhs
         for el in phase.fallback:
             el.stamp(ctx)
-        if self.backend.is_sparse:
-            # the matrix is scattered with the dynamic phase, once the
-            # pattern is known
-            self._static_rhs = rhs + ctx.rhs if phase.fallback else rhs
+        self._static_rhs = rhs + ctx.rhs if phase.fallback else rhs
         if self.slab is not None:
             self.slab.begin_step(ctx)
 
-    def iterate(self, x: np.ndarray,
-                reuse_tol: float = 0.0) -> StampContext:
-        """Companion system around iterate ``x``: static copy plus
-        nonlinear stamps.
+    def iterate(self, x: np.ndarray, reuse_tol: float = 0.0) -> None:
+        """Assemble the companion system around iterate ``x`` (kept for
+        :meth:`solve`): the static phase plus the nonlinear stamps.
 
         ``reuse_tol`` > 0 enables the Jacobian-reuse fast path for
         elements that support it (see
@@ -324,42 +296,26 @@ class TwoPhaseAssembler:
         controlling voltages moved less than the tolerance since its
         last evaluation may restamp from that frozen linearisation.
         """
-        if self.backend.is_sparse:
-            if not self._begun:
-                raise AnalysisError(
-                    "begin_step must be called before iterate")
-            src = self._static_ctx
-            ctx = self._dyn_ctx
+        if not self._begun:
+            raise AnalysisError("begin_step must be called before iterate")
+        src = self._static_ctx
+        ctx = self._dyn_ctx
+        ctx.x = x
+        ctx.analysis = src.analysis
+        ctx.time = src.time
+        ctx.dt = src.dt
+        ctx.x_prev = src.x_prev
+        ctx.method = src.method
+        ctx.gmin = src.gmin
+        ctx.source_scale = src.source_scale
+        ctx.reuse_tol = reuse_tol
+        if self._dynamic:
             ctx.clear()
-            ctx.x = x
-            ctx.analysis = src.analysis
-            ctx.time = src.time
-            ctx.dt = src.dt
-            ctx.x_prev = src.x_prev
-            ctx.method = src.method
-            ctx.gmin = src.gmin
-            ctx.source_scale = src.source_scale
-            ctx.reuse_tol = reuse_tol
             for el in self._dynamic:
                 el.stamp(ctx)
-            self._sparse_system(ctx)
-            return ctx
-        ctx = self._ctx
-        if ctx is None:
-            raise AnalysisError("begin_step must be called before iterate")
-        np.copyto(self._matrix, self._static_matrix)
-        np.copyto(self._rhs, self._static_rhs)
-        ctx.matrix = self._matrix
-        ctx.rhs = self._rhs
-        ctx.x = x
-        ctx.reuse_tol = reuse_tol
-        for el in self._dynamic:
-            el.stamp(ctx)
-        if self.slab is not None:
-            self.slab.stamp(ctx)
-        return ctx
+        self._assemble(ctx)
 
-    # -- sparse pattern bookkeeping -------------------------------------
+    # -- pattern bookkeeping --------------------------------------------
 
     def _rebuild_pattern(self, tran: bool, s_flat: np.ndarray,
                          d_flat: np.ndarray, kinds: int) -> None:
@@ -371,12 +327,12 @@ class TwoPhaseAssembler:
         ``kinds`` entries per device), so this runs once per run and
         mode in steady state; a mode switch (dc -> tran adds capacitor
         and charge-companion entries) or a fallback element changing
-        its entries is detected by :meth:`_sparse_system` and rebuilds
+        its entries is detected by :meth:`_assemble` and rebuilds
         automatically.  The pattern is stored directly in the CSC
-        layout SuperLU consumes and the scatter maps compose the
-        row-major -> column-major permutation, so per-iteration work is
-        value scatters — no matrix construction or format conversion.
-        The bank's entry table is composed through the same maps into
+        layout and the scatter maps compose the row-major ->
+        column-major permutation, so per-iteration work is value
+        scatters — no matrix construction or format conversion.  The
+        bank's entry table is composed through the same maps into
         :attr:`_bank_map`, which its fused stamp scatters through
         straight into the CSC data.
         """
@@ -408,12 +364,11 @@ class TwoPhaseAssembler:
         self._lu_data = None
         self._lu = None
 
-    def _sparse_system(self, ctx: TripletStampContext) -> None:
+    def _assemble(self, ctx: TripletStampContext) -> None:
         """Scatter the static phase, the recorded dynamic triplets and
         the bank's fused stamp into CSC data + rhs (kept for
         :meth:`solve`)."""
-        s_flat, s_val = self._static_ctx.triplets()
-        d_flat, d_val = ctx.triplets()
+        static = self._static_ctx
         tran = transient_step(ctx)
         kinds = 0
         if self.slab is not None:
@@ -421,53 +376,57 @@ class TwoPhaseAssembler:
         if (self._pattern_flat is None or kinds != self._bank_kinds
                 or tran != self._pattern_tran
                 or (self._static_dirty
-                    and not np.array_equal(s_flat, self._static_flat))
-                or not np.array_equal(d_flat, self._dyn_flat)):
-            self._rebuild_pattern(tran, s_flat, d_flat, kinds)
+                    and not _recorded(static, self._static_flat))
+                or not _recorded(ctx, self._dyn_flat)):
+            self._rebuild_pattern(tran, static.triplets()[0],
+                                  ctx.triplets()[0], kinds)
         if self._static_dirty:
             key = (ctx.analysis, ctx.dt, ctx.method)
-            if key != self._static_key or s_flat.size:
+            if key != self._static_key or static.count:
                 nnz = self._pattern_flat.size
                 self._static_data = np.bincount(
                     self._group_map,
-                    weights=self._phase.matrix(self._static_ctx),
+                    weights=self._phase.matrix(static),
                     minlength=nnz + 1)[:nnz]
-                if s_flat.size:
+                if static.count:
                     self._static_data += np.bincount(
-                        self._static_map[-s_flat.size:], weights=s_val,
-                        minlength=nnz)
+                        self._static_map[-static.count:],
+                        weights=static.triplets()[1], minlength=nnz)
                 self._static_key = key
             self._static_dirty = False
-        data = active_kernel_backend().scatter_accum(
-            self._static_data, self._dyn_map[:d_flat.size], d_val)
-        rhs = self._static_rhs + ctx.rhs
+        if ctx.count:
+            data = active_kernel_backend().scatter_accum(
+                self._static_data, self._dyn_map[:ctx.count],
+                ctx.triplets()[1])
+        else:
+            data = self._static_data.copy()
+        rhs = self._static_rhs + ctx.rhs if self._dynamic \
+            else self._static_rhs.copy()
         if kinds:
-            self.slab.stamp(ctx, target=(data, self._bank_map, rhs,
-                                         self.slab.r_idx))
+            self.slab.stamp(ctx, (data, self._bank_map, rhs,
+                                  self.slab.r_idx))
         self._system = (data, rhs)
 
     def solve(self) -> np.ndarray:
-        """Solve the assembled system through the active backend
-        (raises :class:`~repro.errors.AnalysisError` when singular)."""
-        if self.backend.is_sparse:
-            data, rhs = self._system
-            # Factorisation reuse: when the Jacobian-reuse chord froze
-            # every stamp, the scattered values are bit-identical to
-            # the previous iteration's and the (dominant) SuperLU
-            # factorisation can be skipped outright.
-            if self._lu is not None \
-                    and data.size == self._lu_data.size \
-                    and np.array_equal(data, self._lu_data):
-                return self._lu.solve(rhs)
-            lu = self.backend.factorize_csc(
-                self.n, data, self._indices, self._indptr)
-            if lu is not None:
-                self._lu = lu
-                self._lu_data = data
-                return lu.solve(rhs)
-            return self.backend.solve_csc(
-                self.n, data, self._indices, self._indptr, rhs)
-        return self.backend.solve_dense(self._matrix, self._rhs)
+        """Solve the assembled system through the backend (raises
+        :class:`~repro.errors.AnalysisError` when singular)."""
+        data, rhs = self._system
+        # Factorisation reuse: when the Jacobian-reuse chord froze
+        # every stamp, the scattered values are bit-identical to the
+        # previous iteration's and a backend's reusable factorisation
+        # (SuperLU's) can be skipped outright.
+        if self._lu is not None \
+                and data.size == self._lu_data.size \
+                and np.array_equal(data, self._lu_data):
+            return self._lu.solve(rhs)
+        lu = self.backend.factorize_csc(
+            self.n, data, self._indices, self._indptr)
+        if lu is not None:
+            self._lu = lu
+            self._lu_data = data
+            return lu.solve(rhs)
+        return self.backend.solve_csc(
+            self.n, data, self._indices, self._indptr, rhs)
 
 
 def newton_solve(circuit: Circuit, x0: np.ndarray,
@@ -484,7 +443,7 @@ def newton_solve(circuit: Circuit, x0: np.ndarray,
     """Damped Newton iteration; raises :class:`AnalysisError` on failure.
 
     Pass a reusable ``assembler`` (transient does, once per analysis) to
-    amortise buffer allocation across steps; ``backend`` selects the
+    amortise its pattern and buffers across steps; ``backend`` selects the
     linear-solver backend when no assembler is given.  When a ``stats``
     dict is supplied, ``"iterations"`` and ``"solves"`` counters are
     accumulated into it (the benchmark report reads them).  A ``cancel``

@@ -1,25 +1,26 @@
 """Pluggable linear-solver backends for the MNA engine.
 
 Every analysis solves ``A x = z`` systems produced by the two-phase
-assembler.  Historically that solve was a hard-wired dense
-``np.linalg.solve`` — adequate for tens of nodes, cubic-wall-time
-suicide for the thousand-node blocks the hierarchy layer can now
-build.  This module abstracts the solve (and, for the sparse backend,
-the matrix *representation*) behind :class:`LinearSolverBackend`:
+assembler, and the assembler builds one representation for every
+backend: the symbolic sparsity pattern in the CSC layout SuperLU
+consumes (``indices``/``indptr``, built once per run and analysis
+mode) plus a freshly scattered ``data`` vector per Newton iteration.
+Circuit matrices are sparse at every size, so one assembled pattern
+serves any factorisation; a :class:`LinearSolverBackend` only decides
+how to factor it:
 
-* :class:`DenseBackend` — the historical path, byte-for-byte: dense
-  preallocated stamping buffers, ``np.linalg.solve``.  Fastest below a
-  couple hundred unknowns where LAPACK's constant factors win.
-* :class:`SparseBackend` — the assembler emits COO triplets instead of
-  writing a dense matrix, the symbolic sparsity pattern (stored in
-  the CSC layout SuperLU consumes) and the static/dynamic scatter
-  index maps are built **once per run** (they only depend on the
-  circuit topology and the analysis mode, mirroring the
-  static/dynamic split of the two-phase assembler), and each Newton
-  iteration scatters values and factorises with
-  ``scipy.sparse.linalg.splu``.  When scipy is absent the same
-  triplets are scattered into a dense matrix and solved with pure
-  numpy, so the backend stays importable and correct everywhere.
+* :class:`DenseBackend` — scatters ``data`` into a dense matrix
+  through row-major positions cached per pattern and solves it with
+  LAPACK (``np.linalg.solve``).  Fastest below a couple hundred
+  unknowns, where LAPACK's constant factors win.
+* :class:`SparseBackend` — factorises the CSC system with
+  ``scipy.sparse.linalg.splu`` (on the compiled kernel tier, a
+  frozen-pivot numeric refactorisation replays the first SuperLU
+  factorisation).  Without scipy it solves through the dense backend,
+  so it stays importable and correct everywhere.
+
+Both also solve the lane-batched engine's ``(B, n, n)`` dense stacks
+(:meth:`LinearSolverBackend.solve_stacked`).
 
 :func:`resolve_backend` picks a backend: explicit ``"dense"`` /
 ``"sparse"`` strings (or instances) are honoured, ``"auto"`` /
@@ -30,8 +31,7 @@ crossover for MNA-shaped matrices on this codebase's workloads.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -68,33 +68,24 @@ SPARSE_AUTO_MIN_DIM = 256
 class LinearSolverBackend:
     """Interface of a linear-solver backend.
 
-    A backend owns the *solve* of the assembled MNA system; the sparse
-    backend additionally changes how the assembler represents the
-    matrix (COO triplets instead of a dense buffer — see
-    :class:`repro.circuit.mna.TwoPhaseAssembler`).  Backends are
-    stateless across solves and may be shared between assemblers.
+    A backend factors the assembled MNA system; it does not change how
+    the assembler (:class:`repro.circuit.mna.TwoPhaseAssembler`)
+    represents it, which is always a CSC pattern plus a data vector.
+    Backends keep only per-pattern caches across solves and may be
+    shared between assemblers.
     """
 
     #: registry name (``"dense"`` / ``"sparse"``)
     name: str = "?"
-    #: True when the assembler should emit COO triplets for this
-    #: backend instead of stamping a dense matrix.
-    is_sparse: bool = False
-
-    def solve_dense(self, matrix: np.ndarray, rhs: np.ndarray
-                    ) -> np.ndarray:
-        """Solve one dense system (raises
-        :class:`~repro.errors.AnalysisError` when singular)."""
-        raise NotImplementedError
 
     def solve_csc(self, n: int, data: np.ndarray, indices: np.ndarray,
                   indptr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve one CSC-represented system (sparse assembly path).
+        """Solve one CSC-represented system (raises
+        :class:`~repro.errors.AnalysisError` when singular).
 
         The assembler hands over its cached symbolic structure
         (``indices``/``indptr``, constant per run) with a freshly
-        scattered ``data`` vector — already in the column-major order
-        SuperLU consumes, so no format conversion happens here.
+        scattered ``data`` vector, real or complex.
         """
         raise NotImplementedError
 
@@ -121,6 +112,46 @@ class LinearSolverBackend:
         cheap ``np.array_equal``).
         """
         return None
+
+
+def _singular(exc: Exception) -> AnalysisError:
+    """The singular-matrix diagnosis of a failed factorisation."""
+    return AnalysisError(
+        f"singular MNA matrix ({exc}); check for floating nodes")
+
+
+#: patterns a backend keeps per-pattern objects for (about one per
+#: live assembler pattern)
+_PATTERN_CACHE_MAX = 8
+
+
+class _PatternCache:
+    """Per-pattern objects of a backend, most recently used first.
+
+    A pattern is identified by its ``indices``/``indptr`` arrays, which
+    are constant per assembler; the entries hold them, so the identity
+    test is exact.  The entry tuple is replaced, never mutated, so a
+    lookup needs no lock although backends are shared between threads
+    (a lost concurrent insert only means one more ``build``).
+    """
+
+    def __init__(self) -> None:
+        self._entries: tuple = ()
+
+    def get(self, n: int, indices: np.ndarray, indptr: np.ndarray,
+            build: Callable[[], object]):
+        """The object cached for the pattern, ``build()`` on a miss."""
+        entries = self._entries
+        for entry in entries:
+            if entry[0] is indices and entry[1] is indptr \
+                    and entry[2] == n:
+                if entry is not entries[0]:
+                    self._entries = (entry,) + tuple(
+                        e for e in entries if e is not entry)
+                return entry[3]
+        entry = (indices, indptr, n, build())
+        self._entries = (entry,) + entries[:_PATTERN_CACHE_MAX - 1]
+        return entry[3]
 
 
 def csc_pattern(n: int, *flats: np.ndarray):
@@ -254,20 +285,38 @@ class _RefactorLU:
                     return x
             return splu(matrix).solve(rhs)  # pragma: no cover
         except RuntimeError as exc:  # pragma: no cover - singular
-            raise AnalysisError(
-                f"singular MNA matrix ({exc}); check for floating nodes"
-            ) from exc
+            raise _singular(exc) from exc
 
 
 class DenseBackend(LinearSolverBackend):
-    """Dense LAPACK solves on the assembler's preallocated buffers.
+    """Dense LAPACK solves of the assembled CSC system.
 
-    The historical engine behaviour, byte for byte — every analysis
-    that predates the backend layer ran exactly this path.
+    :meth:`solve_csc` scatters ``data`` into an ``n x n`` matrix kept
+    per pattern, through the pattern's row-major positions, and hands
+    it to :meth:`solve_dense`, so every dense solve factorises afresh.
+    Only the pattern's positions are ever written, so the rest of the
+    matrix stays zero.  Keeping the matrix matters from a few hundred
+    unknowns: a freshly allocated one made each LAPACK solve about a
+    third slower at n = 708 (rca32, 2-core VM).
     """
 
     name = "dense"
-    is_sparse = False
+
+    def __init__(self) -> None:
+        #: pattern -> (row-major position of every CSC data slot, the
+        #: pattern's dense matrix)
+        self._scatter = _PatternCache()
+
+    def solve_csc(self, n: int, data: np.ndarray, indices: np.ndarray,
+                  indptr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Scatter dense, then :meth:`solve_dense`."""
+        flat, matrix = self._scatter.get(n, indices, indptr, lambda: (
+            np.repeat(np.arange(n), np.diff(indptr)) + indices * n,
+            np.zeros((n, n), dtype=data.dtype)))
+        if matrix.dtype != data.dtype:
+            matrix = np.zeros((n, n), dtype=data.dtype)
+        matrix.put(flat, data)
+        return self.solve_dense(matrix, rhs)
 
     def solve_dense(self, matrix: np.ndarray, rhs: np.ndarray
                     ) -> np.ndarray:
@@ -275,9 +324,7 @@ class DenseBackend(LinearSolverBackend):
         try:
             return np.linalg.solve(matrix, rhs)
         except np.linalg.LinAlgError as exc:
-            raise AnalysisError(
-                f"singular MNA matrix ({exc}); check for floating nodes"
-            ) from exc
+            raise _singular(exc) from exc
 
     def solve_stacked(self, matrices: np.ndarray, rhs: np.ndarray
                       ) -> np.ndarray:
@@ -290,35 +337,27 @@ class DenseBackend(LinearSolverBackend):
 
 
 class SparseBackend(LinearSolverBackend):
-    """SuperLU factorisation of the triplet-assembled CSC system.
+    """SuperLU factorisation of the assembled CSC system.
 
     The assembler hands over the (per-run constant) CSC pattern plus a
     freshly scattered data vector each Newton iteration;
     ``scipy.sparse.linalg.splu`` factorises and solves.  Without scipy
-    the triplets are scattered into a dense matrix and solved with
-    numpy — same answers, none of the asymptotic win, zero hard
-    dependency.
+    every solve goes through the dense backend — same answers, none of
+    the asymptotic win, zero hard dependency.
     """
 
     name = "sparse"
-    is_sparse = True
-
-    #: retained CSC templates (the matrix-shell cache in
-    #: :meth:`_template` keeps one per live assembler pattern)
-    _TEMPLATE_CACHE_MAX = 8
 
     def __init__(self) -> None:
-        # (id(indices), id(indptr), n) -> (indices, indptr, csc) — the
-        # strong refs pin the keyed arrays so their ids stay valid.
-        self._templates: "OrderedDict[tuple, tuple]" = OrderedDict()
-        # same keying -> (indices, indptr, _LuSymbolic) for the
-        # compiled frozen-pivot refactorization lane
-        self._symbolics: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: pattern -> reusable ``csc_matrix`` shell (see _template)
+        self._templates = _PatternCache()
+        #: pattern -> _LuSymbolic of the compiled refactorisation lane
+        self._symbolics = _PatternCache()
 
     def _template(self, n: int, data: np.ndarray, indices: np.ndarray,
                   indptr: np.ndarray):
         """Cached ``csc_matrix`` shell for a (per-run constant)
-        symbolic pattern.
+        symbolic pattern, holding ``data``.
 
         Building a ``csc_matrix`` from raw arrays re-runs index-dtype
         selection, downcast copies and format validation on every
@@ -326,42 +365,27 @@ class SparseBackend(LinearSolverBackend):
         pattern arrays are constant per assembler, so the shell is
         built once and only its ``data`` vector is swapped per solve.
         """
-        key = (id(indices), id(indptr), n)
-        hit = self._templates.get(key)
-        if hit is not None and hit[0] is indices and hit[1] is indptr:
-            matrix = hit[2]
-            self._templates.move_to_end(key)
-        else:
-            matrix = csc_matrix(
-                (data, indices.astype(np.int32),
-                 indptr.astype(np.int32)), shape=(n, n))
-            self._templates[key] = (indices, indptr, matrix)
-            while len(self._templates) > self._TEMPLATE_CACHE_MAX:
-                self._templates.popitem(last=False)
+        matrix = self._templates.get(n, indices, indptr, lambda: (
+            csc_matrix((data, indices.astype(np.int32),
+                        indptr.astype(np.int32)), shape=(n, n))))
         matrix.data = data
         return matrix
 
     def solve_csc(self, n: int, data: np.ndarray, indices: np.ndarray,
                   indptr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Factorise-and-solve one CSC system."""
-        if not HAVE_SCIPY:  # pure-numpy fallback: scatter dense
-            matrix = np.zeros((n, n), dtype=data.dtype)
-            for col in range(n):
-                matrix[indices[indptr[col]:indptr[col + 1]], col] = \
-                    data[indptr[col]:indptr[col + 1]]
-            return DenseBackend().solve_dense(matrix, rhs)
+        if not HAVE_SCIPY:
+            return _DENSE.solve_csc(n, data, indices, indptr, rhs)
         try:
-            lu = splu(self._template(n, data, indices, indptr))
-            return lu.solve(rhs)
+            return splu(self._template(n, data, indices,
+                                       indptr)).solve(rhs)
         except RuntimeError as exc:  # "Factor is exactly singular"
-            raise AnalysisError(
-                f"singular MNA matrix ({exc}); check for floating nodes"
-            ) from exc
+            raise _singular(exc) from exc
 
     def factorize_csc(self, n: int, data: np.ndarray,
                       indices: np.ndarray, indptr: np.ndarray):
         """Factor object (``.solve(rhs)``), or ``None`` without scipy
-        (the dense fallback has nothing to reuse).
+        (the dense solve has nothing to reuse).
 
         With the compiled kernel tier active this is the frozen-pivot
         refactorization lane: the (per-run constant) L/U patterns and
@@ -375,24 +399,12 @@ class SparseBackend(LinearSolverBackend):
         if not HAVE_SCIPY:
             return None
         kern = active_kernel_backend()
-        if getattr(kern, "lu_refactor", None) is None:
-            try:
-                return splu(self._template(n, data, indices, indptr))
-            except RuntimeError as exc:
-                raise AnalysisError(
-                    f"singular MNA matrix ({exc}); check for floating "
-                    f"nodes") from exc
-        key = (id(indices), id(indptr), n)
-        hit = self._symbolics.get(key)
-        if hit is not None and hit[0] is indices and hit[1] is indptr:
-            sym = hit[2]
-            self._symbolics.move_to_end(key)
-        else:
-            sym = _LuSymbolic(n, indices, indptr)
-            self._symbolics[key] = (indices, indptr, sym)
-            while len(self._symbolics) > self._TEMPLATE_CACHE_MAX:
-                self._symbolics.popitem(last=False)
         try:
+            if getattr(kern, "lu_refactor", None) is None:
+                return splu(self._template(n, data, indices, indptr))
+            sym = self._symbolics.get(
+                n, indices, indptr,
+                lambda: _LuSymbolic(n, indices, indptr))
             if sym.refreshes == 0:
                 sym.refresh(self._template(n, data, indices, indptr))
             if kern.lu_refactor(sym, data) != 0:
@@ -403,23 +415,7 @@ class SparseBackend(LinearSolverBackend):
                     return splu(self._template(n, data, indices, indptr))
             return _RefactorLU(self, kern, sym, data)
         except RuntimeError as exc:
-            raise AnalysisError(
-                f"singular MNA matrix ({exc}); check for floating nodes"
-            ) from exc
-
-    def solve_dense(self, matrix: np.ndarray, rhs: np.ndarray
-                    ) -> np.ndarray:
-        """Dense systems still solve (AC hands the backend dense
-        ``G``/``C`` buffers); scipy converts, numpy falls back."""
-        if not HAVE_SCIPY:
-            return DenseBackend().solve_dense(matrix, rhs)
-        try:
-            lu = splu(csc_matrix(matrix))
-            return lu.solve(rhs)
-        except RuntimeError as exc:
-            raise AnalysisError(
-                f"singular MNA matrix ({exc}); check for floating nodes"
-            ) from exc
+            raise _singular(exc) from exc
 
     def solve_stacked(self, matrices: np.ndarray, rhs: np.ndarray
                       ) -> np.ndarray:
@@ -433,7 +429,7 @@ class SparseBackend(LinearSolverBackend):
         starts picking this backend.
         """
         if not HAVE_SCIPY:
-            return DenseBackend().solve_stacked(matrices, rhs)
+            return _DENSE.solve_stacked(matrices, rhs)
         out = np.empty_like(rhs)
         for i in range(matrices.shape[0]):
             try:

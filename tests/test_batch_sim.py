@@ -564,6 +564,38 @@ class TestSourceLaneCache:
             (w for w in fresh if id(w) == old_id), fresh[-1])
         assert stamp() == [2.0, 1.0]
 
+    def test_one_lane_waveform_swap_reaches_the_next_rhs(self):
+        """The group re-reads its waveforms only after a swap: swapping
+        one lane's source (for a level, a plain number or a pulse)
+        changes that lane's value in the next ``rhs`` and no other."""
+        circuits = []
+        for _ in range(3):
+            circuit = Circuit()
+            circuit.add(VoltageSource("v1", "a", "0", 1.0))
+            circuit.add(Resistor("r1", "a", "0", 1e3))
+            circuits.append(circuit)
+        n = circuits[0].dimension()
+        sources = [c.element("v1") for c in circuits]
+        group = VoltageSource.static_group(
+            [[source] for source in sources], circuits[0].node_index, n)
+        ctx = LaneContext(np.zeros((3, n + 1, n + 1)),
+                          np.zeros((3, n + 1)), circuits[0].node_index,
+                          np.zeros((3, n)), np.arange(3),
+                          analysis="tran", time=5e-12, dt=1e-12)
+
+        def stamp():
+            return group.rhs(ctx).tolist()
+
+        assert stamp() == [1.0, 1.0, 1.0]
+        sources[1].waveform = DC(0.25)
+        assert stamp() == [1.0, 0.25, 1.0]
+        sources[2].waveform = 0.5
+        assert stamp() == [1.0, 0.25, 0.5]
+        sources[0].waveform = Pulse(0.0, 0.6, 1e-12, 1e-12, 1e-12,
+                                    1e-11, 2e-11)
+        assert stamp() == [0.6, 0.25, 0.5]
+        assert stamp() == [0.6, 0.25, 0.5]
+
 
 class TestRecordCurrentsModes:
     def test_scalar_sources_mode_skips_cnfet_postpass(self, family):

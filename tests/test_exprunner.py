@@ -319,6 +319,8 @@ class TestSuiteAndCli:
         assert names["compiled_hot_path"] == ["rca32", "vsc_parity"]
         assert names["smoke"] == ["ring_smoke"]
         assert names["bypass"] == ["hold", "pulse"]
+        assert names["crossover"] == ["rca_tran", "ring3_tran",
+                                      "chain_sweep"]
 
     def test_cli_run_resume_report(self, tmp_path):
         config_path = tmp_path / "exp.json"

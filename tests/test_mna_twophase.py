@@ -33,6 +33,8 @@ from repro.errors import AnalysisError
 from repro.experiments.workloads import default_device_parameters
 from repro.pwl.device import CNFET
 
+from assembled_system import dense_system
+
 
 def _mixed_circuit() -> Circuit:
     c = Circuit("mixed linear/nonlinear")
@@ -90,14 +92,8 @@ def _linear_circuit() -> Circuit:
 
 def _assembled(asm: TwoPhaseAssembler, x: np.ndarray):
     """Dense matrix and rhs of either backend's system around ``x``."""
-    got = asm.iterate(x)
-    if not asm.backend.is_sparse:
-        return got.matrix, got.rhs
-    data, rhs = asm._system
-    matrix = np.zeros((asm.n, asm.n))
-    cols = np.repeat(np.arange(asm.n), np.diff(asm._indptr))
-    matrix[asm._indices, cols] = data
-    return matrix, rhs
+    asm.iterate(x)
+    return dense_system(asm)
 
 
 def _partitioned_rhs(asm: PartitionedAssembler, row: int) -> float:
@@ -186,12 +182,12 @@ class TestAssemblyEquivalence:
         x = np.zeros(c.dimension())
         asm = TwoPhaseAssembler(c)
         asm.begin_step()
-        first = asm.iterate(x)
-        m1 = first.matrix.copy()
-        z1 = first.rhs.copy()
-        second = asm.iterate(x)
-        np.testing.assert_array_equal(second.matrix, m1)
-        np.testing.assert_array_equal(second.rhs, z1)
+        asm.iterate(x)
+        m1, z1 = (a.copy() for a in dense_system(asm))
+        asm.iterate(x)
+        m2, z2 = dense_system(asm)
+        np.testing.assert_array_equal(m2, m1)
+        np.testing.assert_array_equal(z2, z1)
 
     def test_iterate_before_begin_rejected(self):
         c = _mixed_circuit()
@@ -202,9 +198,9 @@ class TestAssemblyEquivalence:
         c = _mixed_circuit()
         asm = TwoPhaseAssembler(c)
         asm.begin_step(source_scale=0.5)
-        half = asm.iterate(np.zeros(c.dimension())).rhs.copy()
+        half = _assembled(asm, np.zeros(c.dimension()))[1].copy()
         asm.begin_step(source_scale=1.0)
-        full = asm.iterate(np.zeros(c.dimension())).rhs.copy()
+        full = _assembled(asm, np.zeros(c.dimension()))[1].copy()
         vdd = c.element("vdd")
         assert half[vdd.aux_index] == pytest.approx(
             0.5 * full[vdd.aux_index])
