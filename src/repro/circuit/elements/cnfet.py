@@ -45,7 +45,7 @@ from repro.circuit.elements.base import (
 )
 from repro.errors import ParameterError
 from repro.pwl.batch import StackedCurves, StackedVscSolver
-from repro.pwl.device import CNFET, _log1pexp_many
+from repro.pwl.device import CNFET
 from repro.pwl.kernels import N_ANCHOR, active_kernel_backend
 from repro.reference.fettoy import FETToyModel
 
@@ -64,11 +64,6 @@ from repro.reference.fettoy import FETToyModel
 #: radii trade quadratic for linear convergence mid-transient and lose
 #: outright.
 _SLAB_CHORD_RADIUS_V = 1e-4
-
-#: bias points per stacked VSC pass of :meth:`_Backend.ids_many`
-#: (bounds the pass's temporaries to a few MB each)
-_IDS_CHUNK = 1 << 18
-
 
 def _log1pexp(x: float) -> float:
     """Stable ``log(1 + exp(x))`` (order-0 Fermi-Dirac integral)."""
@@ -99,8 +94,6 @@ class _Backend:
             self.ef = device._ef
             self.pref = device._i_prefactor
             self._solve = lambda vgs, vds: device.solver.solve(vgs, vds, 0.0)
-            #: one-lane stacked solver of :meth:`ids_many` (built on use)
-            self._stacked = None
             self._q = device.fitted.curve.value
             self._dq = device.fitted.curve.derivative
         elif isinstance(device, FETToyModel):
@@ -170,31 +163,15 @@ class _Backend:
 
     def ids_many(self, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
         """Vectorized drain currents (n-frame), for waveform post-
-        processing; mirrors :meth:`evaluate`'s current arithmetic.
-
-        A fast-backend device solves VSC through a one-lane
-        :class:`~repro.pwl.batch.StackedVscSolver` hinted with the
-        root without mobile charge (the Laplace solution, within a few
-        regions of the root), in passes of at most ``_IDS_CHUNK``
-        points."""
+        processing: the fast device's batched n-frame current (the
+        ``ids_batch`` path), a loop of :meth:`evaluate` for FETToy."""
         device = self.device
-        if not isinstance(device, CNFET):
-            return np.asarray([
-                self.evaluate(float(g), float(d))[0]
-                for g, d in zip(vgs, vds)
-            ])
-        if self._stacked is None:
-            self._stacked = StackedVscSolver([device.solver])
-        caps = self.caps
-        vsc = np.empty(len(vgs))
-        for lo in range(0, vsc.size, _IDS_CHUNK):
-            g, d = vgs[lo:lo + _IDS_CHUNK], vds[lo:lo + _IDS_CHUNK]
-            hint = -(caps.cg * g + caps.cd * d) / caps.csum
-            vsc[lo:lo + g.size] = self._stacked.solve(
-                g, d, hint, table=np.zeros(g.size, dtype=np.int64))
-        eta_s = (self.ef - vsc) / self.kt
-        eta_d = eta_s - vds / self.kt
-        return self.pref * (_log1pexp_many(eta_s) - _log1pexp_many(eta_d))
+        if isinstance(device, CNFET):
+            return device._ids_n_batch(vgs, vds, 0.0)
+        return np.asarray([
+            self.evaluate(float(g), float(d))[0]
+            for g, d in zip(vgs, vds)
+        ])
 
 
 # Terminal rows of the bank's node table.
@@ -261,8 +238,9 @@ class CNFETBank:
 
     ``P`` devices (possibly all different) evaluate together: inner
     self-consistent voltages through
-    :class:`~repro.pwl.batch.StackedVscSolver` tables (hint-warmed
-    closed forms, scalar fallback on region drift), charge-curve values
+    :class:`~repro.pwl.batch.StackedVscSolver` tables (closed forms on
+    the hinted, then the located region pair, with the scalar solve as
+    the last resort), charge-curve values
     and derivatives through :class:`~repro.pwl.batch.StackedCurves`
     tables, and every downstream quantity — currents, analytic
     small-signal and charge partials, companion residuals — is the

@@ -1,30 +1,19 @@
-"""Vectorized closed-form root finding (the batch twin of
-:mod:`repro.pwl.polynomials`).
+"""Vectorized closed-form root finding and the stacked VSC solve.
 
-Two layers:
-
-* :func:`real_roots_batch` — the generic mirror of ``real_roots``: same
-  degree-reduction tolerances, same Cardano / Viete branches, arbitrary
-  per-lane coefficients.
-* the **folded** pipeline (:func:`fold_row` + :func:`solve_folded`) —
-  the measured hot path.  The self-consistent solver's per-lane equation
-  ``V + qt - poly(V) = 0`` shares ``(c1, c2, c3)`` across every lane of
-  one (VDS, interval) bucket; only ``c0`` carries the bias point.  All
-  bias-independent algebra (monic normalization, depressed-cubic
-  constants, Viete scale factors, degree classification) is folded into
-  a per-bucket constant row at table-build time, so one batched solve
-  costs a gather plus ~15 array operations instead of re-deriving the
-  closed form per lane.
-
-Neither layer runs the scalar path's Newton polish: closed-form roots
-of the well-conditioned solver equations are accurate to a few ulp, and
-the caller residual-validates every lane (with a scalar fallback), so a
-polish would only re-round healthy lanes.
-
-Callers wrap calls in ``np.errstate`` suppression — inactive lanes
-intentionally evaluate to NaN/inf before masking.  Roots come back as
-``[N, 3]`` NaN-padded and unsorted; selection by window membership and
-residual is order-free.
+* :func:`real_roots_batch` — the batch twin of
+  :func:`repro.pwl.polynomials.real_roots`: same degree-reduction
+  tolerance, same Cardano / Viete branches, per-lane coefficients.  It
+  runs no Newton polish: closed-form roots of the well-conditioned
+  solver equations are accurate to a few ulp, and the caller
+  residual-validates every lane (with a scalar fallback), so a polish
+  would only re-round healthy lanes.  Roots come back as ``[N, 3]``
+  NaN-padded and unsorted; selection by window membership and residual
+  is order-free.  Callers suppress floating-point warnings — inactive
+  lanes evaluate to NaN/inf before masking.
+* :class:`StackedCurves` / :class:`StackedVscSolver` — per-lane charge
+  curves and the self-consistent-voltage solve over them, the one
+  batched solve every caller shares (its loops live in the kernel
+  tiers, :mod:`repro.pwl.kernels`).
 """
 
 from __future__ import annotations
@@ -34,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.pwl.polynomials import _DEGREE_TOL
+from repro.pwl.kernels import DEGREE_TOL
 
 _EPS = 2.220446049250313e-16
 
@@ -42,234 +31,27 @@ _EPS = 2.220446049250313e-16
 _PHI1 = 2.0 * math.pi * 1 / 3.0
 _PHI2 = 2.0 * math.pi * 2 / 3.0
 
-# ----------------------------------------------------------------------
-# Folded constant rows
-# ----------------------------------------------------------------------
-
-#: column layout of a folded row (see :func:`fold_row`)
-CLS, M0, C1, C2, C3, LO, HI, INV_C3, A_THIRD, Q_CONST, TP3, M_VIETE, PM, \
-    C1SQ, K4, TWO_C2, NCOLS = range(17)
-
-
-class FoldedTables:
-    """Column-major view of folded rows: one contiguous 1-D array per
-    constant, so the hot path gathers only the columns a lane class
-    needs (2-D row gathers plus strided column views measurably lose to
-    1-D takes at sweep sizes)."""
-
-    __slots__ = ("cls", "m0", "c1", "c2", "c3", "lo", "hi", "inv_c3",
-                 "a_third", "q_const", "tp3", "m_viete", "pm", "c1sq",
-                 "k4", "two_c2", "width")
-
-    def __init__(self, rows: np.ndarray) -> None:
-        cols = [np.ascontiguousarray(rows[:, k]) for k in range(NCOLS)]
-        self.cls = cols[CLS].astype(np.int8)
-        (self.m0, self.c1, self.c2, self.c3, self.lo, self.hi,
-         self.inv_c3, self.a_third, self.q_const, self.tp3, self.m_viete,
-         self.pm, self.c1sq, self.k4, self.two_c2) = cols[M0:TWO_C2 + 1]
-        #: candidate-root columns any lane of these tables can produce
-        self.width = 3 if (self.cls == 3).any() else 2
-
-
-def fold_row(poly, lo: float, hi: float):
-    """Constant row for one (VDS, interval) bucket.
-
-    ``poly`` holds ascending coefficients of the bucket's charge
-    polynomial ``p``; the solved equation is ``qt + V - p(V) = 0`` i.e.
-    ``c0 = qt - p0``, ``c1 = 1 - p1``, ``c2 = -p2``, ``c3 = -p3``.  All
-    scalar arithmetic below mirrors ``polynomials.solve_cubic`` exactly
-    so folded results match the scalar solver bit-for-bit wherever libm
-    agrees.
-
-    The degree class stored in ``CLS`` is computed with ``scale =
-    max(|c1|, |c2|, |c3|)`` — without the bias-dependent ``|c0|`` the
-    scalar ``real_roots`` also folds in.  A lane whose ``|c0|`` is so
-    large that it would flip the scalar classification produces a root
-    that fails the caller's residual validation and is re-solved
-    scalar-side, so the difference cannot leak into results.
-    """
-    p0 = float(poly[0]) if len(poly) > 0 else 0.0
-    p1 = float(poly[1]) if len(poly) > 1 else 0.0
-    p2 = float(poly[2]) if len(poly) > 2 else 0.0
-    p3 = float(poly[3]) if len(poly) > 3 else 0.0
-    c1 = 1.0 + (-p1)
-    c2 = -p2
-    c3 = -p3
-    scale = max(abs(c1), abs(c2), abs(c3))
-    row = [0.0] * NCOLS
-    row[M0] = -p0
-    row[C1], row[C2], row[C3] = c1, c2, c3
-    row[LO], row[HI] = lo, hi
-    if scale == 0.0:
-        return row  # constant equation: lanes go to the scalar fallback
-    tol = _DEGREE_TOL * scale
-    if abs(c3) < tol:
-        c3 = 0.0
-    if c3 == 0.0 and abs(c2) < tol:
-        c2 = 0.0
-    if c3 == 0.0 and c2 == 0.0 and abs(c1) < tol:
-        c1 = 0.0
-    if c3 != 0.0:
-        row[CLS] = 3.0
-        a = c2 / c3
-        b = c1 / c3
-        a_third = a / 3.0
-        p = b - a * a_third
-        third_p = p / 3.0
-        row[INV_C3] = 1.0 / c3
-        row[A_THIRD] = a_third
-        row[Q_CONST] = 2.0 * a * a * a / 27.0 - a * b / 3.0
-        row[TP3] = third_p * third_p * third_p
-        if third_p < 0.0:
-            m = 2.0 * math.sqrt(-third_p)
-            row[M_VIETE] = m
-            row[PM] = p * m
-        else:
-            # p >= 0 forces disc > 0 (lone Cardano root); the Viete
-            # constants are never read.
-            row[M_VIETE] = math.nan
-            row[PM] = math.nan
-    elif c2 != 0.0:
-        row[CLS] = 2.0
-        row[C1SQ] = c1 * c1
-        row[K4] = 4.0 * c2
-        row[TWO_C2] = 2.0 * c2
-    elif c1 != 0.0:
-        row[CLS] = 1.0
-    return row
-
-
-def solve_folded(t: FoldedTables, rowidx: np.ndarray, eq0: np.ndarray,
-                 cls: np.ndarray, roots: np.ndarray) -> None:
-    """Roots of ``qt + V - p(V) = 0`` into ``roots`` (``[N, width]``,
-    NaN-prefilled), for lanes addressing folded rows ``rowidx``.
-
-    ``cls`` is the pre-gathered class column.  Lanes this pipeline
-    cannot serve (true double roots, classification edge cases) keep
-    their NaN padding and are re-solved scalar-side by the caller's
-    residual validation.
-    """
-    n = eq0.shape[0]
-    counts = np.bincount(cls, minlength=4)
-
-    if counts[3]:
-        if counts[3] == n:
-            lane, sidx, e0 = None, rowidx, eq0
-        else:
-            lane = np.flatnonzero(cls == 3)
-            sidx = rowidx[lane]
-            e0 = eq0[lane]
-        c = e0 * t.inv_c3[sidx]
-        q = t.q_const[sidx] + c
-        half_q = 0.5 * q
-        disc = half_q * half_q + t.tp3[sidx]
-        a_third = t.a_third[sidx]
-        pos = disc > 0.0
-        n_pos = np.count_nonzero(pos)
-        # disc == 0.0 exactly (a true double root) is left NaN for the
-        # scalar fallback; unlike the scalar path no noise floor is
-        # applied — near-degenerate lanes either agree to a few ulp or
-        # fail residual validation and fall back.
-        out = roots if lane is None else np.full((lane.size, 3), np.nan)
-        if n_pos == e0.shape[0]:
-            _cardano(half_q, disc, a_third, out, None)
-        else:
-            neg = disc < 0.0
-            if np.count_nonzero(neg) == e0.shape[0]:
-                _viete(q, t.m_viete[sidx], t.pm[sidx], a_third, out, None)
-            else:
-                if n_pos:
-                    _cardano(half_q, disc, a_third, out,
-                             np.flatnonzero(pos))
-                if neg.any():
-                    _viete(q, t.m_viete[sidx], t.pm[sidx], a_third, out,
-                           np.flatnonzero(neg))
-        if lane is not None:
-            roots[lane] = out
-
-    if not (counts[2] or counts[1]):
-        return
-    if counts[3] == 0:
-        # No cubic lanes: evaluate the quadratic closed form unmasked
-        # and overlay the linear formula — one pass beats two
-        # extractions when the classes interleave (model1 sweeps).
-        c1 = t.c1[rowidx]
-        quad = cls == 2
-        disc = t.c1sq[rowidx] - t.k4[rowidx] * eq0
-        sqrt_disc = np.sqrt(disc)       # NaN for disc < 0: no real roots
-        q = -0.5 * (c1 + np.copysign(sqrt_disc, c1))
-        r0 = np.where(quad, q / t.c2[rowidx], -eq0 / c1)
-        nz = q != 0.0
-        r1 = np.where(quad & nz, eq0 / np.where(nz, q, 1.0),
-                      np.where(quad, 0.0, np.nan))
-        double = disc == 0.0
-        if double.any():
-            r0 = np.where(double & quad, -c1 / t.two_c2[rowidx], r0)
-            r1 = np.where(double & quad, np.nan, r1)
-        roots[:, 0] = r0
-        roots[:, 1] = r1
-        return
-
-    if counts[2]:
-        lane = np.flatnonzero(cls == 2)
-        sidx = rowidx[lane]
-        e0 = eq0[lane]
-        c1 = t.c1[sidx]
-        disc = t.c1sq[sidx] - t.k4[sidx] * e0
-        sqrt_disc = np.sqrt(disc)       # NaN for disc < 0: no real roots
-        q = -0.5 * (c1 + np.copysign(sqrt_disc, c1))
-        r0 = q / t.c2[sidx]
-        nz = q != 0.0
-        r1 = np.where(nz, e0 / np.where(nz, q, 1.0), 0.0)
-        double = disc == 0.0
-        if double.any():
-            r0 = np.where(double, -c1 / t.two_c2[sidx], r0)
-            r1 = np.where(double, np.nan, r1)
-        roots[lane, 0] = r0
-        roots[lane, 1] = r1
-
-    if counts[1]:
-        lane = np.flatnonzero(cls == 1)
-        roots[lane, 0] = -eq0[lane] / t.c1[rowidx[lane]]
-
 
 def _cardano(half_q, disc, a_third, roots, idx) -> None:
-    """One real root: ``cbrt(-q/2 + sqrt(D)) + cbrt(-q/2 - sqrt(D))``."""
-    if idx is not None:
-        half_q, disc, a_third = half_q[idx], disc[idx], a_third[idx]
+    """One real root of the lanes ``idx``:
+    ``cbrt(-q/2 + sqrt(D)) + cbrt(-q/2 - sqrt(D))``."""
+    half_q, disc, a_third = half_q[idx], disc[idx], a_third[idx]
     sqrt_disc = np.sqrt(disc)
-    value = np.cbrt(-half_q + sqrt_disc) + np.cbrt(-half_q - sqrt_disc) \
-        - a_third
-    if idx is None:
-        roots[:, 0] = value
-    else:
-        roots[idx, 0] = value
+    roots[idx, 0] = np.cbrt(-half_q + sqrt_disc) \
+        + np.cbrt(-half_q - sqrt_disc) - a_third
 
 
 def _viete(q, m, pm, a_third, roots, idx) -> None:
-    """Three real roots (trigonometric method; ``p < 0`` here)."""
-    if idx is not None:
-        q, m, pm, a_third = q[idx], m[idx], pm[idx], a_third[idx]
+    """Three real roots of the lanes ``idx`` (trigonometric method;
+    ``p < 0`` here)."""
+    q, m, pm, a_third = q[idx], m[idx], pm[idx], a_third[idx]
     arg = (3.0 * q) / pm
     arg = np.minimum(1.0, np.maximum(-1.0, arg))
     theta = np.arccos(arg) / 3.0
-    r0 = m * np.cos(theta) - a_third
-    r1 = m * np.cos(theta - _PHI1) - a_third
-    r2 = m * np.cos(theta - _PHI2) - a_third
-    if idx is None:
-        roots[:, 0] = r0
-        roots[:, 1] = r1
-        roots[:, 2] = r2
-    else:
-        roots[idx, 0] = r0
-        roots[idx, 1] = r1
-        roots[idx, 2] = r2
+    roots[idx, 0] = m * np.cos(theta) - a_third
+    roots[idx, 1] = m * np.cos(theta - _PHI1) - a_third
+    roots[idx, 2] = m * np.cos(theta - _PHI2) - a_third
 
-
-# ----------------------------------------------------------------------
-# Generic per-lane mirror (fallback when coefficients vary per lane or
-# the folded classification bound is exceeded)
-# ----------------------------------------------------------------------
 
 def polyval4(c0, c1, c2, c3, x):
     """Horner evaluation, identical association order to the scalar
@@ -282,7 +64,7 @@ def real_roots_batch(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
     """Real roots per lane; ``[N, 3]`` NaN-padded, unsorted.
 
     Degree reduction matches the scalar ``real_roots``: a leading
-    coefficient below ``_DEGREE_TOL`` relative to the largest magnitude
+    coefficient below ``DEGREE_TOL`` relative to the largest magnitude
     in its lane is treated as zero.
     """
     n = c0.shape[0]
@@ -291,7 +73,7 @@ def real_roots_batch(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
         return roots
     scale = np.maximum(np.maximum(np.abs(c0), np.abs(c1)),
                        np.maximum(np.abs(c2), np.abs(c3)))
-    tol = _DEGREE_TOL * scale
+    tol = DEGREE_TOL * scale
     cubic = np.abs(c3) >= tol
     quad = ~cubic & (np.abs(c2) >= tol)
     lin = ~(cubic | quad) & (np.abs(c1) >= tol)
@@ -325,17 +107,6 @@ def real_roots_batch(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
 # ----------------------------------------------------------------------
 # Stacked per-lane device tables (the circuit-lane batching layer)
 # ----------------------------------------------------------------------
-
-#: residual [V] beyond which a stacked root falls back to the scalar
-#: solver (same bound as ``ClosedFormSolver``: g' >= 1 bounds the root
-#: error by the residual).
-_STACK_RESIDUAL_TOL = 1e-12
-#: acceptance slack (volts) for a root at a region edge (scalar twin).
-_STACK_EDGE_TOL = 1e-9
-#: VDS quantization grid shared with ``ClosedFormSolver``.
-_STACK_VDS_QUANTUM = 1e-12
-_STACK_VDS_SCALE = 1.0 / _STACK_VDS_QUANTUM
-
 
 class StackedCurves:
     """Piecewise-cubic curve bank: one curve *per lane*, evaluated for
@@ -396,34 +167,38 @@ class StackedCurves:
 
 
 class StackedVscSolver:
-    """Hint-warmed vectorized self-consistent-voltage solve across
-    lanes with *per-lane* devices.
+    """Vectorized self-consistent-voltage solve across lanes with
+    *per-lane* devices — the one batched closed-form solve.
 
-    :meth:`ClosedFormSolver.solve_many` batches many bias points of one
-    device; a lane-batched transient needs the transpose — one bias
-    point each for many different devices, every Newton iteration.
-    Rebuilding each device's merged (VDS, interval) tables per iterate
-    is what makes the scalar path expensive (~2/3 of a scalar solve is
-    table construction whenever VDS moves), so this solver skips the
-    table entirely:
+    A lane-batched transient needs one bias point each for many
+    different devices, every Newton iteration; a device sweep
+    (:meth:`ClosedFormSolver.solve_many`) is the transpose, many bias
+    points of one device on a one-lane solver.  Neither builds the
+    scalar path's merged (VDS, interval) tables (~2/3 of a scalar solve
+    whenever VDS moves).  Each lane instead solves the cubic
+    ``V + Qt/CSum - (QS(V) + QS(V+VDS))/CSum = 0`` of one (source,
+    drain) region pair, taken in this order until one validates:
 
-    1. each lane remembers the VSC it solved last time (the *hint*;
-       Newton iterates and successive time steps move VSC by far less
-       than a region width, so the hinted region pair is almost always
-       still correct);
-    2. the source region of the hint and the drain region of
-       ``hint + VDS`` select one source polynomial and one (Taylor-
-       shifted) drain polynomial per lane — a gather, not a scan;
-    3. the combined cubic ``V + Qt/CSum - (QS(V) + QS(V+VDS))/CSum``
-       is solved for all lanes by :func:`real_roots_batch`;
-    4. a root inside the intersection of both regions' windows with a
-       closed-form residual below ``1e-12`` V *proves* the region pair
-       was right (the residual equals the true piecewise residual
-       inside the window, and g is strictly increasing), so the root is
-       the unique solution;
-    5. lanes that fail get one refinement pass re-deriving the regions
-       from the best candidate root, then fall back to the scalar
-       solver (region drift across a breakpoint; rare and exact).
+    1. the *hinted* pair: the source region of the caller's hint and the
+       drain region of ``hint + VDS`` — a gather, not a scan.  Newton
+       iterates and successive time steps move VSC by far less than a
+       region width, and a sweep's Laplace hint (the root without
+       mobile charge) lands within a few regions of it;
+    2. the *located* pair: the sign count of the residual ``g`` at the
+       source breakpoints and the VDS-shifted drain breakpoints (``g``
+       is strictly increasing, so the points where it is negative are
+       those left of the root) brackets the root, and the bracket's
+       midpoint picks the pair — the interval scan of the scalar
+       :meth:`~repro.pwl.selfconsistent.ClosedFormSolver.solve`;
+    3. the scalar ``solve`` itself, the exact reference (poisoned
+       tables, or residuals below the rounding floor of biases far
+       outside the circuit's rails).
+
+    A root inside the intersection of both regions' windows with a
+    closed-form residual below ``RESIDUAL_TOL`` *proves* the pair was
+    right (the residual equals the true piecewise residual inside the
+    window, and ``g`` is strictly increasing), so the root is the unique
+    solution.  The loops live in the kernel tiers (``vsc_solve``).
 
     The hint arrays are owned by the caller (one per CNFET element
     slot), so one solver instance serves any number of slots.

@@ -266,9 +266,9 @@ class CNFET:
         return self.ids_batch(vg_arr[:, None], vd_arr[None, :])
 
     # ------------------------------------------------------------------
-    # Batched evaluations (one numpy pass over arrays of bias points;
-    # per-lane arithmetic mirrors the scalar methods, so results agree
-    # with a loop of scalar calls to floating noise)
+    # Batched evaluations (one stacked-solve pass over arrays of bias
+    # points; per-lane arithmetic mirrors the scalar methods, so results
+    # agree with a loop of scalar calls to floating noise)
     # ------------------------------------------------------------------
 
     def vsc_batch(self, vg, vd, vs=0.0) -> np.ndarray:

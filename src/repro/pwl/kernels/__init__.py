@@ -58,6 +58,27 @@ N_ANCHOR = 14
 A_VGS, A_VDS, A_IDS, A_GM, A_GDS = range(5)
 A_Q, A_DQG, A_DQD = 5, 8, 11
 
+#: Constants of the closed-form VSC solve, shared by the scalar
+#: reference (:class:`~repro.pwl.selfconsistent.ClosedFormSolver`), the
+#: numpy tier and the ``#define``s of ``_kernels.c`` (a tier-1 test
+#: reads those back and compares).
+#:
+#: Residual [V] a closed-form root must beat to be accepted by a
+#: kernel tier: g' >= 1 for non-increasing charge fits, so it bounds
+#: the root error; healthy lanes sit near 1e-16.
+RESIDUAL_TOL = 1e-12
+#: acceptance slack [V] for a root at a region edge
+EDGE_TOL = 1e-9
+#: VDS resolution [V] of the drain shift (and of the scalar solver's
+#: table cache key): Newton iterates and waveform samples carry float
+#: noise well below it, and the residual is 1-Lipschitz in the shift,
+#: so snapping perturbs the root by less than the quantum itself.
+VDS_QUANTUM = 1e-12
+VDS_SCALE = 1e12
+#: a leading polynomial coefficient below this, relative to the
+#: largest one, counts as zero (degree reduction of the root finders)
+DEGREE_TOL = 1e-14
+
 _ENV_VAR = "REPRO_KERNELS"
 
 _numpy_backend = None

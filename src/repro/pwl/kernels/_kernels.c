@@ -4,8 +4,9 @@
  * engine (see repro/pwl/kernels/numpy_backend.py for the reference
  * implementations these mirror):
  *
- *   1. stacked_vsc_solve  — the hint-warmed shifted-cubic region solve
- *      plus residual validation of StackedVscSolver.solve;
+ *   1. stacked_vsc_solve  — the shifted-cubic region-pair solve of
+ *      StackedVscSolver.solve: the hinted pair, then the located pair,
+ *      each residual-validated;
  *   2. bank_stamp         — the fused per-iteration CNFETBank stamp:
  *      bias gather from the iterate, chord check against the
  *      per-device memo, the per-device bypass against the anchor of
@@ -32,7 +33,7 @@
  * whose residual validation bounds the root error by construction;
  * 1e-12 relative on the bank stamp).  Beyond libm-vs-SIMD
  * transcendentals, one shortcut stays inside that bound: the Newton
- * polish of the VSC hint (see vsc_lane).  Compile with
+ * polish of the VSC hint (see pair_root).  Compile with
  * -ffp-contract=off: FMA contraction would change the rounding
  * sequence.
  *
@@ -44,6 +45,8 @@
 #include <math.h>
 #include <stdint.h>
 
+/* DEGREE_TOL, RESIDUAL_TOL, EDGE_TOL, VDS_QUANTUM and VDS_SCALE are the
+ * constants of repro.pwl.kernels (a tier-1 test compares them) */
 #define EPSILON 2.220446049250313e-16
 #define DEGREE_TOL 1e-14
 #define RESIDUAL_TOL 1e-12
@@ -144,25 +147,117 @@ static void real_roots_scalar(double c0, double c1, double c2, double c3,
     }
 }
 
-/* One lane of the stacked VSC solve: hint-warmed attempts, each
- * re-deriving the region pair from the previous best candidate.
- * The numpy reference stops after two attempts to stay byte-identical
- * with the historical engine; here two more region-refinement rounds
- * cost nanoseconds and resolve almost every drift lane in-kernel,
- * avoiding the ~60 us Python scalar fallback each (the charge-balance
- * residual has a unique in-range root, so a validated root is *the*
- * root either way).  The first attempt polishes the hint itself with
- * a few Newton steps on the region pair's cubic before the closed
- * form: Newton iterates and time steps move VSC by far less than a
- * region, so the polish lands on the root (to rounding) for nearly
- * every lane — 99.96% of the lane solves of a 32-bit adder hold
- * transient, 99.97% of its carry ripple, 97% of a ring-oscillator MC
- * campaign — for a handful of multiply-adds instead of the closed
- * form's cbrt / acos / cos, under the same residual and window
+/* Closed-form root of one lane's cubic on the region pair of `probe`
+ * (source) and probe + vds_q (drain), validated against the pair's
+ * window and RESIDUAL_TOL.  With `polish`, a few Newton steps from the
+ * probe itself come first: Newton iterates and time steps move VSC by
+ * far less than a region, so the polish lands on the root (to
+ * rounding) for nearly every hinted lane — 99.96% of the lane solves
+ * of a 32-bit adder hold transient, 99.97% of its carry ripple, 97% of
+ * a ring-oscillator MC campaign — for a handful of multiply-adds
+ * instead of the closed form's cbrt / acos / cos, under the same
  * validation (without it the hold transient runs about 10% slower).
- * Returns 1 and
- * stores the root in *out when a candidate passes validation, 0
+ * Returns 1 and stores the root in *out when a candidate validates, 0
  * otherwise. */
+static int pair_root(const double *bps_r, const double *lo_r,
+                     const double *hi_r, const double *polys_r,
+                     idx_t k_bps, double qt, double vds_q, double probe,
+                     int polish, double *out)
+{
+    int i_s = region_of(bps_r, k_bps, probe);
+    int i_d = region_of(bps_r, k_bps, probe + vds_q);
+    const double *qs = polys_r + (idx_t)i_s * 4;
+    const double *qd = polys_r + (idx_t)i_d * 4;
+    /* Taylor shift of the drain polynomial by quantized VDS */
+    double d = vds_q;
+    double s0 = qd[0] + d * (qd[1] + d * (qd[2] + d * qd[3]));
+    double s1 = qd[1] + d * (2.0 * qd[2] + 3.0 * d * qd[3]);
+    double s2 = qd[2] + 3.0 * d * qd[3];
+    double s3 = qd[3];
+    double e0 = qt - (qs[0] + s0);
+    double e1 = 1.0 - (qs[1] + s1);
+    double e2 = -(qs[2] + s2);
+    double e3 = -(qs[3] + s3);
+    double lo = fmax(lo_r[i_s], lo_r[i_d] - vds_q);
+    double hi = fmin(hi_r[i_s], hi_r[i_d] - vds_q);
+    if (polish) {
+        double v = probe;
+        for (int it = 0; it < NEWTON_STEPS; it++) {
+            double step = (((e3 * v + e2) * v + e1) * v + e0)
+                / ((3.0 * e3 * v + 2.0 * e2) * v + e1);
+            v -= step;
+            if (fabs(step) < NEWTON_STEP_TOL)
+                break;
+        }
+        double rv = fabs(((e3 * v + e2) * v + e1) * v + e0);
+        if (rv <= RESIDUAL_TOL && v >= lo - EDGE_TOL
+                && v <= hi + EDGE_TOL) {
+            *out = v;
+            return 1;
+        }
+    }
+    double roots[3];
+    real_roots_scalar(e0, e1, e2, e3, roots);
+    /* residual validation; argmin keeps the first minimum the way
+     * np.argmin does */
+    double res[3];
+    for (int j = 0; j < 3; j++) {
+        double root = roots[j];
+        double rv = fabs(((e3 * root + e2) * root + e1) * root + e0);
+        int inside = root >= lo - EDGE_TOL && root <= hi + EDGE_TOL;
+        res[j] = (inside && isfinite(rv)) ? rv : INFINITY;
+    }
+    int pick = 0;
+    if (res[1] < res[pick]) pick = 1;
+    if (res[2] < res[pick]) pick = 2;
+    if (res[pick] <= RESIDUAL_TOL) {
+        *out = roots[pick];
+        return 1;
+    }
+    return 0;
+}
+
+/* scaled source charge QS(v) / CSum of one lane; a breakpoint belongs
+ * to the region on its left */
+static double lane_charge(const double *bps_r, const double *polys_r,
+                          idx_t k_bps, double v)
+{
+    const double *c = polys_r + (idx_t)region_of(bps_r, k_bps, v) * 4;
+    return ((c[3] * v + c[2]) * v + c[1]) * v + c[0];
+}
+
+/* A probe inside the interval of merged breakpoints (source, and drain
+ * shifted by -vds_q) that brackets the lane's root: the residual g is
+ * strictly increasing, so the points where it is negative are those
+ * left of the root.  The midpoint between the last of them and the
+ * first of the rest, or one volt beyond the outermost point for a root
+ * outside them all (the numpy tier's _locate, point for point). */
+static double locate_probe(const double *bps_r, const double *polys_r,
+                           idx_t k_bps, double qt, double vds_q)
+{
+    double below = -INFINITY, above = INFINITY;
+    for (idx_t j = 0; j < 2 * k_bps; j++) {
+        double v = j < k_bps ? bps_r[j] : bps_r[j - k_bps] - vds_q;
+        double g = v + qt - lane_charge(bps_r, polys_r, k_bps, v)
+            - lane_charge(bps_r, polys_r, k_bps, v + vds_q);
+        /* (a +inf padded breakpoint is never below) */
+        if (g < 0.0 && v < INFINITY) {
+            if (v > below)
+                below = v;
+        } else if (v < above) {
+            above = v;
+        }
+    }
+    if (below == -INFINITY)
+        return above - 1.0;
+    if (above == INFINITY)
+        return below + 1.0;
+    return 0.5 * (below + above);
+}
+
+/* One lane of the stacked VSC solve: the hinted region pair (Newton-
+ * polished), then the located pair.  Returns 0 when neither validates
+ * (the caller's exact scalar fallback). */
 static int vsc_lane(
     idx_t r, double vgs, double vds,
     const double *bps, const double *lo_edges, const double *hi_edges,
@@ -176,64 +271,12 @@ static int vsc_lane(
     const double *polys_r = polys + r * stride_e * 4;
     double vds_q = floor(vds * VDS_SCALE + 0.5) * VDS_QUANTUM;
     double qt = (cg[r] * vgs + cd[r] * vds) / csum[r];
-    double probe_s = hint;
-    for (int attempt = 0; attempt < 4; attempt++) {
-        double probe_d = probe_s + vds_q;
-        int i_s = region_of(bps_r, k_bps, probe_s);
-        int i_d = region_of(bps_r, k_bps, probe_d);
-        const double *qs = polys_r + (idx_t)i_s * 4;
-        const double *qd = polys_r + (idx_t)i_d * 4;
-        /* Taylor shift of the drain polynomial by quantized VDS */
-        double d = vds_q;
-        double s0 = qd[0] + d * (qd[1] + d * (qd[2] + d * qd[3]));
-        double s1 = qd[1] + d * (2.0 * qd[2] + 3.0 * d * qd[3]);
-        double s2 = qd[2] + 3.0 * d * qd[3];
-        double s3 = qd[3];
-        double e0 = qt - (qs[0] + s0);
-        double e1 = 1.0 - (qs[1] + s1);
-        double e2 = -(qs[2] + s2);
-        double e3 = -(qs[3] + s3);
-        double lo = fmax(lo_r[i_s], lo_r[i_d] - vds_q);
-        double hi = fmin(hi_r[i_s], hi_r[i_d] - vds_q);
-        if (attempt == 0) {
-            double v = probe_s;
-            for (int it = 0; it < NEWTON_STEPS; it++) {
-                double step = (((e3 * v + e2) * v + e1) * v + e0)
-                    / ((3.0 * e3 * v + 2.0 * e2) * v + e1);
-                v -= step;
-                if (fabs(step) < NEWTON_STEP_TOL)
-                    break;
-            }
-            double rv = fabs(((e3 * v + e2) * v + e1) * v + e0);
-            if (rv <= RESIDUAL_TOL && v >= lo - EDGE_TOL
-                    && v <= hi + EDGE_TOL) {
-                *out = v;
-                return 1;
-            }
-        }
-        double roots[3];
-        real_roots_scalar(e0, e1, e2, e3, roots);
-        /* residual validation; argmin keeps the first minimum the
-         * way np.argmin does */
-        double res[3];
-        for (int j = 0; j < 3; j++) {
-            double root = roots[j];
-            double rv = fabs(((e3 * root + e2) * root + e1) * root + e0);
-            int inside = root >= lo - EDGE_TOL && root <= hi + EDGE_TOL;
-            res[j] = (inside && isfinite(rv)) ? rv : INFINITY;
-        }
-        int pick = 0;
-        if (res[1] < res[pick]) pick = 1;
-        if (res[2] < res[pick]) pick = 2;
-        double best = roots[pick];
-        if (res[pick] <= RESIDUAL_TOL) {
-            *out = best;
-            return 1;
-        }
-        if (isfinite(best))
-            probe_s = best;   /* refinement from the best candidate */
-    }
-    return 0;
+    if (pair_root(bps_r, lo_r, hi_r, polys_r, k_bps, qt, vds_q, hint, 1,
+                  out))
+        return 1;
+    return pair_root(bps_r, lo_r, hi_r, polys_r, k_bps, qt, vds_q,
+                     locate_probe(bps_r, polys_r, k_bps, qt, vds_q), 0,
+                     out);
 }
 
 /* Stacked VSC solve over selected lanes (StackedVscSolver.solve):
@@ -565,7 +608,7 @@ static void bypass_lane(const bank_t *b, const stamp_call_t *c, idx_t k,
 /* Fused per-iteration bank stamp: gather the n-frame biases from x,
  * take the chord decision against the per-device memo, bypass the
  * devices whose bias lies within c->bypass of their anchor, run the
- * hint-warmed VSC solve for the rest, evaluate the companion (or the
+ * kernel-1 VSC solve for the rest, evaluate the companion (or the
  * chord rhs, or only the charges into q_prev) and land it in the
  * destinations.  Lanes whose solve fails validation are skipped and
  * listed in b->bad; returns their count (pass 0) or 0 (pass 1). */

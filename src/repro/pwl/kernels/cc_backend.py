@@ -337,8 +337,8 @@ class CcKernelBackend:
             call.r_size = r_out.size
         n_bad = self._lib.bank_stamp(binding.bank_ref, binding.call_ref)
         if n_bad:
-            # exact scalar fallback for the lanes whose region drifted,
-            # then a second pass over just those lanes
+            # exact scalar fallback for the lanes neither region pair
+            # solved, then a second pass over just those lanes
             bad = binding.bad[:n_bad]
             rows = bank.table[bad if idx is None else idx[bad]]
             solvers = bank.solver.solvers

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.pwl.batch import polyval4, real_roots_batch
 from repro.pwl.kernels import (
     A_DQD,
     A_DQG,
@@ -23,15 +24,11 @@ from repro.pwl.kernels import (
     A_Q,
     A_VDS,
     A_VGS,
+    EDGE_TOL,
     N_ANCHOR,
-)
-from repro.pwl.batch import (
-    _STACK_EDGE_TOL,
-    _STACK_RESIDUAL_TOL,
-    _STACK_VDS_QUANTUM,
-    _STACK_VDS_SCALE,
-    polyval4,
-    real_roots_batch,
+    RESIDUAL_TOL,
+    VDS_QUANTUM,
+    VDS_SCALE,
 )
 
 
@@ -47,64 +44,28 @@ class NumpyKernelBackend:
     def vsc_solve(self, solver, rows: np.ndarray, vgs: np.ndarray,
                   vds: np.ndarray, probe: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
-        """Two hint-warmed attempts for every selected lane (solver
-        lanes ``rows``, warm-start hints ``probe``); fills ``out`` and
-        returns the selection positions that still need the scalar
-        fallback."""
-        bps = solver.bps[rows]
-        n = len(rows)
-        sub = np.arange(n)
-        vds_q = np.floor(vds * _STACK_VDS_SCALE + 0.5) * _STACK_VDS_QUANTUM
+        """The hinted region pair of every selected lane (solver lanes
+        ``rows``, warm-start hints ``probe``), then the located pair of
+        the lanes it leaves; fills ``out`` and returns the selection
+        positions that still need the scalar fallback."""
+        vds_q = np.floor(vds * VDS_SCALE + 0.5) * VDS_QUANTUM
         qt = (solver.cg[rows] * vgs + solver.cd[rows] * vds) \
             / solver.csum[rows]
-        ok = np.zeros(n, dtype=bool)
-        probe_s = probe
-        probe_d = probe_s + vds_q
         old_err = np.seterr(invalid="ignore", divide="ignore",
                             over="ignore")
         try:
-            for _attempt in range(2):
-                i_s = (bps < probe_s[:, None]).sum(axis=1)
-                i_d = (bps < probe_d[:, None]).sum(axis=1)
-                qs = solver.polys[rows, i_s]
-                qd = solver.polys[rows, i_d]
-                # Taylor shift of the drain polynomial by the quantized
-                # VDS (the scalar path shifts by the same quantized
-                # value inside ``_segments_for_vds``).
-                d = vds_q
-                s0 = qd[:, 0] + d * (qd[:, 1] + d * (qd[:, 2]
-                                                     + d * qd[:, 3]))
-                s1 = qd[:, 1] + d * (2.0 * qd[:, 2] + 3.0 * d * qd[:, 3])
-                s2 = qd[:, 2] + 3.0 * d * qd[:, 3]
-                s3 = qd[:, 3]
-                e0 = qt - (qs[:, 0] + s0)
-                e1 = 1.0 - (qs[:, 1] + s1)
-                e2 = -(qs[:, 2] + s2)
-                e3 = -(qs[:, 3] + s3)
-                roots = real_roots_batch(e0, e1, e2, e3)
-                lo = np.maximum(solver.lo_edges[rows, i_s],
-                                solver.lo_edges[rows, i_d] - vds_q)
-                hi = np.minimum(solver.hi_edges[rows, i_s],
-                                solver.hi_edges[rows, i_d] - vds_q)
-                inside = (roots >= (lo - _STACK_EDGE_TOL)[:, None]) \
-                    & (roots <= (hi + _STACK_EDGE_TOL)[:, None])
-                res = np.abs(polyval4(e0[:, None], e1[:, None],
-                                      e2[:, None], e3[:, None], roots))
-                res = np.where(inside & np.isfinite(res), res, np.inf)
-                pick = res.argmin(axis=1)
-                best = roots[sub, pick]
-                good = ~ok & (res[sub, pick] <= _STACK_RESIDUAL_TOL)
-                out[good] = best[good]
-                ok |= good
-                if ok.all():
-                    break
-                # Refinement: re-derive the region pair from the best
-                # candidate (handles single-region drift in one pass).
-                probe_s = np.where(np.isfinite(best) & ~ok, best, probe_s)
-                probe_d = probe_s + vds_q
+            miss = np.flatnonzero(
+                ~_pair_solve(solver, rows, qt, vds_q, probe, out))
+            if miss.size:
+                rows, qt, vds_q = rows[miss], qt[miss], vds_q[miss]
+                located = np.empty(miss.size)
+                ok = _pair_solve(solver, rows, qt, vds_q,
+                                 _locate(solver, rows, qt, vds_q), located)
+                out[miss[ok]] = located[ok]
+                miss = miss[~ok]
         finally:
             np.seterr(**old_err)
-        return np.flatnonzero(~ok)
+        return miss
 
     # -- kernel 2: fused CNFET bank stamp ------------------------------
 
@@ -175,6 +136,76 @@ class NumpyKernelBackend:
         scatter of the sparse assembler (``base`` is not mutated)."""
         return base + np.bincount(map_idx, weights=values,
                                   minlength=base.size)
+
+
+# -- the stacked VSC solve (kernel 1) -----------------------------------
+
+def _pair_solve(solver, rows: np.ndarray, qt: np.ndarray,
+                vds_q: np.ndarray, probe: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Closed-form root of each lane's cubic on the region pair of
+    ``probe`` (source) and ``probe + vds_q`` (drain), validated against
+    the pair's window and ``RESIDUAL_TOL``; writes the validated roots
+    into ``out`` and returns their mask."""
+    bps = solver.bps[rows]
+    i_s = (bps < probe[:, None]).sum(axis=1)
+    i_d = (bps < (probe + vds_q)[:, None]).sum(axis=1)
+    qs = solver.polys[rows, i_s]
+    qd = solver.polys[rows, i_d]
+    # Taylor shift of the drain polynomial by the quantized VDS (the
+    # scalar path shifts by the same quantized value inside
+    # ``_segments_for_vds``).
+    d = vds_q
+    s0 = qd[:, 0] + d * (qd[:, 1] + d * (qd[:, 2] + d * qd[:, 3]))
+    s1 = qd[:, 1] + d * (2.0 * qd[:, 2] + 3.0 * d * qd[:, 3])
+    s2 = qd[:, 2] + 3.0 * d * qd[:, 3]
+    s3 = qd[:, 3]
+    e0 = qt - (qs[:, 0] + s0)
+    e1 = 1.0 - (qs[:, 1] + s1)
+    e2 = -(qs[:, 2] + s2)
+    e3 = -(qs[:, 3] + s3)
+    roots = real_roots_batch(e0, e1, e2, e3)
+    lo = np.maximum(solver.lo_edges[rows, i_s],
+                    solver.lo_edges[rows, i_d] - vds_q)
+    hi = np.minimum(solver.hi_edges[rows, i_s],
+                    solver.hi_edges[rows, i_d] - vds_q)
+    inside = (roots >= (lo - EDGE_TOL)[:, None]) \
+        & (roots <= (hi + EDGE_TOL)[:, None])
+    res = np.abs(polyval4(e0[:, None], e1[:, None], e2[:, None],
+                          e3[:, None], roots))
+    res = np.where(inside & np.isfinite(res), res, np.inf)
+    sub = np.arange(len(rows))
+    pick = res.argmin(axis=1)
+    ok = res[sub, pick] <= RESIDUAL_TOL
+    out[ok] = roots[sub, pick][ok]
+    return ok
+
+
+def _locate(solver, rows: np.ndarray, qt: np.ndarray,
+            vds_q: np.ndarray) -> np.ndarray:
+    """A probe inside the interval of merged breakpoints (source, and
+    drain shifted by ``-vds_q``) that brackets each lane's root: the
+    residual ``g`` is strictly increasing, so the points where it is
+    negative are those left of the root.  The probe is the midpoint
+    between the last of them and the first of the rest, or one volt
+    beyond the outermost point for a root outside them all."""
+    bps = solver.bps[rows]
+    points = np.concatenate((bps, bps - vds_q[:, None]), axis=1)
+    g = points + qt[:, None]
+    for v in (points, points + vds_q[:, None]):
+        # scaled charge QS(v) / CSum; a breakpoint belongs to the region
+        # on its left
+        region = (bps[:, None, :] < v[:, :, None]).sum(axis=2)
+        c = solver.polys[rows[:, None], region]
+        g = g - (((c[..., 3] * v + c[..., 2]) * v + c[..., 1]) * v
+                 + c[..., 0])
+    # (a +inf padded breakpoint is never below)
+    neg = (g < 0.0) & (points < np.inf)
+    below = np.where(neg, points, -np.inf).max(axis=1)
+    above = np.where(neg, np.inf, points).min(axis=1)
+    return np.where(below == -np.inf, above - 1.0,
+                    np.where(above == np.inf, below + 1.0,
+                             0.5 * (below + above)))
 
 
 # -- the bank-stamp arithmetic (vectorized scalar element stamps) -------

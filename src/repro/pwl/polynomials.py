@@ -18,9 +18,7 @@ import math
 from typing import List, Sequence
 
 from repro.errors import ParameterError
-
-#: relative threshold below which a leading coefficient is treated as 0
-_DEGREE_TOL = 1e-14
+from repro.pwl.kernels import DEGREE_TOL
 
 
 def polyval(coeffs: Sequence[float], x: float) -> float:
@@ -190,11 +188,11 @@ def real_roots(coeffs: Sequence[float]) -> List[float]:
     scale = max(abs(c0), abs(c1), abs(c2), abs(c3))
     if scale == 0.0:
         return []
-    if abs(c3) < _DEGREE_TOL * scale:
+    if abs(c3) < DEGREE_TOL * scale:
         c3 = 0.0
-    if c3 == 0.0 and abs(c2) < _DEGREE_TOL * scale:
+    if c3 == 0.0 and abs(c2) < DEGREE_TOL * scale:
         c2 = 0.0
-    if c3 == 0.0 and c2 == 0.0 and abs(c1) < _DEGREE_TOL * scale:
+    if c3 == 0.0 and c2 == 0.0 and abs(c1) < DEGREE_TOL * scale:
         c1 = 0.0
     if c3 != 0.0:
         return solve_cubic(c0, c1, c2, c3)

@@ -24,6 +24,12 @@ The hot path is deliberately plain Python floats + tuples (no numpy):
 one solve costs a handful of Horner evaluations and one cubic formula,
 which is what produces the three-orders-of-magnitude speed-up measured
 in the Table I benchmark.
+
+:meth:`ClosedFormSolver.solve_many` batches bias points of one device
+through the kernel tiers' stacked solve
+(:class:`~repro.pwl.batch.StackedVscSolver`): the same interval scan,
+per lane and compiled, with this scalar ``solve`` as its exact
+fallback.
 """
 
 from __future__ import annotations
@@ -35,33 +41,22 @@ import numpy as np
 
 from repro.errors import ParameterError, RootNotFoundError
 from repro.physics.capacitance import TerminalCapacitances
-from repro.pwl import batch
-from repro.pwl.batch import polyval4, solve_folded
+from repro.pwl.batch import StackedVscSolver
+from repro.pwl.kernels import EDGE_TOL, VDS_QUANTUM, VDS_SCALE
 from repro.pwl.polynomials import polyval, real_roots, shift_polynomial
 from repro.pwl.regions import PiecewiseCharge
 from repro.reference.solver import brent
 
-#: acceptance slack (volts) for a closed-form root at a region edge
-_EDGE_TOL = 1e-9
-
-#: VDS cache-key resolution [V].  Newton iterates and waveform samples
-#: carry float noise well below a picovolt; snapping keys to this grid
-#: turns those into cache hits while perturbing the solved VSC by less
-#: than the quantum itself (the residual is 1-Lipschitz in the shift).
-_VDS_QUANTUM = 1e-12
-_VDS_SCALE = 1.0 / _VDS_QUANTUM
-
-#: residual [V] beyond which a batched root is recomputed scalar-side.
-#: g is 1-Lipschitz-bounded from below (g' >= 1 for non-increasing
-#: charge fits), so the accepted root error is bounded by this value;
-#: healthy closed-form lanes sit near 1e-16.
-_BATCH_RESIDUAL_TOL = 1e-12
+#: bias points per stacked pass of :meth:`ClosedFormSolver.solve_many`
+#: (bounds the pass's temporaries to a few MB each)
+_SOLVE_CHUNK = 1 << 18
 
 
 def _quantize_vds(vds: float) -> float:
-    """Snap a drain bias to the cache grid (exact twin of the batched
-    quantization so scalar and batch paths share cache entries)."""
-    return math.floor(vds * _VDS_SCALE + 0.5) * _VDS_QUANTUM
+    """Snap a drain bias to the cache grid.  The kernel tiers shift the
+    drain polynomial by the same quantized VDS, so the scalar fallback
+    solves the equation the stacked lanes solve."""
+    return math.floor(vds * VDS_SCALE + 0.5) * VDS_QUANTUM
 
 
 class ClosedFormSolver:
@@ -97,11 +92,8 @@ class ClosedFormSolver:
         )
         self._vds_cache: Dict[float, Tuple[Tuple[float, ...],
                                            Tuple[Tuple[float, ...], ...]]] = {}
-        #: stacked per-sweep solve tables keyed by the raw VDS bytes
-        self._batch_cache: Dict[bytes, tuple] = {}
-        #: reusable per-size scratch for the batched solve
-        self._scratch: Dict[Tuple[int, int], Tuple[np.ndarray,
-                                                   np.ndarray]] = {}
+        #: one-lane stacked solver of :meth:`solve_many` (built on use)
+        self._stacked = None
 
     # ------------------------------------------------------------------
 
@@ -109,7 +101,7 @@ class ClosedFormSolver:
         """Merged breakpoints and per-interval polynomials of
         ``(QS(V) + QS(V + VDS)) / CSum`` (ascending coefficients).
 
-        Keys are quantized to ``_VDS_QUANTUM`` so float-noise variants of
+        Keys are quantized to ``VDS_QUANTUM`` so float-noise variants of
         the same bias (transient Newton iterates, repeated sweep values)
         hit the same entry instead of growing the cache to its cap.
         """
@@ -205,9 +197,9 @@ class ClosedFormSolver:
         best = None
         best_res = math.inf
         for r in roots:
-            if lo is not None and r < lo - _EDGE_TOL:
+            if lo is not None and r < lo - EDGE_TOL:
                 continue
-            if hi is not None and r > hi + _EDGE_TOL:
+            if hi is not None and r > hi + EDGE_TOL:
                 continue
             res = abs(self._residual_fast(r, qt_scaled, merged, polys))
             if res < best_res:
@@ -217,149 +209,39 @@ class ClosedFormSolver:
             return best
         return self._fallback(vg, vd, vs, merged)
 
-    # ------------------------------------------------------------------
-    # Batched solve
-    # ------------------------------------------------------------------
-
-    def _batch_tables(self, vds_q: np.ndarray):
-        """Stacked solve tables for an array of (quantized) drain biases.
-
-        Per unique VDS the merged-breakpoint table is padded to a common
-        width and stacked, so the sign-change interval of every bias
-        point can be located with one comparison matrix instead of a
-        Python scan; every (VDS, interval) bucket is folded into a
-        constant row (:func:`repro.pwl.batch.fold_row`) carrying its
-        bias-independent closed-form algebra.  Tables are cached by the
-        byte image of the VDS array — a repeated sweep grid (every
-        ``iv_family`` call, every figure workload) pays the folding cost
-        once.
-        """
-        # Cache only modest workloads: each entry retains the key bytes
-        # plus a [n, lmax] gathered-base matrix, so the 128-entry cap is
-        # a memory bound only when n itself is bounded.
-        cacheable = vds_q.nbytes <= 65536
-        key = vds_q.tobytes() if cacheable else b""
-        if cacheable:
-            cached = self._batch_cache.get(key)
-            if cached is not None:
-                return cached
-        uniq, inv = np.unique(vds_q, return_inverse=True)
-        segs = [self._segments_for_vds(float(v)) for v in uniq]
-        n_groups = len(segs)
-        lmax = max(len(merged) for merged, _ in segs)
-        base = np.full((n_groups, lmax), np.inf)
-        rows = np.zeros((n_groups * (lmax + 1), batch.NCOLS))
-        for g, (merged, ps) in enumerate(segs):
-            count = len(merged)
-            for i in range(count):
-                # g(b_i) = base_i + qt_scaled; base ascends because g is
-                # strictly increasing for the paper's fitted curves.
-                base[g, i] = merged[i] - polyval(ps[i], merged[i])
-            edges = (-math.inf, *merged, math.inf)
-            for i, coeffs in enumerate(ps):
-                rows[g * (lmax + 1) + i] = batch.fold_row(
-                    coeffs, edges[i], edges[i + 1])
-        inv = inv.astype(np.intp)
-        # Per-lane gathers that depend only on the VDS array itself are
-        # folded into the cache entry: the negated base matrix (for the
-        # one-comparison interval search) and the row-index offsets.
-        result = (inv * (lmax + 1), -base[inv], batch.FoldedTables(rows))
-        if cacheable:
-            if len(self._batch_cache) >= 128:
-                self._batch_cache.pop(next(iter(self._batch_cache)))
-            self._batch_cache[key] = result
-        return result
-
-    def _lane_scratch(self, n: int, width: int):
-        """Reusable ``(roots, lane_index)`` buffers for ``n`` lanes.
-
-        Only small buffers are retained (the win is per-call allocation
-        overhead, which huge batches amortise on their own) so a one-off
-        giant solve does not pin memory for the solver's lifetime.
-        """
-        buffers = self._scratch.get((n, width))
-        if buffers is None:
-            buffers = (np.empty((n, width)), np.arange(n))
-            if n * width <= 32768:
-                if len(self._scratch) >= 16:
-                    self._scratch.pop(next(iter(self._scratch)))
-                self._scratch[(n, width)] = buffers
-        return buffers
-
     def solve_many(self, vg, vd, vs=0.0) -> np.ndarray:
         """Vectorized :meth:`solve` over arrays of bias points.
 
         Inputs broadcast against each other; the result carries the
-        broadcast shape.  Bias points are bucketed by quantized VDS and
-        by sign-change interval, each bucket's polynomial is solved with
-        the folded vectorized closed forms of :mod:`repro.pwl.batch`,
-        and any lane whose root leaves a residual above
-        ``_BATCH_RESIDUAL_TOL`` — or whose bracket holds no unambiguous
-        candidate — is recomputed through the scalar path, so batched
-        and scalar solves cannot disagree beyond floating noise (never
-        triggered by the paper's models).
+        broadcast shape.  The points run as the lanes of a one-lane
+        :class:`~repro.pwl.batch.StackedVscSolver`, in passes of at most
+        ``_SOLVE_CHUNK``, hinted with the root without mobile charge
+        (the Laplace solution ``-Qt/CSum``, within a few regions of the
+        root); a lane the hinted region pair misses takes the located
+        pair, and one neither validates is recomputed through
+        :meth:`solve`, so batched and scalar solves cannot disagree
+        beyond floating noise.
         """
         vg = np.asarray(vg, dtype=float)
         vd = np.asarray(vd, dtype=float)
         vs = np.asarray(vs, dtype=float)
-        # Same arithmetic as the scalar path: Qt/CSum per point.
-        qt_full = self.capacitances.terminal_charge(vg, vd, vs) / self._csum
-        shape = qt_full.shape
-        qt_scaled = qt_full.ravel()
-        if qt_scaled.size == 0:
-            return np.empty(shape)
-        vds = vd - vs
-        if vds.shape != shape:
-            vds = np.broadcast_to(vds, shape)
-        vds = vds.ravel()
-
-        old_err = np.seterr(invalid="ignore", divide="ignore",
-                            over="ignore")
-        try:
-            vds_q = np.floor(vds * _VDS_SCALE + 0.5) * _VDS_QUANTUM
-            inv_base, neg_base, tables = self._batch_tables(vds_q)
-
-            # Sign-change interval: first i with g(b_i) >= 0, located by
-            # counting breakpoints whose base lies below -qt (base
-            # ascends because g is strictly increasing).
-            interval = (neg_base > qt_scaled[:, None]).sum(axis=1)
-            rowidx = inv_base + interval
-            eq0 = qt_scaled + tables.m0[rowidx]
-            c1 = tables.c1[rowidx]
-            c2 = tables.c2[rowidx]
-            n = eq0.shape[0]
-
-            roots, lanes = self._lane_scratch(n, tables.width)
-            roots.fill(np.nan)
-            solve_folded(tables, rowidx, eq0, tables.cls[rowidx], roots)
-
-            # NaN-padded candidates compare False on both bounds, so
-            # they never count as inside the bracket.
-            inside = (roots >= (tables.lo[rowidx] - _EDGE_TOL)[:, None]) \
-                & (roots <= (tables.hi[rowidx] + _EDGE_TOL)[:, None])
-            count_in = inside.sum(axis=1)
-            pick = inside.argmax(axis=1)
-            out = roots.ravel()[lanes * roots.shape[1] + pick]
-            if tables.width == 3:
-                c3 = tables.c3[rowidx]
-                best_res = np.abs(polyval4(eq0, c1, c2, c3, out))
-            else:
-                # No cubic rows: drop the zero c3 term from Horner.
-                best_res = np.abs((c2 * out + c1) * out + eq0)
-        finally:
-            np.seterr(**old_err)
-
-        # A lane is re-solved scalar-side when its bracket holds no
-        # candidate, more than one (ambiguous tie the scalar loop breaks
-        # by residual), or a residual above tolerance.
-        bad = (count_in != 1) | ~(best_res <= _BATCH_RESIDUAL_TOL)
-        if bad.any():
-            vgf = np.ascontiguousarray(np.broadcast_to(vg, shape)).ravel()
-            vdf = np.ascontiguousarray(np.broadcast_to(vd, shape)).ravel()
-            vsf = np.ascontiguousarray(np.broadcast_to(vs, shape)).ravel()
-            for k in np.flatnonzero(bad):
-                out[k] = self.solve(float(vgf[k]), float(vdf[k]),
-                                    float(vsf[k]))
+        caps = self.capacitances
+        shape = np.broadcast_shapes(vg.shape, vd.shape, vs.shape)
+        # Qt = CG VGS' + CD VDS with the source term folded into the
+        # gate bias (a no-op at VS = 0, the devices' only use)
+        vgs = np.empty(shape)
+        vgs[...] = vg + vs * ((caps.cd + caps.cs) / caps.cg)
+        vds = np.empty(shape)
+        vds[...] = vd - vs
+        vgs, vds = vgs.ravel(), vds.ravel()
+        if self._stacked is None:
+            self._stacked = StackedVscSolver([self])
+        out = np.empty(vgs.size)
+        for lo in range(0, vgs.size, _SOLVE_CHUNK):
+            g, d = vgs[lo:lo + _SOLVE_CHUNK], vds[lo:lo + _SOLVE_CHUNK]
+            hint = -(caps.cg * g + caps.cd * d) / self._csum
+            out[lo:lo + g.size] = self._stacked.solve(
+                g, d, hint, table=np.zeros(g.size, dtype=np.int64))
         return out.reshape(shape)
 
     def _residual_fast(self, vsc: float, qt_scaled: float,

@@ -21,6 +21,8 @@ from repro.pwl.device import CNFET
 from repro.pwl.polynomials import real_roots
 from repro.reference.sweep import sweep_iv_family
 
+from bias_grid import random_bias_grid
+
 REL_TOL = 1e-12
 #: absolute floor [A] for near-zero currents (VDS = 0 rows are exact
 #: zeros in both paths; the floor only guards denormal-level noise)
@@ -42,16 +44,23 @@ def _scalar_reference(device, vg_grid, vd_grid):
 @pytest.mark.parametrize("model", ["model1", "model2"])
 @pytest.mark.parametrize("polarity", ["n", "p"])
 class TestIdsBatchParity:
-    def test_matches_scalar_on_fig67_grid(self, model, polarity):
+    def _assert_ids_parity(self, model, polarity, vg_grid, vd_grid):
         device = CNFET(default_device_parameters(), model=model,
                        polarity=polarity)
-        vg_grid, vd_grid = _grid()
         if polarity == "p":
             vg_grid, vd_grid = -vg_grid, -vd_grid
         batch = device.ids_batch(vg_grid, vd_grid)
         scalar = _scalar_reference(device, vg_grid, vd_grid)
         np.testing.assert_allclose(batch, scalar, rtol=REL_TOL,
                                    atol=ABS_TOL)
+
+    def test_matches_scalar_on_fig67_grid(self, model, polarity):
+        self._assert_ids_parity(model, polarity, *_grid())
+
+    def test_matches_scalar_on_random_grid(self, model, polarity):
+        """Points where the Laplace hint misses the root's region pair
+        (a few percent) take the located pair."""
+        self._assert_ids_parity(model, polarity, *random_bias_grid())
 
     def test_vsc_batch_matches_scalar(self, model, polarity):
         device = CNFET(default_device_parameters(), model=model,

@@ -126,9 +126,9 @@ class TestTransient:
         series device with no grounded terminal, a second model and an
         n- and a p-type reference-backend device."""
         from repro.circuit import Capacitor
-        from repro.circuit.elements import cnfet
+        from repro.pwl import selfconsistent
 
-        monkeypatch.setattr(cnfet, "_IDS_CHUNK", 5)
+        monkeypatch.setattr(selfconsistent, "_SOLVE_CHUNK", 5)
 
         model1 = CNFET(FETToyParameters(), model="model1")
         c = Circuit("traces")

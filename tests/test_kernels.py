@@ -10,6 +10,8 @@ results, any worker count.
 """
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from repro.circuit.transient import initial_conditions_from_op, transient
 from repro.errors import ParameterError
 from repro.experiments.workloads import default_device_parameters
 from repro.parallel import WORKERS_ENV, fork_map, resolve_workers
+from repro.pwl.batch import StackedVscSolver
+from repro.pwl import kernels
 from repro.pwl.device import CNFET
 from repro.pwl.kernels import (
     active_kernel_backend,
@@ -33,6 +37,8 @@ from repro.pwl.kernels import (
     set_kernel_backend,
     using_kernels,
 )
+
+from bias_grid import random_bias_grid
 
 KERNEL_PARITY_TOL_V = 1e-12     # stacked-VSC solve, numpy vs compiled
 BANK_PARITY_RTOL = 1e-12        # bank_stamp values / rhs / q_prev
@@ -213,6 +219,20 @@ def _ring_waveforms(family, options=TIGHT):
     return np.stack([ds.trace(f"v({n})") for n in nodes])
 
 
+class TestSolveConstants:
+    @pytest.mark.parametrize("name", ["RESIDUAL_TOL", "EDGE_TOL",
+                                      "VDS_QUANTUM", "VDS_SCALE",
+                                      "DEGREE_TOL"])
+    def test_compiled_defines_match_python(self, name):
+        """The ``#define``s of ``_kernels.c`` carry the values of
+        :mod:`repro.pwl.kernels`, the one Python copy of the closed-form
+        solve's constants."""
+        source = (Path(kernels.__file__).parent / "_kernels.c").read_text()
+        found = re.findall(rf"^#define {name} (\S+)$", source, re.M)
+        assert len(found) == 1, name
+        assert float(found[0]) == getattr(kernels, name)
+
+
 class TestResolution:
     def test_numpy_tier_resolves(self):
         backend = resolve_kernel_backend("numpy")
@@ -269,7 +289,6 @@ class TestKernelParity:
         _require_compiled()
         devices = [CNFET(default_device_parameters(), model=m)
                    for m in ("model1", "model2")]
-        from repro.pwl.batch import StackedVscSolver
 
         def sweep(spec):
             stacked = StackedVscSolver([d.solver for d in devices])
@@ -286,6 +305,24 @@ class TestKernelParity:
 
         dv = np.max(np.abs(sweep("numpy") - sweep("compiled")))
         assert dv <= KERNEL_PARITY_TOL_V
+
+    def test_stacked_vsc_wrong_hints_take_the_located_pair(self, tier):
+        """Hints 5 V off the root select the outermost region pairs,
+        which hold no root: the located pair must still solve every
+        lane in the kernel (no scalar fallback), to the scalar root."""
+        devices = [CNFET(default_device_parameters(), model=m)
+                   for m in ("model1", "model2")]
+        stacked = StackedVscSolver([d.solver for d in devices])
+        vgs, vds = random_bias_grid()
+        lane = np.arange(vgs.size)
+        table = lane % 2
+        hint = np.where(lane % 4 < 2, 5.0, -5.0)
+        stats = {}
+        got = stacked.solve(vgs, vds, hint, stats=stats, table=table)
+        want = np.array([devices[t].solver.solve(g, d, 0.0)
+                         for t, g, d in zip(table, vgs, vds)])
+        assert stats["stacked_fallbacks"] == 0
+        assert np.max(np.abs(got - want)) <= KERNEL_PARITY_TOL_V
 
     @pytest.mark.parametrize("select", ["all", "subset", "lanes"])
     # the bypass shares the chord's tolerance, so it rides the chord
