@@ -22,14 +22,16 @@ test-slow:
 	$(PYTHON) -m pytest -x -q -m "slow"
 
 ## the kernel parity suites on the forced numpy tier (docs/kernels.md):
-## the reference tier must keep running every engine path and the
-## device-level batched paths on its own, not only as the other side
-## of the compiled-tier comparisons
+## the reference tier must keep running every engine path, the
+## device-level batched paths and the MC evaluators (fit cache, device
+## pairs, lane-batched ring/VTC campaigns) on its own, not only as the
+## other side of the compiled-tier comparisons
 NUMPY_KERNEL_SUITES := tests/test_kernels.py tests/test_sparse_backend.py \
 	tests/test_batch_parity.py tests/test_partition.py \
 	tests/test_mna_twophase.py tests/test_newton_reuse.py \
 	tests/test_batch_sim.py tests/test_logic.py tests/test_device.py \
-	tests/test_sweep.py
+	tests/test_sweep.py tests/test_fit_cache.py \
+	tests/test_variability_circuits.py
 test-numpy-kernels:
 	REPRO_KERNELS=numpy $(PYTHON) -m pytest -x -q $(NUMPY_KERNEL_SUITES)
 

@@ -448,19 +448,24 @@ class _BatchRecorder:
         self.times: List[float] = [0.0]
         self.solutions: List[np.ndarray] = [x0.copy()]
         self.length = np.full(x0.shape[0], 1, dtype=int)
+        #: lane-major ``(B, steps, dim)`` stack of ``solutions``, built
+        #: by the first :meth:`dataset` call after a step
+        self._lanes: Optional[np.ndarray] = None
 
     def accept(self, t: float, x: np.ndarray,
                alive: np.ndarray) -> None:
         self.times.append(t)
         self.solutions.append(x.copy())
         self.length[alive] = len(self.times)
+        self._lanes = None
 
     def dataset(self, batch: LaneBatch, lane: int,
                 record_currents) -> Dataset:
+        if self._lanes is None:
+            self._lanes = np.stack(self.solutions, axis=1)
         k = int(self.length[lane])
-        data = np.asarray([s[lane] for s in self.solutions[:k]])
-        return _trace_dataset(batch.circuits[lane], self.times[:k], data,
-                              record_currents)
+        return _trace_dataset(batch.circuits[lane], self.times[:k],
+                              self._lanes[lane, :k], record_currents)
 
 
 def batch_transient(

@@ -56,13 +56,17 @@ class LogicFamily:
     @classmethod
     def default(cls, vdd: float = 0.6, model: str = "model2",
                 params: Optional[FETToyParameters] = None) -> "LogicFamily":
-        """Build the standard family from FETToy-default devices."""
+        """Build the standard family on ``params`` (FETToy defaults
+        when omitted).
+
+        The one complementary-pair builder: the n device comes from
+        the fit cache, and the p device is its mirror on the same fit,
+        capacitances and solver, so a pair costs one device.
+        """
         base = params if params is not None else FETToyParameters()
-        return cls(
-            n_device=CNFET(base, model=model, polarity="n"),
-            p_device=CNFET(base, model=model, polarity="p"),
-            vdd=vdd,
-        )
+        n_device = CNFET(base, model=model, polarity="n")
+        return cls(n_device=n_device,
+                   p_device=n_device.with_polarity("p"), vdd=vdd)
 
 
 def add_inverter(circuit: Union[Circuit, SubCircuit], family: LogicFamily, name: str,

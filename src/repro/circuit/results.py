@@ -125,27 +125,10 @@ class Dataset:
     def _segment_crossings(values: np.ndarray, x: np.ndarray,
                            level: float,
                            rising: Optional[bool]) -> List[float]:
-        """Vectorised crossing scan over one contiguous trace segment
-        (exactly the historical per-segment arithmetic: an exact-zero
-        sample reports ``x[i]``, a sign change interpolates)."""
-        y = np.asarray(values, dtype=float) - level
-        if y.shape[0] < 2:
-            return []
-        y0, y1 = y[:-1], y[1:]
-        exact = y0 == 0.0
-        change = ~exact & (y0 * y1 < 0.0)
-        direction = np.where(exact, y1 > 0, y1 > y0)
-        hits = exact | change
-        if rising is not None:
-            hits &= direction == rising
-        idx = np.nonzero(hits)[0]
-        if idx.size == 0:
-            return []
-        t = np.where(
-            exact[idx], x[:-1][idx],
-            x[:-1][idx] - np.divide(
-                y0[idx] * (x[1:][idx] - x[:-1][idx]), y1[idx] - y0[idx],
-                out=np.zeros(idx.size), where=y1[idx] != y0[idx]))
+        """Crossings of one contiguous trace segment: the one-row case
+        of :func:`lane_crossings`."""
+        _rows, t = lane_crossings(np.asarray(values, dtype=float)[None],
+                                  x, level, rising)
         return [float(v) for v in t]
 
     def first_crossing(self, name: str, level: float,
@@ -227,7 +210,7 @@ class Dataset:
         (The Monte-Carlo ring evaluator needs even stronger
         protection — it validates each cycle's excursion before
         taking the median itself; see
-        ``RingOscillatorEvaluator._period_metrics``.)
+        :func:`repro.variability.circuits.ring_periods`.)
 
         Raises :class:`AnalysisError` with a clear message when fewer
         than two rising crossings exist.
@@ -257,3 +240,38 @@ class Dataset:
             f"Dataset({self.axis_name}, {len(self.axis)} points, "
             f"traces={self.names})"
         )
+
+
+def lane_crossings(values: np.ndarray, x: np.ndarray, level: float,
+                   rising: Optional[bool],
+                   lengths: Optional[np.ndarray] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every crossing of ``level`` by the rows of ``values`` ``(B, T)``
+    over the shared axis ``x`` ``(T,)``: ``(rows, at)``, row-major and
+    in axis order within a row.
+
+    The historical per-segment arithmetic, element for element: an
+    exact-zero sample reports ``x[i]``, a sign change interpolates
+    linearly.  ``rising=True`` keeps only upward crossings, ``False``
+    only downward, ``None`` both.  ``lengths`` (one per row) ends row
+    ``r`` after its first ``lengths[r]`` samples (a ragged row padded
+    to ``T``); the padding is never read.
+    """
+    y = np.asarray(values, dtype=float) - level
+    x = np.asarray(x, dtype=float)
+    y0, y1 = y[:, :-1], y[:, 1:]
+    exact = y0 == 0.0
+    change = ~exact & (y0 * y1 < 0.0)
+    hits = exact | change
+    if rising is not None:
+        hits &= np.where(exact, y1 > 0, y1 > y0) == rising
+    if lengths is not None:
+        hits &= np.arange(y0.shape[1]) < np.asarray(lengths)[:, None] - 1
+    rows, idx = np.nonzero(hits)
+    xa, xb = x[idx], x[idx + 1]
+    ya, yb = y0[rows, idx], y1[rows, idx]
+    at = np.where(
+        exact[rows, idx], xa,
+        xa - np.divide(ya * (xb - xa), yb - ya,
+                       out=np.zeros(idx.size), where=yb != ya))
+    return rows, at

@@ -140,6 +140,10 @@ def run_table1(loops: Sequence[int] = TABLE1_LOOPS,
     reference, model1, model2 = build_models(default_device_parameters())
 
     def time_model(model, n: int) -> float:
+        # One untimed family first: the first call after another
+        # model's block pays a cold-path penalty (~150 us, caches and
+        # the ctypes entry) that would otherwise land on this block.
+        model.iv_family(vg_values, vd_values)
         start = time.perf_counter()
         for _ in range(n):
             model.iv_family(vg_values, vd_values)

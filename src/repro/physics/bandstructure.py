@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.constants import (
     CC_BOND_LENGTH,
@@ -110,6 +110,11 @@ class Chirality:
 _SEMICONDUCTING_FACTORS = (1, 2, 4, 5, 7, 8, 10, 11)
 _METALLIC_FACTORS = (3, 6, 9, 12, 15, 18, 21, 24)
 
+#: subband minima per ``(chirality, hopping_ev, max_subbands)``: a
+#: Monte-Carlo campaign builds thousands of devices on a handful of
+#: tubes
+_MINIMA_CACHE: Dict[Tuple[Chirality, float, int], Tuple[float, ...]] = {}
+
 
 class NanotubeBands:
     """Subband structure of a nanotube.
@@ -139,7 +144,11 @@ class NanotubeBands:
         self.chirality = chirality
         self.hopping_ev = hopping_ev
         self.max_subbands = max_subbands
-        self._minima = self._compute_minima()
+        key = (chirality, hopping_ev, max_subbands)
+        minima = _MINIMA_CACHE.get(key)
+        if minima is None:
+            minima = _MINIMA_CACHE[key] = tuple(self._compute_minima())
+        self._minima = minima
 
     def _compute_minima(self) -> List[float]:
         if self.chirality.is_zigzag:
@@ -189,7 +198,7 @@ class NanotubeBands:
     @property
     def subband_minima_ev(self) -> Sequence[float]:
         """Conduction-subband minima, eV from mid-gap, ascending."""
-        return tuple(self._minima)
+        return self._minima
 
     @property
     def band_gap_ev(self) -> float:

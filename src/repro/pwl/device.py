@@ -16,6 +16,7 @@ non-linear mobile charges QS, QD at Σ.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from collections import OrderedDict
@@ -58,20 +59,22 @@ _NAMED_SPECS = {"model1": MODEL1_SPEC, "model2": MODEL2_SPEC}
 # ``EF'`` equals the fit at ``EF`` shifted by ``EF' - EF`` along the
 # VSC axis plus the constant ``q (h(EF) - h(EF'))`` from the
 # equilibrium term.  Both pieces are applied exactly (the anchor's
-# charge model is kept alive to price the constant), which makes one
-# fit serve every Fermi level of a tube/temperature combination to
-# boundary-optimiser tolerance (~1e-6 of the charge peak).
+# charge model is kept alive to price the constant, and the anchor's
+# own half density ``h(EF)`` is kept with it, so a re-anchoring runs
+# one quadrature, ``h(EF')``), which makes one fit serve every Fermi
+# level of a tube/temperature combination to boundary-optimiser
+# tolerance (~1e-6 of the charge peak).
 # ----------------------------------------------------------------------
 
-#: key -> (fitted at anchor EF, anchor charge model)
-_FIT_CACHE: "OrderedDict[Tuple, Tuple[FittedCharge, object]]" = OrderedDict()
+#: key -> (fitted at anchor EF, anchor charge model, h(anchor EF))
+_FIT_CACHE: "OrderedDict[Tuple, Tuple[FittedCharge, object, float]]" = \
+    OrderedDict()
 _FIT_CACHE_MAX = 256
 _FIT_CACHE_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
 
 
-def _fit_cache_key(params: FETToyParameters, spec: FitSpec,
+def _fit_cache_key(params: FETToyParameters, chirality, spec: FitSpec,
                    optimize_boundaries: bool) -> Tuple:
-    chirality = params.resolve_chirality()
     return (
         chirality.n, chirality.m,
         round(params.temperature_k, 9),
@@ -80,19 +83,21 @@ def _fit_cache_key(params: FETToyParameters, spec: FitSpec,
     )
 
 
-def _shift_fitted(fitted: FittedCharge, charge_model,
+def _shift_fitted(fitted: FittedCharge, charge_model, anchor_density: float,
                   fermi_level_ev: float) -> FittedCharge:
     """The fit re-anchored at another Fermi level (exact EF covariance:
-    a VSC shift plus the equilibrium-density constant)."""
-    ef0 = fitted.fermi_level_ev
-    delta = fermi_level_ev - ef0
+    a VSC shift plus the equilibrium-density constant).
+
+    ``anchor_density`` is ``h(EF)`` at the fit's own Fermi level, so
+    only the new level's half density is integrated.
+    """
+    delta = fermi_level_ev - fitted.fermi_level_ev
     if delta == 0.0:
         return fitted
     from repro.constants import ELEMENTARY_CHARGE
 
     dq = ELEMENTARY_CHARGE * (
-        float(charge_model.half_density(ef0))
-        - float(charge_model.half_density(fermi_level_ev))
+        anchor_density - float(charge_model.half_density(fermi_level_ev))
     )
     return dataclasses.replace(
         fitted,
@@ -164,7 +169,8 @@ class CNFET:
         # capacitances are needed, which keeps cached construction ~10x
         # cheaper than the full theoretical-model setup.
         self._reference: Optional[FETToyModel] = None
-        self.bands = NanotubeBands(params.resolve_chirality())
+        chirality = params.resolve_chirality()
+        self.bands = NanotubeBands(chirality)
         self.capacitances = terminal_capacitances(
             params, self.bands.diameter_nm
         )
@@ -179,7 +185,8 @@ class CNFET:
                     ) from None
             else:
                 spec = model
-            key = _fit_cache_key(params, spec, optimize_boundaries)
+            key = _fit_cache_key(params, chirality, spec,
+                                 optimize_boundaries)
             entry = _FIT_CACHE.get(key) if use_fit_cache else None
             if entry is None:
                 _FIT_CACHE_STATS["misses"] += 1
@@ -188,14 +195,16 @@ class CNFET:
                     optimize_boundaries=optimize_boundaries,
                 )
                 if use_fit_cache:
-                    _FIT_CACHE[key] = (fitted, self.reference.charge)
+                    charge = self.reference.charge
+                    _FIT_CACHE[key] = (
+                        fitted, charge,
+                        float(charge.half_density(fitted.fermi_level_ev)))
                     if len(_FIT_CACHE) > _FIT_CACHE_MAX:
                         _FIT_CACHE.popitem(last=False)
             else:
                 _FIT_CACHE_STATS["hits"] += 1
                 _FIT_CACHE.move_to_end(key)
-                fitted = _shift_fitted(entry[0], entry[1],
-                                       params.fermi_level_ev)
+                fitted = _shift_fitted(*entry, params.fermi_level_ev)
         self.fitted = fitted
         self.solver = ClosedFormSolver(fitted.curve, self.capacitances)
         self._kt = thermal_voltage_ev(params.temperature_k)
@@ -215,6 +224,16 @@ class CNFET:
         if self._reference is None:
             self._reference = FETToyModel(self.params)
         return self._reference
+
+    def with_polarity(self, polarity: str) -> "CNFET":
+        """This device with polarity ``polarity``: the fit, the
+        capacitances and the closed-form solver are shared, not rebuilt
+        (a complementary pair costs one device construction)."""
+        if polarity not in ("n", "p"):
+            raise ParameterError(f"polarity must be 'n' or 'p': {polarity!r}")
+        twin = copy.copy(self)
+        twin.polarity = polarity
+        return twin
 
     @property
     def model_name(self) -> str:

@@ -37,11 +37,58 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ParameterError, ReproError
+from repro.errors import AnalysisError, ParameterError, ReproError
 from repro.variability.campaign import quantize_sample
 from repro.variability.params import ParameterSpace
 
-__all__ = ["InverterVTCEvaluator", "RingOscillatorEvaluator"]
+__all__ = ["InverterVTCEvaluator", "RingOscillatorEvaluator", "ring_periods"]
+
+
+def ring_periods(t: np.ndarray, v: np.ndarray, level: float,
+                 threshold: float,
+                 lengths: Optional[np.ndarray] = None) -> np.ndarray:
+    """Robust oscillation period of each row of ``v`` ``(B, T)`` over
+    the shared, ascending axis ``t`` ``(T,)``, in one array pass; NaN
+    for a row without a validated cycle.
+
+    A cycle is the interval ``[a, b]`` between two consecutive rising
+    crossings of ``level`` (:func:`repro.circuit.results.lane_crossings`)
+    and counts only when the samples with ``a <= t <= b`` swing at least
+    ``threshold`` above *and* below the level.  A row's period is the
+    median of its validated spacings ``b - a``.  ``lengths`` ends row
+    ``r`` after ``lengths[r]`` samples (ragged rows padded to ``T``).
+    """
+    from repro.circuit.results import lane_crossings
+
+    v = np.asarray(v, dtype=float)
+    n_rows, n_t = v.shape
+    rows, at = lane_crossings(v, t, level, True, lengths)
+    pair = np.flatnonzero(rows[1:] == rows[:-1])
+    row, a, b = rows[pair], at[pair], at[pair + 1]
+    lo = np.searchsorted(t, a, side="left")
+    hi = np.searchsorted(t, b, side="right")
+    # Interleaved [lo, hi) bounds into the flat rows: the even
+    # reductions are the cycles' sample windows (one pad sample keeps
+    # a window ending on the last sample in range).
+    flat = np.append(v.ravel(), 0.0)
+    bounds = (row * n_t)[:, None] + np.column_stack((lo, hi))
+    valid = hi > lo
+    if pair.size:
+        top = np.maximum.reduceat(flat, bounds.ravel())[::2]
+        bottom = np.minimum.reduceat(flat, bounds.ravel())[::2]
+        valid &= (top - level >= threshold) & (level - bottom >= threshold)
+    spacing, row = (b - a)[valid], row[valid]
+    spacing = spacing[np.lexsort((spacing, row))]
+    count = np.bincount(row, minlength=n_rows)
+    start = np.cumsum(count) - count
+    periods = np.full(n_rows, np.nan)
+    has = count > 0
+    first, count = start[has], count[has]
+    # np.median's arithmetic: the middle value, or the mean of the
+    # middle two ((x + x) / 2 == x for an odd count)
+    periods[has] = (spacing[first + (count - 1) // 2]
+                    + spacing[first + count // 2]) / 2
+    return periods
 
 
 class _CircuitEvaluatorBase:
@@ -74,14 +121,9 @@ class _CircuitEvaluatorBase:
 
     def _family(self, key: Tuple):
         from repro.circuit.logic import LogicFamily
-        from repro.pwl.device import CNFET
 
-        params = self.space.to_parameters(dict(key))
-        return LogicFamily(
-            n_device=CNFET(params, model=self.model, polarity="n"),
-            p_device=CNFET(params, model=self.model, polarity="p"),
-            vdd=self.vdd,
-        )
+        return LogicFamily.default(self.vdd, self.model,
+                                   self.space.to_parameters(dict(key)))
 
     def _evaluate_key(self, key: Tuple) -> Dict[str, float]:
         raise NotImplementedError
@@ -285,10 +327,19 @@ class RingOscillatorEvaluator(_CircuitEvaluatorBase):
             circuit, {nodes[0]: 0.0, nodes[1]: family.vdd})
         dataset = transient(circuit, tstop=self.tstop, dt=self.dt, x0=x0,
                             method="be", backend=self.backend)
-        return self._period_metrics(dataset, nodes[0])
+        metrics = self._period_metrics([dataset], nodes[0])[0]
+        if math.isnan(metrics["period"]):
+            raise AnalysisError(
+                f"no oscillation cycles with >= "
+                f"{self.MIN_EXCURSION:.0e} * VDD excursion around "
+                f"VDD/2 on {nodes[0]!r}"
+            )
+        return metrics
 
-    def _period_metrics(self, dataset, node: str) -> Dict[str, float]:
-        """Excursion-validated robust period metrics of one waveform.
+    def _period_metrics(self, datasets: Sequence, node: str
+                        ) -> List[Dict[str, float]]:
+        """Excursion-validated robust period metrics of each waveform
+        (``None`` gives NaN metrics), through :func:`ring_periods`.
 
         Only rising-crossing intervals whose trace genuinely swings
         through VDD/2 (excursion >= ``MIN_EXCURSION * VDD`` on *both*
@@ -301,32 +352,37 @@ class RingOscillatorEvaluator(_CircuitEvaluatorBase):
         legacy values (the real cycles dominate) while agreeing
         between the scalar and lane-batched engines to ~1e-13
         relative.
-        """
-        from repro.errors import AnalysisError
 
-        level = self.vdd / 2
-        threshold = self.MIN_EXCURSION * self.vdd
-        t = np.asarray(dataset.axis)
-        v = dataset.voltage(node)
-        crossings = dataset.crossings(f"v({node})", level, rising=True)
-        spacings = []
-        for a, b in zip(crossings[:-1], crossings[1:]):
-            seg = v[(t >= a) & (t <= b)]
-            if seg.size and (seg - level).max() >= threshold \
-                    and (level - seg).max() >= threshold:
-                spacings.append(b - a)
-        if not spacings:
-            raise AnalysisError(
-                f"no oscillation cycles with >= "
-                f"{self.MIN_EXCURSION:.0e} * VDD excursion around "
-                f"VDD/2 on {node!r}"
-            )
-        period = float(np.median(spacings))
-        return {
-            "period": period,
-            "frequency": 1.0 / period,
-            "stage_delay": period / (2 * self.stages),
-        }
+        The lanes recorded on the longest axis (or a prefix of it) are
+        measured in one pass over their stacked ``v(node)`` traces; a
+        lane on another axis (a scalar re-run) gets a pass of its own.
+        """
+        live = [lane for lane, ds in enumerate(datasets) if ds is not None]
+        periods = np.full(len(datasets), np.nan)
+        if live:
+            t = max((datasets[lane].axis for lane in live), key=len)
+            shared = [lane for lane in live if np.array_equal(
+                datasets[lane].axis, t[:len(datasets[lane].axis)])]
+            groups = [(t, shared)] + [
+                (datasets[lane].axis, [lane])
+                for lane in sorted(set(live) - set(shared))]
+            for axis, lanes in groups:
+                lengths = np.array([len(datasets[lane].axis)
+                                    for lane in lanes])
+                v = np.zeros((len(lanes), len(axis)))
+                for i, lane in enumerate(lanes):
+                    v[i, :lengths[i]] = datasets[lane].voltage(node)
+                periods[lanes] = ring_periods(
+                    axis, v, self.vdd / 2, self.MIN_EXCURSION * self.vdd,
+                    lengths)
+        out = []
+        for period in periods.tolist():
+            if math.isnan(period):
+                out.append(self._nan_metrics())
+            else:
+                out.append({"period": period, "frequency": 1.0 / period,
+                            "stage_delay": period / (2 * self.stages)})
+        return out
 
     def _evaluate_keys_batch(self, keys: Sequence[Tuple]
                              ) -> List[Dict[str, float]]:
@@ -365,14 +421,4 @@ class RingOscillatorEvaluator(_CircuitEvaluatorBase):
             )
         except ReproError:
             return [self._evaluate_key_safe(key) for key in keys]
-        out = []
-        for lane in range(len(keys)):
-            dataset = result.datasets[lane]
-            if dataset is None:
-                out.append(self._nan_metrics())
-                continue
-            try:
-                out.append(self._period_metrics(dataset, nodes[0]))
-            except ReproError:
-                out.append(self._nan_metrics())
-        return out
+        return self._period_metrics(result.datasets, nodes[0])

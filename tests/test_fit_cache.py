@@ -115,3 +115,61 @@ class TestLazyReference:
         p = CNFET(params, polarity="p")
         assert fit_cache_info()["misses"] == 1
         assert p.ids(-0.6, -0.6) == pytest.approx(-n.ids(0.6, 0.6))
+
+
+class TestShiftCost:
+    def test_cache_hit_integrates_one_half_density(self, monkeypatch):
+        """A hit re-anchors with the entry's stored anchor density, so
+        only the new Fermi level's half density is integrated."""
+        from repro.physics.charge import ChargeModel
+
+        CNFET(FETToyParameters(fermi_level_ev=-0.4))
+        calls = []
+        original = ChargeModel.half_density
+
+        def counting(self, u_ev):
+            calls.append(u_ev)
+            return original(self, u_ev)
+
+        monkeypatch.setattr(ChargeModel, "half_density", counting)
+        CNFET(FETToyParameters(fermi_level_ev=-0.32))
+        assert fit_cache_info()["hits"] == 1
+        assert calls == [-0.32]
+
+
+class TestDevicePair:
+    """``LogicFamily.default`` builds a pair as one device: the p device
+    is the n device's mirror on the same fit."""
+
+    def test_p_device_shares_the_fit_and_matches_its_own_build(self):
+        from repro.circuit.logic import LogicFamily
+
+        CNFET(FETToyParameters(fermi_level_ev=-0.4))  # cache anchor
+        params = FETToyParameters(fermi_level_ev=-0.32, tox_nm=1.7)
+        family = LogicFamily.default(vdd=0.6, params=params)
+        n, p = family.n_device, family.p_device
+        assert (n.polarity, p.polarity) == ("n", "p")
+        assert p.fitted is n.fitted
+        assert p.capacitances is n.capacitances
+        own = CNFET(params, polarity="p")
+        vg = np.linspace(-0.6, 0.6, 9)[:, None]
+        vd = np.linspace(-0.6, 0.6, 7)[None, :]
+        assert np.array_equal(p.ids_batch(vg, vd), own.ids_batch(vg, vd))
+        assert [p.ids(g, d) for g in vg.ravel() for d in vd.ravel()] == \
+            [own.ids(g, d) for g in vg.ravel() for d in vd.ravel()]
+        assert np.array_equal(
+            np.array(p.terminal_charges_batch(vg, vd)),
+            np.array(own.terminal_charges_batch(vg, vd)))
+
+    def test_pair_costs_one_cache_lookup(self):
+        from repro.circuit.logic import LogicFamily
+
+        LogicFamily.default(params=FETToyParameters(fermi_level_ev=-0.4))
+        LogicFamily.default(params=FETToyParameters(fermi_level_ev=-0.3))
+        assert fit_cache_info() == {"hits": 1, "misses": 1, "size": 1}
+
+    def test_with_polarity_validates(self):
+        from repro.errors import ParameterError
+
+        with pytest.raises(ParameterError):
+            CNFET(FETToyParameters()).with_polarity("x")
